@@ -22,7 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import format_scalar, NotExpressibleInT
+from .scalars import format_scalar, IrrationalRoots, NotExpressibleInT
 from .coeffexpr import ParseError
 from .gstruct import InternalInvariantError
 from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
@@ -216,7 +216,8 @@ def main(argv=None, out=None):
                "scan": cmd_scan, "dump": cmd_dump}[args.command]
     try:
         return handler(args, out)
-    except (ModelError, ParseError, NotExpressibleInT, ValueError) as exc:
+    except (ModelError, ParseError, NotExpressibleInT, IrrationalRoots,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -20,6 +20,11 @@ from __future__ import annotations
 from .scalars import Scalar, Substitution
 
 
+# parentheses and unary minuses open at once; each '(' costs five frames of
+# recursion, so this stays well inside Python's default recursion limit
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} at column {position}")
@@ -62,6 +67,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -76,6 +82,15 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}", tok[2])
         return tok
+
+    def nest(self, pos, parse):
+        """Run parse one nesting level deeper, refusing past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -104,7 +119,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             _, _, pos = self.advance()
-            return ("neg", self.unary(), pos)
+            return ("neg", self.nest(pos, self.unary), pos)
         return self.power()
 
     def power(self):
@@ -127,7 +142,7 @@ class _Parser:
         if kind == "sym":
             return ("sym", value, pos)
         if kind == "(":
-            node = self.expr()
+            node = self.nest(pos, self.expr)
             closing = self.advance()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])

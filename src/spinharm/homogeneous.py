@@ -14,7 +14,8 @@ parameter t to the formal variable u.  Everything downstream is exact:
   * divergences of invariant tensors reduce to commutator sums;
   * the harmonicity residual (the full six-term spinor expression for
     n = 6, div S for n = 7) is converted coordinate-wise into rational
-    functions of t and its exact rational root set is intersected;
+    functions of t, and the exact rational roots of the gcd of their
+    numerators are found (irrational common roots are refused);
   * laplacian_cross_check computes Delta phi = -sum lift(L_i)^2 phi0 and
     c_xi.phi from the torsion slots and reports the residual
     Delta phi + 1/2 c_xi.phi, which equals -1/2 L.phi and must vanish
@@ -35,8 +36,9 @@ import os
 from fractions import Fraction
 
 from .scalars import (Scalar, Poly, ZERO, ONE, Substitution,
-                      as_polynomial_in_t, rational_roots, IdenticallyZero,
-                      PoleError, evaluate_exact, format_scalar)
+                      as_polynomial_in_t, rational_roots, real_root_count,
+                      poly_gcd, IdenticallyZero, IrrationalRoots, PoleError,
+                      evaluate_exact, format_scalar)
 from .linalg import (Matrix, vec_add, vec_dot, vec_scale, vec_sub,
                      zero_vec)
 from .clifford import MultiVector, SpinRep, FrameTensor, c_sigma
@@ -81,29 +83,30 @@ def vanishing_verdict(values, sub, positive_only=True) -> Verdict:
     """Joint vanishing t-set of u-domain Scalars under the substitution.
 
     Requires every value to be expressible as a rational function of t
-    (raises NotExpressibleInT otherwise); multiplicities are those of the
-    common roots of the t-numerators.
+    (raises NotExpressibleInT otherwise).  The common roots are those of
+    the gcd of the t-numerators, with the gcd's multiplicities (the least
+    over the numerators).  Raises IrrationalRoots when the gcd has a real
+    root in the domain (t > 0, or t != 0) that is not rational.
     """
-    in_t = [as_polynomial_in_t(v, sub) for v in values]
-    nonzero = [v for v in in_t if not v.is_zero]
+    nums = [as_polynomial_in_t(v, sub).num for v in values]
+    nonzero = [p for p in nums if not p.is_zero]
     if not nonzero:
         return Verdict(ALL_T)
-    common = None
-    for v in nonzero:
-        try:
-            roots = rational_roots(v.num)
-        except IdenticallyZero:  # pragma: no cover - nonzero filtered above
-            continue
-        if positive_only:
-            roots = {r: m for r, m in roots.items() if r > 0}
-        if common is None:
-            common = roots
-        else:
-            common = {r: min(m, common[r]) for r, m in roots.items()
-                      if r in common}
-        if not common:
-            return Verdict(NEVER)
-    return Verdict(ROOT_SET, common) if common else Verdict(NEVER)
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        if g.degree < 1:
+            break
+        g = poly_gcd(g, p)
+    if g.degree < 1:
+        return Verdict(NEVER)
+    roots = {r: m for r, m in rational_roots(g).items()
+             if r > 0 or not positive_only}
+    if real_root_count(g, positive_only) > sum(1 for r in roots if r):
+        raise IrrationalRoots(
+            f"gcd of the t-numerators "
+            f"{format_scalar(Scalar(Poly(g.int_coeffs())), 't')} "
+            "has irrational real roots")
+    return Verdict(ROOT_SET, roots) if roots else Verdict(NEVER)
 
 
 def vanishing_verdict_general(values, sub, positive_only=True) -> Verdict:
@@ -400,7 +403,7 @@ class ModelAnalysis:
         m = self.structure.complement_m()
         out = []
         for slot in self.model.lam:
-            proj = m.project(_pair_coords(slot))
+            proj = m.project(slot.pair_coeffs())
             out.append(MultiVector.from_pair_coeffs(self.model.n, proj))
         return out
 
@@ -408,7 +411,7 @@ class ModelAnalysis:
         g = self.structure.annihilator()
         coords = []
         for slot in self.model.lam:
-            coords.extend(g.project(_pair_coords(slot)))
+            coords.extend(g.project(slot.pair_coeffs()))
         return vanishing_verdict_general(coords, self.model.substitution,
                                          positive_only)
 
@@ -523,42 +526,3 @@ class ModelAnalysis:
     def classify(self):
         s, eta = self.extract_S_eta()
         return self.structure.classify(s, eta if self.model.n == 6 else None)
-
-
-def _pair_coords(slot: MultiVector):
-    return slot.pair_coeffs()
-
-
-# module-level op surface ----------------------------------------------------
-
-
-def extract_S_eta(model):
-    return ModelAnalysis(model).extract_S_eta()
-
-
-def torsion(model):
-    return ModelAnalysis(model).torsion()
-
-
-def canonical_parameters(model, positive_only=True):
-    return ModelAnalysis(model).canonical_parameters(positive_only)
-
-
-def divergence_endo(model, s):
-    return ModelAnalysis(model).divergence_endo(s)
-
-
-def divergence_vector(model, v):
-    return ModelAnalysis(model).divergence_vector(v)
-
-
-def harmonicity_su3(model, positive_only=True):
-    return ModelAnalysis(model).harmonicity_su3(positive_only)
-
-
-def harmonicity_g2(model, positive_only=True):
-    return ModelAnalysis(model).harmonicity_g2(positive_only)
-
-
-def laplacian_cross_check(model, positive_only=True):
-    return ModelAnalysis(model).laplacian_cross_check(positive_only)

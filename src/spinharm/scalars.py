@@ -38,6 +38,10 @@ class IdenticallyZero(ScalarDomainError):
     """Root finding on the zero polynomial (verdict: holds for all t)."""
 
 
+class IrrationalRoots(ScalarDomainError):
+    """Common real roots that are not rational (no exact t-set to report)."""
+
+
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -184,18 +188,31 @@ U_POLY = Poly((0, 1))
 
 
 def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (fraction-free)."""
+    """Pseudo-remainder of integer coefficient lists (fraction-free).
+
+    Scaling by |lead(b)| keeps it a positive multiple of the Euclidean
+    remainder, as Sturm chains need.
+    """
     a = list(a)
     db, lb = len(b) - 1, b[-1]
+    m = abs(lb)
     while len(a) - 1 >= db and a:
         da = len(a) - 1
-        la = a[-1]
-        a = [c * lb for c in a]
+        la = a[-1] if lb > 0 else -a[-1]
+        a = [c * m for c in a]
         for j in range(len(b)):
             a[da - db + j] -= la * b[j]
         while a and a[-1] == 0:
             a.pop()
     return a
+
+
+def _int_content_div(a):
+    """Divide by the positive content; signs are kept (Sturm chains need it)."""
+    g = 0
+    for c in a:
+        g = math.gcd(g, c)
+    return [c // g for c in a] if g > 1 else a
 
 
 def _int_primitive(a):
@@ -546,56 +563,156 @@ def eval_numeric(s: Scalar, sub: Substitution, t0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rational root finding
+# real root isolation (Sturm) and rational reconstruction
 
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
+def _sturm_chain(a):
+    """Sturm sequence a, a', -rem, ... of an integer coefficient list,
+    each term divided by its positive content."""
+    chain = [a, _int_content_div([k * c for k, c in enumerate(a)][1:])]
+    while len(chain[-1]) > 1:
+        r = _int_pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_int_content_div([-c for c in r]))
+    return chain
+
+
+def _int_sign_at(a, x: Fraction):
+    """Sign of the integer polynomial a at x (homogeneous Horner)."""
+    n, d = x.numerator, x.denominator
+    acc, dk = a[-1], 1
+    for c in reversed(a[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(signs):
+    out, last = 0, 0
+    for s in signs:
+        if s:
+            if last and s != last:
+                out += 1
+            last = s
+    return out
+
+
+def _variations_at(chain, x):
+    return _variations(_int_sign_at(a, x) for a in chain)
+
+
+def _variations_at_infinity(chain, sign):
+    """Sign variations of the chain at +inf (sign=1) or -inf (sign=-1)."""
+    return _variations((1 if a[-1] > 0 else -1) * sign ** (len(a) - 1)
+                       for a in chain)
+
+
+def _strip_t_power(p: Poly):
+    k = 0
+    while p.coeffs[k] == 0:
+        k += 1
+    return k, Poly(p.coeffs[k:])
+
+
+def real_root_count(p: Poly, positive_only=True) -> int:
+    """Distinct real roots of p in t > 0, or in t != 0 (Sturm's theorem).
+
+    The chain of a non-squarefree p ends in gcd(p, p'), which does not
+    vanish at 0 once t^k is stripped, so the count is still exact.
+    """
+    if p.is_zero:
+        raise IdenticallyZero("identically zero")
+    _, work = _strip_t_power(p)
+    if work.degree < 1:
+        return 0
+    chain = _sturm_chain(work.int_coeffs())
+    lo = _variations_at(chain, Fraction(0)) if positive_only else \
+        _variations_at_infinity(chain, -1)
+    return lo - _variations_at_infinity(chain, 1)
+
+
+def _isolating_intervals(f, chain, bound):
+    """Intervals (lo, hi], one per distinct real root of f, f(lo)f(hi) != 0.
+
+    Bisection of (-bound, 0] and (0, bound] on Sturm counts; a split point
+    that is itself a root is moved towards lo, so no endpoint is a root.
+    """
+    zero, b = Fraction(0), Fraction(bound)
+    v = [_variations_at(chain, x) for x in (-b, zero, b)]
+    todo = [(-b, zero, v[0], v[1]), (zero, b, v[1], v[2])]
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    while todo:
+        lo, hi, vlo, vhi = todo.pop()
+        if vlo - vhi == 1:
+            out.append((lo, hi))
+        elif vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            while _int_sign_at(f, mid) == 0:
+                mid = (lo + mid) / 2
+            vmid = _variations_at(chain, mid)
+            todo.append((lo, mid, vlo, vmid))
+            todo.append((mid, hi, vmid, vhi))
+    return out
+
+
+def _rational_in(f, lo, hi, lead):
+    """The rational root of f in (lo, hi], or None when that root is irrational.
+
+    f is squarefree with exactly one root r in (lo, hi].  A rational root
+    has a denominator dividing lead, and two such fractions lie at least
+    1/lead^2 apart: once the interval is narrower than 1/(2 lead^2), r is
+    the fraction nearest its midpoint with denominator at most lead.
+    """
+    slo = _int_sign_at(f, lo)
+    width = Fraction(1, 2 * lead * lead)
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        s = _int_sign_at(f, mid)
+        if s == 0:
+            return mid
+        if s == slo:
+            lo = mid
+        else:
+            hi = mid
+    c = ((lo + hi) / 2).limit_denominator(lead)
+    if lo < c <= hi and _int_sign_at(f, c) == 0:
+        return c
+    return None
 
 
 def rational_roots(p: Poly) -> dict:
-    """All rational roots of p with multiplicities (rational-root theorem).
+    """All rational roots of p with multiplicities.
 
-    Raises IdenticallyZero on the zero polynomial; callers translate that
-    into a 'holds for all t' verdict.
+    The squarefree part's real roots are isolated with a Sturm chain on
+    the Cauchy bound, each isolating interval is narrowed until at most one
+    fraction with a denominator dividing the leading coefficient fits, and
+    that candidate is confirmed exactly.  Multiplicities come from exact
+    deflation.  Raises IdenticallyZero on the zero polynomial; callers
+    translate that into a 'holds for all t' verdict.
     """
     if p.is_zero:
         raise IdenticallyZero("identically zero")
     roots = {}
-    work = Poly(p.coeffs)
-    # strip t^k
-    k = 0
-    while work.coeffs and work.coeffs[0] == 0:
-        work = Poly(work.coeffs[1:])
-        k += 1
+    k, work = _strip_t_power(p)
     if k:
         roots[Fraction(0)] = k
     if work.degree < 1:
         return roots
-    ints = work.int_coeffs()
-    a0, an = ints[0], ints[-1]
-    cands = set()
-    for p_ in _divisors(a0):
-        for q_ in _divisors(an):
-            cands.add(Fraction(p_, q_))
-            cands.add(Fraction(-p_, q_))
-    for r in sorted(cands):
+    f = work.exact_div(poly_gcd(work, Poly(
+        [j * c for j, c in enumerate(work.coeffs)][1:]))).int_coeffs()
+    lead = f[-1]
+    # Cauchy: every root has |t| < 1 + max|f_i| / lead <= bound
+    bound = 2 + max(abs(c) for c in f[:-1]) // lead
+    chain = _sturm_chain(f)
+    found = (_rational_in(f, lo, hi, lead)
+             for lo, hi in _isolating_intervals(f, chain, bound))
+    for r in sorted(r for r in found if r is not None):
         mult = 0
-        while work.degree >= 1 and work.eval(r) == 0:
+        while work.eval(r) == 0:
             work = work.exact_div(Poly((-r, 1)))
             mult += 1
-        if mult:
-            roots[r] = mult
+        roots[r] = mult
     return roots
 
 

@@ -2,6 +2,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 import spinharm.clifford as clifford
 import spinharm.verify as verify
 from spinharm.cli import main
@@ -67,6 +69,31 @@ def test_report_malformed_file_exit2(tmp_path, capsys, flat6_dict):
     code, _ = run_cli("report", str(path))
     assert code == 2
     assert "slot 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", ["(" * 5000 + "1" + ")" * 5000,
+                                   "-" * 5000 + "1"])
+def test_report_deep_nesting_exit2(tmp_path, capsys, flat6_dict, coeff):
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: slot 1") and "nesting deeper" in err
+    assert "Traceback" not in err
+
+
+def test_report_irrational_roots_exit2(tmp_path, capsys, g2_toy_dict):
+    # the perturbation factor t becomes t^2 - 2: div S vanishes at sqrt(2)
+    for ent in g2_toy_dict["lambda"][0][3:]:
+        assert ent["coeff"].endswith(")*t")
+        ent["coeff"] = ent["coeff"][:-1] + "(t^2-2)"
+    path = tmp_path / "irr.json"
+    path.write_text(json.dumps(g2_toy_dict))
+    code, _ = run_cli("report", str(path))
+    assert code == 2
+    assert "irrational real roots" in capsys.readouterr().err
 
 
 def test_internal_invariant_exit3(monkeypatch, capsys):

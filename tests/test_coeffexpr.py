@@ -1,6 +1,7 @@
 import pytest
 
-from spinharm.coeffexpr import ParseError, fold, parse_coeff, parse_scalar
+from spinharm.coeffexpr import (MAX_NESTING, ParseError, fold, parse_coeff,
+                                parse_scalar)
 from spinharm.scalars import Scalar, Substitution
 
 U = Scalar.u()
@@ -91,3 +92,18 @@ def test_ast_shape():
     node = parse_coeff("1+2*3")
     assert node[0] == "+"
     assert fold(node, T_ID) == sc(7)
+
+
+@pytest.mark.parametrize("text", ["(" * 5000 + "t" + ")" * 5000,
+                                  "-" * 5000 + "t"])
+def test_deep_nesting_rejected_with_position(text):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, T_ID)
+    assert f"nesting deeper than {MAX_NESTING}" in str(err.value)
+    assert err.value.position == MAX_NESTING + 1
+
+
+def test_nesting_at_the_limit_parses():
+    depth = MAX_NESTING
+    assert parse_scalar("(" * depth + "t" + ")" * depth, T_ID) == U
+    assert parse_scalar("-" * depth + "t", T_ID) == U * sc((-1) ** depth)

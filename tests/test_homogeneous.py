@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinharm.clifford import MultiVector
 from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
@@ -11,8 +12,9 @@ from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
                                   vanishing_verdict_general)
 from spinharm.linalg import Matrix, basis_vec, vec_is_zero, zero_vec
 from spinharm.numeric import NumericModel, scan
-from spinharm.scalars import (NotExpressibleInT, Scalar, Substitution,
-                              eval_numeric, evaluate_exact)
+from spinharm.scalars import (IrrationalRoots, NotExpressibleInT, Scalar,
+                              Substitution, as_polynomial_in_t, eval_numeric,
+                              evaluate_exact, rational_roots)
 
 U = Scalar.u()
 
@@ -385,6 +387,84 @@ def test_vanishing_verdict_general_handles_odd_powers():
         Verdict(ROOT_SET, {Fraction(4): 1})
     assert vanishing_verdict_general([U + sc(2)], sub) == Verdict(NEVER)
     assert vanishing_verdict_general([sc(0)], sub) == Verdict(ALL_T)
+
+
+def test_vanishing_verdict_refuses_irrational_common_roots():
+    sub = Substitution.T_EQUALS_U
+    t2m2 = U * U - sc(2)
+    # both vanish at sqrt(2): NEVER would be false
+    with pytest.raises(IrrationalRoots, match=r"-2 \+ t\^2"):
+        vanishing_verdict([t2m2, sc(2) * t2m2], sub)
+    # ROOT_SET {1} would silently drop sqrt(2)
+    with pytest.raises(IrrationalRoots):
+        vanishing_verdict([(U - sc(1)) * t2m2], sub)
+
+
+def test_vanishing_verdict_complex_roots_do_not_count():
+    sub = Substitution.T_EQUALS_U
+    val = (U - sc(1)) * (U * U + sc(1))
+    assert vanishing_verdict([val], sub) == Verdict(ROOT_SET, {Fraction(1): 1})
+
+
+def test_vanishing_verdict_irrational_roots_outside_domain():
+    sub = Substitution.T_EQUALS_U
+    val = U * U + sc(4) * U + sc(2)   # roots -2 +- sqrt(2), both negative
+    assert vanishing_verdict([val], sub, positive_only=True) == Verdict(NEVER)
+    with pytest.raises(IrrationalRoots):
+        vanishing_verdict([val], sub, positive_only=False)
+
+
+def _intersected_verdict(values, sub, positive_only):
+    """Reference: intersect the rational roots of each t-numerator."""
+    common = None
+    for v in values:
+        num = as_polynomial_in_t(v, sub).num
+        if num.is_zero:
+            continue
+        roots = {r: m for r, m in rational_roots(num).items()
+                 if r > 0 or not positive_only}
+        if common is None:
+            common = roots
+        else:
+            common = {r: min(m, common[r]) for r, m in roots.items()
+                      if r in common}
+    if common is None:
+        return Verdict(ALL_T)
+    return Verdict(ROOT_SET, common) if common else Verdict(NEVER)
+
+
+_SUBS = [Substitution.T_EQUALS_U, Substitution.T_EQUALS_U_SQUARED,
+         Substitution.T_EQUALS_HALF_U_SQUARED]
+_roots = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _value_families(draw):
+    """Values sharing roots from one pool, times root-free quadratics."""
+    sub = draw(st.sampled_from(_SUBS))
+    t = sub.t_as_scalar()
+    pool = draw(st.lists(_roots, min_size=1, max_size=3, unique=True))
+    values = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            values.append(sc(0))
+            continue
+        v = sc(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+        for r in pool + [draw(_roots)]:
+            v = v * (t - sc(r)) ** draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(0, 1))):
+            v = v * (t * t + sc(draw(st.integers(1, 3))))
+        values.append(v / (t + sc(draw(st.integers(1, 3)))))
+    return values, sub
+
+
+@settings(max_examples=80, deadline=None)
+@given(_value_families(), st.booleans())
+def test_vanishing_verdict_gcd_first_matches_intersection(family,
+                                                          positive_only):
+    values, sub = family
+    assert vanishing_verdict(values, sub, positive_only) == \
+        _intersected_verdict(values, sub, positive_only)
 
 
 def test_extraction_invariant_no_phi_component():

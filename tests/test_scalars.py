@@ -105,6 +105,12 @@ def test_roots_product():
                                  Fraction(5, 4): 1}
 
 
+def test_roots_drop_irrational_roots_next_to_rational_ones():
+    # the fraction nearest sqrt(2)'s interval is the root 1 outside it
+    p = Poly((-1, 1)) * Poly((-2, 0, 1))   # (t - 1)(t^2 - 2)
+    assert rational_roots(p) == {Fraction(1): 1}
+
+
 def test_roots_zero_polynomial_rejected():
     with pytest.raises(IdenticallyZero):
         rational_roots(Poly(()))
@@ -147,6 +153,87 @@ def test_roots_random_degree5_against_bisection_oracle():
                 else:
                     lo, flo = mid, fm
             assert abs((lo + hi) / 2 - float(r)) < 1e-9
+
+
+def _linear(r):
+    """t - r for a rational r."""
+    return Poly((-Fraction(r), 1))
+
+
+def test_roots_large_integer_root():
+    assert rational_roots(_linear(10000000019)) == {Fraction(10000000019): 1}
+
+
+def test_roots_twenty_digit_root():
+    r = 10**20 + 39
+    assert rational_roots(_linear(r)) == {Fraction(r): 1}
+
+
+def test_roots_eleven_digit_primes():
+    p, q = 50000000021, 50000001041   # distinct primes near 5*10^10
+    poly = Poly((-1, 2)) * Poly((-p, q))   # (2t - 1)(qt - p)
+    assert rational_roots(poly) == {Fraction(1, 2): 1, Fraction(p, q): 1}
+
+
+def test_roots_repeated_root_next_to_large_one():
+    p, q = 170000000033, 600000012431
+    poly = Poly((-7, 3)) * Poly((-7, 3)) * _linear(Fraction(p, q))
+    assert rational_roots(poly) == {Fraction(7, 3): 2, Fraction(p, q): 1}
+
+
+def test_roots_large_coefficient_model_file():
+    """A model-file coefficient (t-10000000019) reaches the root finder."""
+    import copy
+    from spinharm.homogeneous import (ROOT_SET, HomogeneousModel,
+                                      ModelAnalysis, Verdict, load_model)
+    base = load_model("aw11").to_dict()
+    data = copy.deepcopy(base)
+    extra = copy.deepcopy(base["lambda"][1])
+    for ent in extra:
+        ent["coeff"] = f"({ent['coeff']})*(t-10000000019)"
+    data["lambda"][0] += extra
+    an = ModelAnalysis(HomogeneousModel.from_dict(data))
+    assert an.harmonicity().verdict == Verdict(
+        ROOT_SET, {Fraction(1, 2): 1, Fraction(10000000019): 1})
+
+
+def _seeded_polys(count, seed):
+    """Planted rational roots (some negative, zero or repeated) times
+    irreducible quadratics, with a random integer scale."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        poly = Poly((rng.choice([1, -2, 3, 5, -7, 12]),))
+        for _ in range(rng.randint(0, 4)):
+            r = Fraction(rng.randint(-60, 60), rng.randint(1, 50))
+            for _ in range(rng.choice([1, 1, 1, 2, 3])):
+                poly = poly * _linear(r)
+        for _ in range(rng.randint(0, 2)):
+            poly = poly * _irreducible_quadratic(rng)
+        yield poly
+
+
+def _irreducible_quadratic(rng):
+    """a t^2 + b t + c with no rational root (real or complex roots)."""
+    while True:
+        a, b, c = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)
+        disc = b * b - 4 * a * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            return Poly((c, b, a))
+
+
+def test_roots_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for poly in _seeded_polys(200, seed=3):
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k
+                   for k, c in enumerate(poly.coeffs))
+        expect = {}
+        for factor, mult in sympy.factor_list(sympy.Poly(expr, t))[1]:
+            if factor.degree() == 1:
+                a, b = factor.all_coeffs()
+                r = -sympy.Rational(b) / a
+                expect[Fraction(int(r.p), int(r.q))] = mult
+        assert rational_roots(poly) == expect, poly
 
 
 # ---------------------------------------------------------------------------
