@@ -12,7 +12,8 @@ Subcommands:
 MODEL is a built-in name (cp3, spin4, aw11) or a path to a JSON model file.
 Structured output is byte-deterministic (sorted keys, canonical scalar
 strings).  Exit codes: 0 success, 1 verification failure, 2 input error,
-3 internal invariant breach.
+3 internal invariant breach or any other internal error (one line on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .coeffexpr import ParseError
 from .gstruct import InternalInvariantError
 from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
                           load_model)
-from . import numeric, verify
 
 
 def _fraction(text):
@@ -168,6 +168,7 @@ def cmd_report(args, out):
 
 
 def cmd_verify(args, out):
+    from . import verify   # imported here, like numeric in cmd_scan
     results = verify.run_all(trials=args.trials)
     if args.format == "structured":
         payload = [{"name": r.name, "ok": r.ok, "detail": r.detail}
@@ -185,6 +186,7 @@ def cmd_verify(args, out):
 
 
 def cmd_scan(args, out):
+    from . import numeric   # numpy: report and dump never import it
     model = load_model(args.model)
     rows = numeric.scan(model, args.t_min, args.t_max, args.steps)
     if args.format == "structured":
@@ -222,6 +224,9 @@ def main(argv=None, out=None):
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -65,6 +65,16 @@ def _perm_sign(seq):
     return sign
 
 
+def _signed_permutation(g: Matrix):
+    """(rows, signs) of a matrix with one +-1 entry in each column."""
+    rows, signs = [], []
+    for j in range(g.cols):
+        [(r, e)] = [(r, e) for r, e in enumerate(g.column(j)) if e]
+        rows.append(r)
+        signs.append(int(e.as_fraction()))
+    return tuple(rows), tuple(signs)
+
+
 class MultiVector:
     """Element of the exterior algebra on R^n with Scalar coefficients."""
 
@@ -232,7 +242,14 @@ class MultiVector:
 
 
 class SpinRep:
-    """The real spin representation for n = 6 or 7, with cached products."""
+    """The real spin representation for n = 6 or 7.
+
+    Every product e_I of generators is a signed permutation of the basis
+    spinors: column j of e_I has its one nonzero entry, signs[j] = +-1, in
+    row rows[j].  These are read off the dense generator matrices `gens`,
+    composed once per index tuple and cached; `endo` places +-c into 8
+    cells per term.
+    """
 
     _cache = {}
 
@@ -241,7 +258,9 @@ class SpinRep:
             raise ValueError("unsupported dimension (need 6 or 7)")
         self.n = n
         self.gens = [self._generator(i) for i in range(1, n + 1)]
-        self._endo_cache = {}
+        self._perms = {(): (tuple(range(8)), (1,) * 8)}
+        for i, g in enumerate(self.gens, start=1):
+            self._perms[(i,)] = _signed_permutation(g)
 
     @classmethod
     def build(cls, n):
@@ -258,26 +277,37 @@ class SpinRep:
             m.data[b - 1][a - 1] = Scalar.rational(s)
         return m
 
+    def _signed_perm(self, key):
+        """(rows, signs) of the ordered product e_{key[0]}...e_{key[-1]}."""
+        perm = self._perms.get(key)
+        if perm is None:
+            rows_a, signs_a = self._signed_perm(key[:-1])
+            rows_b, signs_b = self._perms[key[-1:]]
+            # (A B) e_j = signs_b[j] A e_{rows_b[j]}
+            perm = (tuple(rows_a[r] for r in rows_b),
+                    tuple(s * signs_a[r] for r, s in zip(rows_b, signs_b)))
+            self._perms[key] = perm
+        return perm
+
     def _tuple_endo(self, key):
-        if key in self._endo_cache:
-            return self._endo_cache[key]
-        if not key:
-            out = Matrix.identity(8)
-        else:
-            out = self.gens[key[0] - 1]
-            for i in key[1:]:
-                out = out * self.gens[i - 1]
-        self._endo_cache[key] = out
-        return out
+        """Dense matrix of the ordered product e_{key[0]}...e_{key[-1]}."""
+        rows, signs = self._signed_perm(key)
+        data = [[ZERO] * 8 for _ in range(8)]
+        for j, (r, s) in enumerate(zip(rows, signs)):
+            data[r][j] = ONE if s > 0 else -ONE
+        return Matrix(data)
 
     def endo(self, m: MultiVector) -> Matrix:
         """Spinor endomorphism of a multivector (ordered products)."""
         if m.n != self.n:
             raise ValueError("dimension mismatch")
-        out = Matrix.zeros(8, 8)
+        data = [[ZERO] * 8 for _ in range(8)]
         for key, c in m.terms.items():
-            out = out + self._tuple_endo(key).scale(c)
-        return out
+            rows, signs = self._signed_perm(key)
+            neg = -c
+            for j, (r, s) in enumerate(zip(rows, signs)):
+                data[r][j] = data[r][j] + (c if s > 0 else neg)
+        return Matrix(data)
 
     def act(self, m: MultiVector, spinor):
         return self.endo(m).apply(spinor)

@@ -155,35 +155,43 @@ def parse_coeff(text):
     return _Parser(text).parse()
 
 
+_BINARY = {"+": Scalar.__add__, "-": Scalar.__sub__,
+           "*": Scalar.__mul__, "/": Scalar.__truediv__}
+
+
 def fold(node, sub: Substitution) -> Scalar:
-    """Evaluate an AST to a Scalar, binding t through the substitution."""
+    """Evaluate an AST to a Scalar, binding t through the substitution.
+
+    A chain like t+t+...+t parses into a left-nested tree as deep as it is
+    long, so the left spine of binary operators is walked in a loop; only
+    right operands and bracketed or negated subexpressions recurse, and
+    MAX_NESTING bounds those.
+    """
+    spine = []
+    while node[0] in _BINARY:
+        spine.append(node)
+        node = node[1]
     kind = node[0]
     if kind == "int":
-        return Scalar.rational(node[1])
-    if kind == "sym":
-        return Scalar.u() if node[1] == "u" else sub.t_as_scalar()
-    if kind == "neg":
-        return -fold(node[1], sub)
-    if kind == "pow":
+        acc = Scalar.rational(node[1])
+    elif kind == "sym":
+        acc = Scalar.u() if node[1] == "u" else sub.t_as_scalar()
+    elif kind == "neg":
+        acc = -fold(node[1], sub)
+    elif kind == "pow":
         base = fold(node[1], sub)
         exp = node[2]
         if exp < 0 and base.is_zero:
             raise ParseError("division by zero", node[3])
-        return base ** exp
-    op, lhs, rhs, pos = node
-    a = fold(lhs, sub)
-    b = fold(rhs, sub)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b.is_zero:
+        acc = base ** exp
+    else:
+        raise ParseError(f"unknown operator {kind!r}", node[-1])
+    for op, _, rhs, pos in reversed(spine):
+        b = fold(rhs, sub)
+        if op == "/" and b.is_zero:
             raise ParseError("division by zero", pos)
-        return a / b
-    raise ParseError(f"unknown operator {op!r}", pos)
+        acc = _BINARY[op](acc, b)
+    return acc
 
 
 def parse_scalar(text, sub: Substitution) -> Scalar:

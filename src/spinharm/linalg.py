@@ -112,9 +112,19 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            ot = list(zip(*other.data))
-            return Matrix([[vec_dot(row, col) for col in ot]
-                           for row in self.data])
+            # row i of the product sums a_ik * (row k of other) over the
+            # nonzero a_ik, and only the nonzero entries of those rows
+            sparse = [[(j, b) for j, b in enumerate(row) if b]
+                      for row in other.data]
+            out = []
+            for row in self.data:
+                acc = [ZERO] * other.cols
+                for a, terms in zip(row, sparse):
+                    if a:
+                        for j, b in terms:
+                            acc[j] = acc[j] + a * b
+                out.append(acc)
+            return Matrix(out)
         if isinstance(other, list):
             return self.apply(other)
         c = _coerce(other)

@@ -257,10 +257,12 @@ class Scalar:
             if num.is_zero:
                 den = ONE_POLY
             else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                # a nonzero constant on either side makes the gcd 1
+                if num.degree > 0 and den.degree > 0:
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num.exact_div(g)
+                        den = den.exact_div(g)
                 lead = den.coeffs[-1]
                 if lead != 1:
                     num = num * (1 / lead)
@@ -305,8 +307,12 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
         if self.den == ONE_POLY and other.den == ONE_POLY:
-            return Scalar(self.num + other.num, ONE_POLY)
+            return Scalar(self.num + other.num, ONE_POLY, _reduced=True)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -330,6 +336,8 @@ class Scalar:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
+        if self.den == ONE_POLY and other.den == ONE_POLY:
+            return Scalar(self.num * other.num, ONE_POLY, _reduced=True)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -20,7 +20,6 @@ from .clifford import (MultiVector, SpinRep, FrameTensor, bracket, c_sigma,
 from .gstruct import SpinorStructure
 from .homogeneous import (ALL_T, ROOT_SET, ModelAnalysis, Verdict,
                           load_model)
-from . import numeric
 
 NUMERIC_TOL = 1e-9
 
@@ -479,6 +478,7 @@ def check_cross_check():
 
 
 def check_numeric_scan(samples=20, seed=77):
+    from . import numeric   # numpy only for this check
     rng = random.Random(seed)
     fails = []
     for name in ("cp3", "spin4", "aw11"):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import spinharm
+import spinharm.cli as cli
 import spinharm.clifford as clifford
 import spinharm.verify as verify
 from spinharm.cli import main
@@ -103,6 +108,38 @@ def test_internal_invariant_exit3(monkeypatch, capsys):
     code, _ = run_cli("report", "cp3")
     assert code == 3
     assert "invariant breach" in capsys.readouterr().err
+
+
+def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
+    chain = "+".join(["t"] * 5000)
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": chain}]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path))
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unexpected_exception_exit3(monkeypatch, capsys):
+    def boom(args, out):
+        raise RuntimeError("unexpected state")
+    monkeypatch.setattr(cli, "cmd_report", boom)
+    code, _ = run_cli("report", "cp3")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+def test_report_does_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(spinharm.__file__))
+    script = ("import io, sys\n"
+              "import spinharm.cli\n"
+              "code = spinharm.cli.main(['report', 'cp3'], out=io.StringIO())\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(
+        os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -315,3 +316,62 @@ def test_c_sigma_kappa_universal():
 
 def test_lift_factor_is_half():
     assert clifford.LIFT_FACTOR == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# signed-permutation action against the dense ordered products of `gens`
+
+
+def _dense_product(a, b):
+    """Reference 8x8 product, one vec_dot per entry with no zero skipping."""
+    cols = list(zip(*b.data))
+    return Matrix([[vec_dot(row, col) for col in cols] for row in a.data])
+
+
+def _dense_tuple_products(rep):
+    """e_I as the ordered product of dense generators, every increasing I."""
+    ref = {(): Matrix.identity(8)}
+    for k in range(1, rep.n + 1):
+        for key in combinations(range(1, rep.n + 1), k):
+            ref[key] = _dense_product(ref[key[:-1]], rep.gens[key[-1] - 1])
+    return ref
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_tuple_endo_matches_dense_products(n):
+    rep = SpinRep.build(n)
+    ref = _dense_tuple_products(rep)
+    assert len(ref) == 2 ** n
+    for key, dense in ref.items():
+        assert rep._tuple_endo(key) == dense, key
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_endo_matches_dense_products(n):
+    rep = SpinRep.build(n)
+    ref = _dense_tuple_products(rep)
+    coeffs = {key: (sc(k % 5 - 2) + U ** (k % 3)) / (sc(1) + U)
+              for k, key in enumerate(ref)}
+    total = Matrix.zeros(8, 8)
+    for key, dense in ref.items():
+        c = coeffs[key]
+        assert rep.endo(MultiVector(n, {key: c})) == dense.scale(c), key
+        total = total + dense.scale(c)
+    assert rep.endo(MultiVector(n, coeffs)) == total
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_act_matches_dense_products(n):
+    rep = SpinRep.build(n)
+    ref = _dense_tuple_products(rep)
+    spinor = [sc(0), U, sc(-3, 2), sc(0), sc(1) / (sc(2) + U), sc(1), sc(0),
+              U * U]
+    m = MultiVector(n, {key: sc(k % 7 - 3) + U
+                        for k, key in enumerate(ref)})
+    expected = [sc(0)] * 8
+    for key, c in m.terms.items():
+        image = [vec_dot(row, spinor) for row in ref[key].data]
+        expected = [e + c * x for e, x in zip(expected, image)]
+    assert rep.act(m, spinor) == expected
+    v = m.grade(1)
+    assert rep.act_vector(v.vector_coords(), spinor) == rep.act(v, spinor)

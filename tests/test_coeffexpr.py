@@ -107,3 +107,9 @@ def test_nesting_at_the_limit_parses():
     depth = MAX_NESTING
     assert parse_scalar("(" * depth + "t" + ")" * depth, T_ID) == U
     assert parse_scalar("-" * depth + "t", T_ID) == U * sc((-1) ** depth)
+
+
+def test_long_operator_chain_folds_without_recursion():
+    chain = "+".join(["t"] * 5000)
+    assert parse_scalar(chain, T_ID) == sc(5000) * U
+    assert parse_scalar("*".join(["1"] * 5000) + "/t", T_ID) == sc(1) / U

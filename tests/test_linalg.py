@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinharm.clifford import MultiVector, SpinRep
 from spinharm.gstruct import SpinorStructure
@@ -205,3 +206,31 @@ def test_matrix_algebra_basics():
     assert (a + (-a)).is_zero
     assert a.trace() == sc(3)
     assert not a.is_skew() and not a.is_symmetric()
+
+
+# ---------------------------------------------------------------------------
+# zero-skipping product against the vec_dot reference
+
+
+_ENTRIES = [sc(0), sc(0), sc(0), sc(1), sc(-3, 2), U, sc(1) - U,
+            sc(1) / (sc(1) + U), U / (sc(2) - U * U)]
+
+
+@st.composite
+def _matrix_pair(draw):
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.sampled_from(_ENTRIES)
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return Matrix(a), Matrix(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pair())
+def test_product_with_zero_entries_matches_vec_dot(pair):
+    a, b = pair
+    cols = list(zip(*b.data))
+    expected = [[vec_dot(row, col) for col in cols] for row in a.data]
+    assert (a * b).data == expected
+    assert a.apply(list(cols[0])) == [vec_dot(row, cols[0])
+                                      for row in a.data]

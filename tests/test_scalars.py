@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinharm.scalars import (
-    IdenticallyZero, NotExpressibleInT, Poly, PoleError, Scalar,
-    Substitution, as_polynomial_in_t, eval_numeric, evaluate_exact,
+    IdenticallyZero, NotExpressibleInT, ONE_POLY, Poly, PoleError, Scalar,
+    Substitution, ZERO_POLY, as_polynomial_in_t, eval_numeric, evaluate_exact,
     format_scalar, poly_gcd, rational_roots,
 )
 
@@ -364,3 +364,38 @@ def test_format_canonical():
     assert format_scalar(sc(-3, 2)) == "-3/2"
     assert format_scalar(sc(0)) == "0"
     assert format_scalar(as_polynomial_in_t(U * U, T_U2), var="t") == "t"
+
+
+# ---------------------------------------------------------------------------
+# gcd-free construction against the general poly_gcd reduction
+
+
+def _gcd_reduced(num, den):
+    """(num, den) reduced the general way: divide by poly_gcd, monic den."""
+    if num.is_zero:
+        return ZERO_POLY, ONE_POLY
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    lead = den.coeffs[-1]
+    return num * (1 / lead), den.monic()
+
+
+_nonzero_consts = st.fractions(min_value=-4, max_value=4,
+                               max_denominator=3).filter(lambda c: c != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coeffs, _nonzero_coeffs, _nonzero_consts, st.booleans())
+def test_constant_side_skips_gcd_exactly(cs, ds, c, constant_num):
+    num, den = (Poly([c]), Poly(ds)) if constant_num else (Poly(cs), Poly([c]))
+    s = Scalar(num, den)
+    assert (s.num, s.den) == _gcd_reduced(num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coeffs, _coeffs)
+def test_polynomial_sum_and_product_stay_reduced(xs, ys):
+    a, b = Scalar(Poly(xs)), Scalar(Poly(ys))
+    s, p = a + b, a * b
+    assert (s.num, s.den) == _gcd_reduced(Poly(xs) + Poly(ys), ONE_POLY)
+    assert (p.num, p.den) == _gcd_reduced(Poly(xs) * Poly(ys), ONE_POLY)
