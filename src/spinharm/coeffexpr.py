@@ -12,7 +12,8 @@ then + -):
 Expressions may mention both t and u; t is rewritten through the model's
 substitution before any arithmetic, so model files can quote coefficients
 like (1-t)/(2*u) verbatim.  Folding happens in exact Scalar arithmetic;
-division by a subexpression that folds to zero is rejected with a position.
+division by a subexpression that folds to zero is rejected with a position,
+and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ from .scalars import Scalar, Substitution
 # parentheses and unary minuses open at once; each '(' costs five frames of
 # recursion, so this stays well inside Python's default recursion limit
 MAX_NESTING = 100
+
+# size of every folded value: the u-degree of its numerator and denominator,
+# and the bit length of every integer in their normal form (coefficients over
+# one common denominator).  They bound the cost of folding, which grows with
+# both; a power is checked before it is computed, from |exp| times the base's
+# degree and bits (an upper bound on the result's)
+MAX_DEGREE = 128
+MAX_COEFF_BITS = 4096
 
 
 class ParseError(ValueError):
@@ -159,13 +168,29 @@ _BINARY = {"+": Scalar.__add__, "-": Scalar.__sub__,
            "*": Scalar.__mul__, "/": Scalar.__truediv__}
 
 
+def _size(s: Scalar):
+    """(u-degree, bits) of a Scalar, as bounded by MAX_DEGREE and
+    MAX_COEFF_BITS."""
+    num, den = s.num, s.den
+    bits = max(c.bit_length() for p in (num, den) for c in p.ints + (p.dd,))
+    return max(num.degree, den.degree), bits
+
+
+def _check_size(degree, bits, pos):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree above {MAX_DEGREE}", pos)
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"coefficient above {MAX_COEFF_BITS} bits", pos)
+
+
 def fold(node, sub: Substitution) -> Scalar:
     """Evaluate an AST to a Scalar, binding t through the substitution.
 
     A chain like t+t+...+t parses into a left-nested tree as deep as it is
     long, so the left spine of binary operators is walked in a loop; only
     right operands and bracketed or negated subexpressions recurse, and
-    MAX_NESTING bounds those.
+    MAX_NESTING bounds those.  Every step's result is checked against
+    MAX_DEGREE and MAX_COEFF_BITS, a breach reported at its operator.
     """
     spine = []
     while node[0] in _BINARY:
@@ -183,14 +208,18 @@ def fold(node, sub: Substitution) -> Scalar:
         exp = node[2]
         if exp < 0 and base.is_zero:
             raise ParseError("division by zero", node[3])
+        degree, bits = _size(base)
+        _check_size(abs(exp) * degree, abs(exp) * bits, node[3])
         acc = base ** exp
     else:
         raise ParseError(f"unknown operator {kind!r}", node[-1])
+    _check_size(*_size(acc), node[-1])
     for op, _, rhs, pos in reversed(spine):
         b = fold(rhs, sub)
         if op == "/" and b.is_zero:
             raise ParseError("division by zero", pos)
         acc = _BINARY[op](acc, b)
+        _check_size(*_size(acc), pos)
     return acc
 
 

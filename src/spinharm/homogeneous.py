@@ -41,7 +41,7 @@ from .scalars import (Scalar, Poly, ZERO, ONE, Substitution,
                       evaluate_exact, format_scalar)
 from .linalg import (Matrix, vec_add, vec_dot, vec_scale, vec_sub,
                      zero_vec)
-from .clifford import MultiVector, SpinRep, FrameTensor, c_sigma
+from .clifford import MultiVector, SpinRep
 from .gstruct import SpinorStructure, InternalInvariantError
 
 
@@ -512,10 +512,13 @@ class ModelAnalysis:
         for slot in self.model.lam:
             lifted = self.rep.spin_lift(slot)
             delta = vec_sub(delta, lifted.apply(lifted.apply(phi)))
-        xi = self.torsion()
-        cs = c_sigma(self.rep, FrameTensor(self.model.n, xi))
-        c_xi_phi = cs.c.apply(phi)
+        # c_xi.phi = 1/2 sum_i xi_i.(xi_i.phi), one slot at a time
         half = Scalar.rational(1, 2)
+        c_xi_phi = zero_vec(8)
+        for slot in self.torsion():
+            e = self.rep.endo(slot)
+            c_xi_phi = vec_add(c_xi_phi, e.apply(e.apply(phi)))
+        c_xi_phi = vec_scale(half, c_xi_phi)
         residual = [d + half * c for d, c in zip(delta, c_xi_phi)]
         verdict = vanishing_verdict(residual, self.model.substitution,
                                     positive_only)

@@ -229,10 +229,11 @@ class Matrix:
 class Subspace:
     """Linear subspace given by an RREF basis (canonical representative)."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_projector")
 
     def __init__(self, ambient_dim, basis_rows, _canonical=False):
         self.ambient_dim = ambient_dim
+        self._projector = None
         if _canonical:
             self.basis = basis_rows
         else:
@@ -272,19 +273,23 @@ class Subspace:
         return Matrix(self.basis).kernel()
 
     def project(self, v):
-        """Orthogonal projection onto the subspace (Gram system, exact)."""
+        """Orthogonal projection onto the subspace (exact)."""
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        if not self.basis:
-            return zero_vec(self.ambient_dim)
+        if self._projector is None:
+            self._projector = self._build_projector()
+        return self._projector.apply(v)
+
+    def _build_projector(self):
+        """P = B^T (B B^T)^-1 B for the basis rows B, from one RREF of
+        [B B^T | B], whose right block is (B B^T)^-1 B."""
+        n, k = self.ambient_dim, len(self.basis)
+        if not k:
+            return Matrix.zeros(n, n)
         B = Matrix(self.basis)
         gram = B * B.transpose()
-        rhs = B.apply(v)
-        coeffs = gram.solve(rhs)
-        out = zero_vec(self.ambient_dim)
-        for c, row in zip(coeffs, self.basis):
-            out = vec_add(out, vec_scale(c, row))
-        return out
+        R, _ = Matrix([g + b for g, b in zip(gram.data, self.basis)]).rref()
+        return B.transpose() * Matrix([row[k:] for row in R.data])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in R^{self.ambient_dim})"

@@ -7,11 +7,16 @@ declares a Substitution binding the metric parameter t to u (t = u^2 encodes
 u = sqrt(t), t = u^2/2 encodes u = sqrt(2t), t = u keeps t rational), so
 coefficients like (1-t)/(2*sqrt(t)) become honest rational functions of u.
 
-Polynomials are coefficient tuples in increasing degree with no trailing
-zeros; the zero polynomial is the empty tuple.  Scalars keep den monic and
-gcd(num, den) = 1, which makes equality a syntactic check and is used
-everywhere as the exact zero test.  Verdicts are always decided exactly;
-floating point appears only in eval_numeric, the oracle backend.
+A polynomial is stored fraction-free: a tuple `ints` of Python ints in
+increasing degree with no trailing zero, over one positive int denominator
+`dd` with gcd(dd, *ints) = 1 (the representation of FLINT's fmpq_poly); the
+zero polynomial is the empty tuple over 1.  Sums and products are integer
+convolutions with one gcd per result, and exact division divides by the
+divisor's primitive part (Gauss's lemma).  `Poly.coeffs` gives the
+coefficients back as Fractions.  Scalars keep den monic and gcd(num, den) =
+1, which makes equality a syntactic check and is used everywhere as the
+exact zero test.  Verdicts are always decided exactly; floating point
+appears only in eval_numeric, the oracle backend.
 """
 
 from __future__ import annotations
@@ -42,144 +47,220 @@ class IrrationalRoots(ScalarDomainError):
     """Common real roots that are not rational (no exact t-set to report)."""
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"rational coefficient expected, got {type(x).__name__}")
-
-
 class Poly:
-    """Univariate polynomial over Q, coefficients in increasing degree."""
+    """Univariate polynomial over Q with coefficients ints[k]/dd in
+    increasing degree, in the normal form of the module docstring."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "dd")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"rational coefficient expected, got {type(c).__name__}")
+        # reduced fractions over the lcm of their denominators share no
+        # factor with it, so no gcd is needed here
+        dd = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (dd // c.denominator) for c in coeffs]
+        while ints and not ints[-1]:
+            ints.pop()
+        self.ints = tuple(ints)
+        self.dd = dd
 
     @classmethod
     def const(cls, c):
         return cls((c,))
 
     @property
+    def coeffs(self):
+        dd = self.dd
+        return tuple(Fraction(c, dd) for c in self.ints)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.ints == other.ints
+                and self.dd == other.dd)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.dd))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
+        if not b:
+            return self
+        if not a:
+            return other
+        dd = self.dd
+        if dd != other.dd:
+            g = math.gcd(dd, other.dd)
+            ma, mb = other.dd // g, dd // g
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+            dd *= ma
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Poly(out)
+        return _poly(out, dd)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.ints), self.dd)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        # Poly first: Fraction is ABC-registered, so testing it first would
+        # send every Poly product through ABCMeta.__instancecheck__
+        if isinstance(other, Poly):
+            a, b = self.ints, other.ints
+            if not a or not b:
+                return ZERO_POLY
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        out[i + j] += ca * cb
+            return _poly(out, self.dd * other.dd)
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return Poly(tuple(c * q for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO_POLY
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        rem = list(self.coeffs)
-        dn = other.coeffs
-        dd = other.degree
-        lead = dn[-1]
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                q = c / lead
-                quot[k - dd] = q
-                for j, dc in enumerate(dn):
-                    rem[k - dd + j] -= q * dc
-        return Poly(quot), Poly(rem[:dd])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+    def _scale(self, n, d):
+        """self * n/d for ints n and d > 0."""
+        if not n:
+            return ZERO_POLY
+        return _poly([c * n for c in self.ints], self.dd * d)
 
     def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """self/other; ValueError unless other divides self exactly.
+
+        Long division of the integer numerator by other's primitive part.
+        By Gauss's lemma an exact quotient of an integer polynomial by a
+        primitive one has integer coefficients, so a step that does not
+        divide by the leading coefficient already proves it inexact.
+        """
+        b = other.ints
+        if not b:
+            raise ZeroDivisionError("zero denominator")
+        a = self.ints
+        if not a:
+            return self
+        content = math.gcd(*b)
+        if content != 1:
+            b = [c // content for c in b]
+        db, lead = len(b) - 1, b[-1]
+        if len(a) <= db:
             raise ValueError("inexact polynomial division")
-        return q
+        rem = list(a)
+        quot = [0] * (len(a) - db)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = rem[k]
+            if c:
+                q, r = divmod(c, lead)
+                if r:
+                    raise ValueError("inexact polynomial division")
+                quot[k - db] = q
+                for j in range(db):
+                    rem[k - db + j] -= q * b[j]
+        if any(rem[:db]):
+            raise ValueError("inexact polynomial division")
+        # (A/dd) / (content*B'/other.dd) = (A/B') * other.dd / (dd*content)
+        return _poly([c * other.dd for c in quot], self.dd * content)
 
     def monic(self):
-        if self.is_zero:
+        a = self.ints
+        if not a or a[-1] == self.dd:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly(tuple(c / lead for c in self.coeffs))
+        if a[-1] < 0:
+            a = [-c for c in a]
+        return _poly(a, a[-1])
 
     def eval(self, x):
-        """Horner evaluation; x may be Fraction, int, or float."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation: a Fraction at an int or Fraction x, a float at
+        a float x."""
+        a = self.ints
+        if isinstance(x, float):
+            dd = self.dd
+            acc = x * 0
+            for c in reversed(a):
+                acc = acc * x + c / dd
+            return acc
+        if not a:
+            return Fraction(0)
+        # p(n/d) = (sum c_k n^k d^(deg-k)) / d^deg
+        n, d = x.numerator, x.denominator
+        acc, dk = a[-1], 1
+        for c in a[-2::-1]:
+            dk *= d
+            acc = acc * n + c * dk
+        return Fraction(acc, self.dd * dk)
 
     def scale_argument(self, m):
         """p(v) -> p(m*v) for rational m."""
-        m = _as_fraction(m)
-        return Poly(tuple(c * m**k for k, c in enumerate(self.coeffs)))
+        a = self.ints
+        if not a:
+            return self
+        # c_k (n/d)^k = c_k n^k d^(deg-k) / d^deg
+        n, d, deg = m.numerator, m.denominator, len(a) - 1
+        return _poly([c * n ** k * d ** (deg - k) for k, c in enumerate(a)],
+                     self.dd * d ** deg)
 
     def even_odd_parts(self):
         """p(u) = E(u^2) + u*O(u^2); returns (E, O)."""
-        return (Poly(self.coeffs[0::2]), Poly(self.coeffs[1::2]))
+        return (_poly(self.ints[0::2], self.dd),
+                _poly(self.ints[1::2], self.dd))
 
     def int_coeffs(self):
         """Scaled copy with coprime integer coefficients, positive leading."""
-        if self.is_zero:
+        a = self.ints
+        if not a:
             return []
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        if ints[-1] < 0:
+        g = math.gcd(*a)
+        if a[-1] < 0:
             g = -g
-        return [c // g for c in ints]
+        return [c // g for c in a]
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+def _raw(ints, dd):
+    """Poly from fields already in normal form."""
+    p = object.__new__(Poly)
+    p.ints = ints
+    p.dd = dd
+    return p
+
+
+def _poly(ints, dd):
+    """Poly with coefficients ints[k]/dd for dd > 0, brought to normal form."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not n:
+        return ZERO_POLY
+    ints = tuple(ints[:n])
+    if dd != 1:
+        g = math.gcd(dd, *ints)
+        if g != 1:
+            ints = tuple(c // g for c in ints)
+            dd //= g
+    return _raw(ints, dd)
 
 
 ZERO_POLY = Poly()
@@ -238,7 +319,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while y:
         r = _int_primitive(_int_pseudo_rem(x, y))
         x, y = y, r
-    return Poly([Fraction(c) for c in x]).monic()
+    return _poly(x, x[-1])
 
 
 class Scalar:
@@ -248,9 +329,9 @@ class Scalar:
 
     def __init__(self, num, den=ONE_POLY, _reduced=False):
         if not isinstance(num, Poly):
-            num = Poly.const(_as_fraction(num))
+            num = Poly.const(num)
         if not isinstance(den, Poly):
-            den = Poly.const(_as_fraction(den))
+            den = Poly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not _reduced:
@@ -263,9 +344,11 @@ class Scalar:
                     if g.degree > 0:
                         num = num.exact_div(g)
                         den = den.exact_div(g)
-                lead = den.coeffs[-1]
-                if lead != 1:
-                    num = num * (1 / lead)
+                lead = den.ints[-1]
+                if lead != den.dd:
+                    # num * (1/lead of den), the sign moved to the numerator
+                    num = num._scale(den.dd if lead > 0 else -den.dd,
+                                     abs(lead))
                     den = den.monic()
         self.num = num
         self.den = den
@@ -280,7 +363,7 @@ class Scalar:
 
     @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.num.ints
 
     @property
     def is_rational(self):
@@ -289,7 +372,8 @@ class Scalar:
     def as_fraction(self):
         if not self.is_rational:
             raise ValueError("not a rational constant")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return Fraction(self.num.ints[0], self.num.dd) if self.num else \
+            Fraction(0)
 
     def __bool__(self):
         return not self.is_zero
@@ -618,9 +702,9 @@ def _variations_at_infinity(chain, sign):
 
 def _strip_t_power(p: Poly):
     k = 0
-    while p.coeffs[k] == 0:
+    while p.ints[k] == 0:
         k += 1
-    return k, Poly(p.coeffs[k:])
+    return k, _poly(p.ints[k:], p.dd)
 
 
 def real_root_count(p: Poly, positive_only=True) -> int:
@@ -707,8 +791,8 @@ def rational_roots(p: Poly) -> dict:
         roots[Fraction(0)] = k
     if work.degree < 1:
         return roots
-    f = work.exact_div(poly_gcd(work, Poly(
-        [j * c for j, c in enumerate(work.coeffs)][1:]))).int_coeffs()
+    derivative = _poly([j * c for j, c in enumerate(work.ints)][1:], work.dd)
+    f = work.exact_div(poly_gcd(work, derivative)).int_coeffs()
     lead = f[-1]
     # Cauchy: every root has |t| < 1 + max|f_i| / lead <= bound
     bound = 2 + max(abs(c) for c in f[:-1]) // lead
@@ -728,13 +812,10 @@ def rational_roots(p: Poly) -> dict:
 # canonical printing (grammar-compatible, diff-friendly)
 
 
-def _format_poly(p: Poly, scale=1, var="u"):
-    """Terms in increasing degree; integer coefficients when scale clears them."""
-    if p.is_zero:
-        return "0"
+def _format_poly(ints, var):
+    """Terms of an integer coefficient list in increasing degree."""
     parts = []
-    for k, c in enumerate(p.coeffs):
-        c = c * scale
+    for k, c in enumerate(ints):
         if c == 0:
             continue
         mag = abs(c)
@@ -754,19 +835,17 @@ def format_scalar(s: Scalar, var="u") -> str:
     """Canonical string: integer-coefficient num/den in increasing degree."""
     if s.is_zero:
         return "0"
-    lcm = 1
-    for c in s.num.coeffs + s.den.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    g = 0
-    for c in s.num.coeffs + s.den.coeffs:
-        g = math.gcd(g, abs(int(c * lcm)))
-    scale = Fraction(lcm, g)
-    num_s = _format_poly(s.num, scale, var)
-    if s.den == ONE_POLY and scale == 1:
+    # num*m and den*m are integer for m = lcm of the two denominators;
+    # dividing by their joint content leaves the smallest integer pair
+    num, den = s.num, s.den
+    m = math.lcm(num.dd, den.dd)
+    ns = [c * (m // num.dd) for c in num.ints]
+    ds = [c * (m // den.dd) for c in den.ints]
+    g = math.gcd(*ns, *ds)
+    num_s = _format_poly([c // g for c in ns], var)
+    if ds == [g]:
         return num_s
-    den_s = _format_poly(s.den, scale, var)
-    if den_s == "1":
-        return num_s
+    den_s = _format_poly([c // g for c in ds], var)
     num_atom = " " not in num_s
     den_atom = " " not in den_s and "*" not in den_s
     num_s = num_s if num_atom else f"({num_s})"

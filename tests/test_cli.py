@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,22 @@ def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
     code, _ = run_cli("report", str(path))
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", ["*".join(["(t+1)"] * 2000),
+                                   "u^1000000000", "2^1000000000"])
+def test_report_oversized_coefficient_exit2(tmp_path, capsys, flat6_dict,
+                                            coeff):
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(flat6_dict))
+    start = time.perf_counter()
+    code, _ = run_cli("report", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: slot 1") and "above" in err
+    assert "Traceback" not in err
 
 
 def test_unexpected_exception_exit3(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
-from spinharm.coeffexpr import (MAX_NESTING, ParseError, fold, parse_coeff,
-                                parse_scalar)
+from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
+                                ParseError, fold, parse_coeff, parse_scalar)
 from spinharm.scalars import Scalar, Substitution
 
 U = Scalar.u()
@@ -113,3 +113,43 @@ def test_long_operator_chain_folds_without_recursion():
     chain = "+".join(["t"] * 5000)
     assert parse_scalar(chain, T_ID) == sc(5000) * U
     assert parse_scalar("*".join(["1"] * 5000) + "/t", T_ID) == sc(1) / U
+
+
+def test_long_product_chain_refused_at_degree_limit():
+    chain = "*".join(["(t+1)"] * 2000)
+    with pytest.raises(ParseError, match=f"degree above {MAX_DEGREE}") as err:
+        parse_scalar(chain, T_ID)
+    # the '*' that brings in factor MAX_DEGREE + 1, six columns per factor
+    assert err.value.position == 6 * MAX_DEGREE
+
+
+def test_degree_limit_boundary():
+    assert parse_scalar(f"u^{MAX_DEGREE}", T_ID) == U ** MAX_DEGREE
+    assert parse_scalar(f"1/u^{MAX_DEGREE}", T_ID) == sc(1) / U ** MAX_DEGREE
+    for text in (f"u^{MAX_DEGREE + 1}", f"u^{MAX_DEGREE}*u",
+                 f"u^-{MAX_DEGREE + 1}", f"t^{MAX_DEGREE // 2 + 1}"):
+        sub = T_U2 if "t" in text else T_ID
+        with pytest.raises(ParseError, match="degree above"):
+            parse_scalar(text, sub)
+
+
+def test_coefficient_bits_boundary():
+    # a power is bounded before it is computed by |exp| * bits of its base
+    half = MAX_COEFF_BITS // 2
+    assert parse_scalar(f"2^{half}", T_ID) == sc(2 ** half)
+    assert parse_scalar(f"1/3^{half}", T_ID) == sc(1, 3 ** half)
+    with pytest.raises(ParseError, match="bits at column 2"):
+        parse_scalar(f"2^{half + 1}", T_ID)
+    big = str(2 ** MAX_COEFF_BITS)   # MAX_COEFF_BITS + 1 bits
+    with pytest.raises(ParseError, match="bits at column 1"):
+        parse_scalar(big, T_ID)
+    with pytest.raises(ParseError, match="bits at column 4"):
+        parse_scalar(f"t/({big})", T_ID)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u^1000000000", "degree above"), ("t^-1000000000", "degree above"),
+    ("2^1000000000", "bits"), ("(1/2)^-1000000000", "bits")])
+def test_huge_powers_refused_before_computing(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_scalar(text, T_U2)

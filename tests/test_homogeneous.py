@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinharm.clifford import MultiVector
+from spinharm.clifford import FrameTensor, MultiVector, c_sigma
 from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
                                   ModelAnalysis, ModelError, Verdict,
                                   load_model, vanishing_verdict,
@@ -321,6 +321,16 @@ def test_cross_check_agrees_with_harmonicity_on_builtins():
     for name in ("cp3", "spin4", "aw11"):
         an = ModelAnalysis(load_model(name))
         assert an.harmonicity().verdict == an.laplacian_cross_check().verdict
+
+
+def test_cross_check_c_xi_phi_matches_c_sigma(g2_toy_dict):
+    models = [load_model(name) for name in ("cp3", "spin4", "aw11")]
+    models.append(HomogeneousModel.from_dict(g2_toy_dict))
+    for model in models:
+        an = ModelAnalysis(model)
+        cs = c_sigma(an.rep, FrameTensor(model.n, an.torsion()))
+        expected = cs.c.apply(an.structure.phi)
+        assert an.laplacian_cross_check().c_xi_phi == expected, model.name
 
 
 def test_spin4_xi_eta_actions_frozen():

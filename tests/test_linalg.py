@@ -234,3 +234,44 @@ def test_product_with_zero_entries_matches_vec_dot(pair):
     assert (a * b).data == expected
     assert a.apply(list(cols[0])) == [vec_dot(row, cols[0])
                                       for row in a.data]
+
+
+# ---------------------------------------------------------------------------
+# cached projector against the Gram-system reference
+
+
+def _gram_solve_projection(u, v):
+    """Solve B B^T c = B v for the basis rows B and return sum c_k B_k."""
+    if not u.basis:
+        return zero_vec(u.ambient_dim)
+    b = Matrix(u.basis)
+    coeffs = (b * b.transpose()).solve(b.apply(v))
+    out = zero_vec(u.ambient_dim)
+    for c, row in zip(coeffs, u.basis):
+        out = [o + c * r for o, r in zip(out, row)]
+    return out
+
+
+_RATIONAL_ENTRIES = [sc(0), sc(0), sc(1), sc(-1), sc(2), sc(-3, 2), sc(1, 3)]
+
+
+@st.composite
+def _subspace_and_vectors(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.integers(0, n))
+    entry = st.sampled_from(draw(st.sampled_from((_RATIONAL_ENTRIES,
+                                                  _ENTRIES))))
+    basis = [[draw(entry) for _ in range(n)] for _ in range(rows)]
+    vs = [[draw(st.sampled_from(_ENTRIES)) for _ in range(n)]
+          for _ in range(2)]
+    return Subspace.from_vectors(n, basis), vs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subspace_and_vectors())
+def test_project_matches_gram_solve(case):
+    u, vs = case
+    for v in vs:   # the second vector reuses the cached projector
+        p = u.project(v)
+        assert p == _gram_solve_projection(u, v)
+        assert u.project(p) == p

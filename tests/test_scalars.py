@@ -399,3 +399,150 @@ def test_polynomial_sum_and_product_stay_reduced(xs, ys):
     s, p = a + b, a * b
     assert (s.num, s.den) == _gcd_reduced(Poly(xs) + Poly(ys), ONE_POLY)
     assert (p.num, p.den) == _gcd_reduced(Poly(xs) * Poly(ys), ONE_POLY)
+
+
+# ---------------------------------------------------------------------------
+# integer kernel against a Fraction-tuple reference
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + (Fraction(0),) * (n - len(a)), b + (Fraction(0),) * (n - len(b))
+    return _trim(x + y for x, y in zip(a, b))
+
+
+def _ref_neg(a):
+    return tuple(-x for x in a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, db = list(a), len(b) - 1
+    quot = [Fraction(0)] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        q = rem[k] / b[-1]
+        quot[k - db] = q
+        for j, y in enumerate(b):
+            rem[k - db + j] -= q * y
+    return _trim(quot), _trim(rem)
+
+
+def _ref_eval(a, x):
+    acc = x * 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _assert_normal(p):
+    """dd > 0, no trailing zero, gcd(ints, dd) = 1."""
+    assert p.dd > 0
+    assert not p.ints or p.ints[-1] != 0
+    assert math.gcd(p.dd, *p.ints) == 1
+    assert all(type(c) is int for c in p.ints + (p.dd,))
+
+
+_ref_coeffs = st.lists(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    min_size=0, max_size=6).map(tuple)
+_ref_nonzero = _ref_coeffs.filter(any)
+_ref_scalars = st.one_of(st.integers(-30, 30), st.fractions(
+    min_value=-20, max_value=20, max_denominator=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_coeffs, _ref_coeffs, _ref_scalars)
+def test_kernel_ring_operations_match_reference(xs, ys, q):
+    a, b = Poly(xs), Poly(ys)
+    assert a.coeffs == _trim(xs)
+    cases = [(a + b, _ref_add(_trim(xs), _trim(ys))),
+             (a - b, _ref_add(_trim(xs), _ref_neg(_trim(ys)))),
+             (-a, _ref_neg(_trim(xs))),
+             (a * b, _ref_mul(_trim(xs), _trim(ys))),
+             (a * q, _trim(x * q for x in xs)),
+             (q * a, _trim(x * q for x in xs))]
+    for got, want in cases:
+        _assert_normal(got)
+        assert got.coeffs == want
+        assert got == Poly(want) and hash(got) == hash(Poly(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_coeffs, _ref_nonzero, _ref_coeffs)
+def test_kernel_exact_div_matches_reference(xs, ys, rs):
+    prod, b = Poly(xs) * Poly(ys), Poly(ys)
+    quot, rem = _ref_divmod(prod.coeffs, b.coeffs)
+    got = prod.exact_div(b)
+    _assert_normal(got)
+    assert rem == () and got.coeffs == quot == _trim(xs)
+    # a remainder of lower degree than b makes the division inexact
+    r = Poly(rs[:b.degree])
+    if not r.is_zero:
+        assert _ref_divmod((prod + r).coeffs, b.coeffs)[1] == r.coeffs
+        with pytest.raises(ValueError, match="inexact"):
+            (prod + r).exact_div(b)
+
+
+def test_kernel_exact_div_by_zero_rejected():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        Poly((1, 2)).exact_div(ZERO_POLY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_coeffs, _ref_scalars,
+       st.floats(min_value=-8, max_value=8, allow_nan=False))
+def test_kernel_unary_operations_match_reference(xs, m, x):
+    a, cs = Poly(xs), _trim(xs)
+    m = Fraction(m)
+    monic = a.monic()
+    _assert_normal(monic)
+    assert monic.coeffs == (tuple(c / cs[-1] for c in cs) if cs else ())
+    scaled = a.scale_argument(m)
+    _assert_normal(scaled)
+    assert scaled.coeffs == _trim(c * m ** k for k, c in enumerate(cs))
+    even, odd = a.even_odd_parts()
+    _assert_normal(even)
+    _assert_normal(odd)
+    assert (even.coeffs, odd.coeffs) == (_trim(cs[0::2]), _trim(cs[1::2]))
+    for point in (m, int(m), x):
+        value = a.eval(point)
+        assert value == _ref_eval(cs, point)
+        assert type(value) is (float if isinstance(point, float)
+                               else Fraction)
+    ints = a.int_coeffs()
+    if cs:
+        assert ints[-1] > 0 and math.gcd(*ints) == 1
+        assert Poly(ints).monic() == monic
+    else:
+        assert ints == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), scalars(allow_zero=False))
+def test_scalar_results_keep_normal_form(a, b):
+    for s in (a, b, a + b, a - b, a * b, a / b, -a):
+        _assert_normal(s.num)
+        _assert_normal(s.den)
+        assert s.den.ints[-1] == s.den.dd   # monic
+        assert poly_gcd(s.num, s.den) == ONE_POLY or s.num.is_zero
+
+
+def test_poly_rejects_float_coefficients():
+    with pytest.raises(TypeError, match="rational coefficient expected"):
+        Poly((1, 0.5))
