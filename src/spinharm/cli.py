@@ -23,7 +23,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import format_scalar, IrrationalRoots, NotExpressibleInT
+from .scalars import (format_scalar, IrrationalRoots, NotExpressibleInT,
+                      PoleError)
 from .coeffexpr import ParseError
 from .gstruct import InternalInvariantError
 from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
@@ -37,6 +38,13 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _positive_fraction(text):
+    t = _fraction(text)
+    if t <= 0:
+        raise argparse.ArgumentTypeError(f"t must be positive: {text!r}")
+    return t
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="spinharm",
@@ -47,8 +55,8 @@ def build_parser():
     rp = sub.add_parser("report", help="full exact report for one model")
     rp.add_argument("model", help="built-in name (%s) or model file path"
                                   % ", ".join(BUILTIN_MODELS))
-    rp.add_argument("--at", type=_fraction, default=None, metavar="T",
-                    help="also classify exactly at this rational t")
+    rp.add_argument("--at", type=_positive_fraction, metavar="T",
+                    help="also classify exactly at this rational t > 0")
     rp.add_argument("--format", choices=("text", "structured"),
                     default="text")
     rp.add_argument("--include-negative-roots", action="store_true",
@@ -119,10 +127,12 @@ def _report_data(args):
         for label, mat in sorted(classes.components.items())
     }
     if args.at is not None:
-        data["at"] = {
-            "t": str(args.at),
-            "flags": sorted(classes.flags_at(model.substitution, args.at)),
-        }
+        try:
+            flags = classes.flags_at(model.substitution, args.at)
+        except PoleError:
+            raise ValueError(f"t = {args.at} is a pole of the model's "
+                             "coefficients") from None
+        data["at"] = {"t": str(args.at), "flags": sorted(flags)}
     return data
 
 

@@ -31,6 +31,7 @@ normalization three times ours.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import Scalar, ZERO, ONE, _coerce
 from .linalg import Matrix
@@ -63,16 +64,6 @@ def _perm_sign(seq):
             if items[a] > items[b]:
                 sign = -sign
     return sign
-
-
-def _signed_permutation(g: Matrix):
-    """(rows, signs) of a matrix with one +-1 entry in each column."""
-    rows, signs = [], []
-    for j in range(g.cols):
-        [(r, e)] = [(r, e) for r, e in enumerate(g.column(j)) if e]
-        rows.append(r)
-        signs.append(int(e.as_fraction()))
-    return tuple(rows), tuple(signs)
 
 
 class MultiVector:
@@ -116,9 +107,6 @@ class MultiVector:
     @property
     def is_zero(self):
         return not self.terms
-
-    def grades(self):
-        return sorted({len(k) for k in self.terms})
 
     def grade(self, k):
         return MultiVector(self.n,
@@ -246,36 +234,31 @@ class SpinRep:
 
     Every product e_I of generators is a signed permutation of the basis
     spinors: column j of e_I has its one nonzero entry, signs[j] = +-1, in
-    row rows[j].  These are read off the dense generator matrices `gens`,
-    composed once per index tuple and cached; `endo` places +-c into 8
-    cells per term.
+    row rows[j].  The generators' permutations are read off _GEN_TABLE,
+    composed once per index tuple and kept in `_perms`; the dense generator
+    matrices `gens` are built from them, and `endo` places +-c into 8 cells
+    per term.  `build` returns one representation per n for the process.
     """
-
-    _cache = {}
 
     def __init__(self, n):
         if n not in (6, 7):
             raise ValueError("unsupported dimension (need 6 or 7)")
         self.n = n
-        self.gens = [self._generator(i) for i in range(1, n + 1)]
         self._perms = {(): (tuple(range(8)), (1,) * 8)}
-        for i, g in enumerate(self.gens, start=1):
-            self._perms[(i,)] = _signed_permutation(g)
+        for i in range(1, n + 1):
+            rows, signs = [0] * 8, [0] * 8
+            for (a, b, s) in _GEN_TABLE[i]:
+                # s E_ab sends the a-th basis spinor to s times the b-th
+                # and the b-th to -s times the a-th
+                rows[a - 1], signs[a - 1] = b - 1, s
+                rows[b - 1], signs[b - 1] = a - 1, -s
+            self._perms[(i,)] = (tuple(rows), tuple(signs))
+        self.gens = [self._tuple_endo((i,)) for i in range(1, n + 1)]
 
     @classmethod
+    @cache
     def build(cls, n):
-        if n not in cls._cache:
-            cls._cache[n] = cls(n)
-        return cls._cache[n]
-
-    @staticmethod
-    def _generator(i):
-        m = Matrix.zeros(8, 8)
-        for (a, b, s) in _GEN_TABLE[i]:
-            # E_ab has entry (a,b) = -1 and (b,a) = +1
-            m.data[a - 1][b - 1] = Scalar.rational(-s)
-            m.data[b - 1][a - 1] = Scalar.rational(s)
-        return m
+        return cls(n)
 
     def _signed_perm(self, key):
         """(rows, signs) of the ordered product e_{key[0]}...e_{key[-1]}."""

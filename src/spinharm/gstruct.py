@@ -17,10 +17,15 @@ the stabilizer inside SO(n).  This module computes, exactly over Q(u):
 
 All splits are orthogonal projections in exact arithmetic, so components
 recombine to the input on the nose and each component re-classifies pure.
+
+These depend on (n, phi) alone, not on a model's Wang map or on t:
+`SpinorStructure.shared` keeps one structure per (n, phi) for the process,
+and computes each piece once, on first use.
 """
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from itertools import combinations
 
 from .scalars import Scalar, ZERO, ONE, evaluate_exact
@@ -72,11 +77,17 @@ class SpinorStructure:
             self.phi = phi.coords
         else:
             self.phi = UnitSpinor(phi, rep.n).coords
-        self._cache = {}
+
+    @staticmethod
+    def shared(n, phi0) -> SpinorStructure:
+        """The structure of the unit spinor phi0 in dimension n, built once
+        per (n, phi0) in a process; the result must not be mutated."""
+        return _shared_structure(n, tuple(phi0))
 
     # -- spinor decomposition ------------------------------------------------
 
-    def _decomp_columns(self):
+    @cached_property
+    def _decomp_matrix(self):
         cols = [self.phi]
         if self.n == 6:
             cols.append(self.rep.j_matrix().apply(self.phi))
@@ -90,9 +101,7 @@ class SpinorStructure:
         The columns always span Delta, so failure signals a broken
         representation and raises InternalInvariantError.
         """
-        if "decomp" not in self._cache:
-            self._cache["decomp"] = self._decomp_columns()
-        sol = self._cache["decomp"].solve(psi)
+        sol = self._decomp_matrix.solve(psi)
         if sol is None:
             raise InternalInvariantError("spinor decomposition inconsistent")
         if self.n == 6:
@@ -103,46 +112,55 @@ class SpinorStructure:
 
     def action_matrix(self) -> Matrix:
         """Matrix of omega -> omega.phi from 2-form coefficients to Delta."""
-        if "action" not in self._cache:
-            cols = []
-            for (i, j) in index_pairs(self.n):
-                m = self.rep._tuple_endo((i, j))
-                cols.append(m.apply(self.phi))
-            self._cache["action"] = Matrix.from_columns(cols)
-        return self._cache["action"]
+        return Matrix.from_columns([self.rep._tuple_endo(p).apply(self.phi)
+                                    for p in index_pairs(self.n)])
+
+    @cached_property
+    def _annihilator(self):
+        return self.action_matrix().kernel()
+
+    @cached_property
+    def _complement_m(self):
+        return self._annihilator.orthogonal_complement()
 
     def annihilator(self) -> Subspace:
         """2-forms annihilating phi: su(3) for n = 6, g2 for n = 7."""
-        if "ann" not in self._cache:
-            self._cache["ann"] = self.action_matrix().kernel()
-        return self._cache["ann"]
+        return self._annihilator
 
     def complement_m(self) -> Subspace:
         """Orthogonal complement of the stabilizer inside the 2-forms."""
-        if "m" not in self._cache:
-            self._cache["m"] = self.annihilator().orthogonal_complement()
-        return self._cache["m"]
+        return self._complement_m
 
     # -- derived structures ---------------------------------------------------
+
+    @cached_property
+    def _almost_complex(self):
+        jm = self.rep.j_matrix()
+        cols = []
+        for g in self.rep.gens:
+            parts = self.decompose(jm.apply(g.apply(self.phi)))
+            if not (parts.a.is_zero and parts.b.is_zero):
+                raise InternalInvariantError(
+                    "j.X.phi has a phi or j.phi component")
+            cols.append(parts.vector)
+        return Matrix.from_columns(cols)
 
     def almost_complex(self) -> Matrix:
         """J with J(X).phi = j.X.phi; J^2 = -Id, orthogonal, skew (n = 6)."""
         if self.n != 6:
             raise ValueError("almost complex structure needs n = 6")
-        if "J" not in self._cache:
-            jm = self.rep.j_matrix()
-            cols = []
-            for g in self.rep.gens:
-                parts = self.decompose(jm.apply(g.apply(self.phi)))
-                if not (parts.a.is_zero and parts.b.is_zero):
-                    raise InternalInvariantError(
-                        "j.X.phi has a phi or j.phi component")
-                cols.append(parts.vector)
-            self._cache["J"] = Matrix.from_columns(cols)
-        return self._cache["J"]
+        return self._almost_complex
 
     def kahler_form(self) -> MultiVector:
         return MultiVector.from_skew_matrix(self.almost_complex())
+
+    @cached_property
+    def _psi_plus(self):
+        terms = {}
+        for key in combinations(range(1, self.n + 1), 3):
+            m = self.rep._tuple_endo(key)
+            terms[key] = vec_dot(m.apply(self.phi), self.phi)
+        return MultiVector(self.n, terms)
 
     def psi_form(self, sign=None) -> MultiVector:
         """The cubic form psi(X,Y,Z) = sign * <X.Y.Z.phi, phi> as a 3-form.
@@ -152,22 +170,11 @@ class SpinorStructure:
         """
         if sign is None:
             sign = -1 if self.n == 6 else +1
-        key = ("psi", sign)
-        if key not in self._cache:
-            terms = {}
-            for (a, b, c) in combinations(range(1, self.n + 1), 3):
-                m = self.rep._tuple_endo((a, b, c))
-                val = vec_dot(m.apply(self.phi), self.phi)
-                if sign < 0:
-                    val = -val
-                if not val.is_zero:
-                    terms[(a, b, c)] = val
-            self._cache[key] = MultiVector(self.n, terms)
-        return self._cache[key]
+        return self._psi_plus if sign > 0 else -self._psi_plus
 
     def psi_eval(self, x_coords, b, c):
         """psi(X, e_b, e_c) for a coordinate vector X."""
-        psi = self.psi_form()
+        psi = self._psi_plus
         acc = ZERO
         for a in range(1, self.n + 1):
             xa = x_coords[a - 1]
@@ -185,7 +192,8 @@ class SpinorStructure:
             else:
                 sign = 1
             acc = acc + (xa * coeff if sign > 0 else -(xa * coeff))
-        return acc
+        # the default psi is the +1 form for n = 7 and its negative for n = 6
+        return acc if self.n == 7 else -acc
 
     # -- torsion machinery ----------------------------------------------------
 
@@ -305,6 +313,11 @@ class SpinorStructure:
             raise InternalInvariantError(
                 "m-part not representable as V -| psi")
         return v
+
+
+@cache
+def _shared_structure(n, phi0):
+    return SpinorStructure(SpinRep.build(n), list(phi0))
 
 
 class SU3Classes:

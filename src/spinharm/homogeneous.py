@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import (Scalar, Poly, ZERO, ONE, Substitution,
                       as_polynomial_in_t, rational_roots, real_root_count,
@@ -362,26 +363,25 @@ def load_model(name_or_path) -> HomogeneousModel:
 
 
 class ModelAnalysis:
-    """Lazy exact pipeline over one model; everything computed is cached."""
+    """Lazy exact pipeline over one model.  S, eta and the torsion are kept
+    once computed; the stabilizer, m, J and psi come from the structure
+    shared by every model with the same n and phi0."""
 
     def __init__(self, model: HomogeneousModel):
         self.model = model
         self.rep = SpinRep.build(model.n)
-        self.structure = SpinorStructure(self.rep, model.phi0)
-        self._cache = {}
-
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+        self.structure = SpinorStructure.shared(model.n, model.phi0)
 
     # -- S and eta -------------------------------------------------------------
 
     def extract_S_eta(self):
-        return self._get("s_eta", self._extract)
+        return self._s_eta
+
+    @cached_property
+    def _s_eta(self):
+        return self._extract()
 
     def _extract(self):
-        n = self.model.n
         cols = []
         eta = []
         for i, slot in enumerate(self.model.lam):
@@ -397,8 +397,9 @@ class ModelAnalysis:
     # -- torsion ----------------------------------------------------------------
 
     def torsion(self):
-        return self._get("torsion", self._torsion)
+        return self._torsion
 
+    @cached_property
     def _torsion(self):
         m = self.structure.complement_m()
         out = []

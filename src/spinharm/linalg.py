@@ -13,10 +13,6 @@ from __future__ import annotations
 from .scalars import Scalar, ZERO, ONE, _coerce
 
 
-def vec(entries):
-    return [e if isinstance(e, Scalar) else _coerce(e) for e in entries]
-
-
 def zero_vec(n):
     return [ZERO] * n
 
@@ -79,9 +75,6 @@ class Matrix:
         n = len(cols[0])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
-    def __getitem__(self, rc):
-        return self.data[rc[0]][rc[1]]
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -112,19 +105,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            # row i of the product sums a_ik * (row k of other) over the
-            # nonzero a_ik, and only the nonzero entries of those rows
-            sparse = [[(j, b) for j, b in enumerate(row) if b]
-                      for row in other.data]
-            out = []
-            for row in self.data:
-                acc = [ZERO] * other.cols
-                for a, terms in zip(row, sparse):
-                    if a:
-                        for j, b in terms:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return Matrix(out)
+            cols = [self.apply(other.column(j)) for j in range(other.cols)]
+            return Matrix([[col[i] for col in cols]
+                           for i in range(self.rows)])
         if isinstance(other, list):
             return self.apply(other)
         c = _coerce(other)
@@ -133,9 +116,20 @@ class Matrix:
         return self.scale(c)
 
     def apply(self, v):
+        """The product A v, summing only the terms with both factors nonzero
+        (most entries of the projectors and Clifford matrices are zero)."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return [vec_dot(row, v) for row in self.data]
+        terms = [(k, x) for k, x in enumerate(v) if x]
+        out = []
+        for row in self.data:
+            acc = ZERO
+            for k, x in terms:
+                a = row[k]
+                if a:
+                    acc = acc + a * x
+            out.append(acc)
+        return out
 
     def transpose(self):
         return Matrix([list(col) for col in zip(*self.data)])
@@ -220,10 +214,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-    def pretty(self):
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self.data)
 
 
 class Subspace:

@@ -167,7 +167,7 @@ def check_stabilizer_algebras():
     for n, gen_list, comp_list, dim in (
             (6, SU3_GENERATORS, SU3_COMPLEMENT, 8),
             (7, G2_GENERATORS, G2_COMPLEMENT, 14)):
-        st = SpinorStructure(SpinRep.build(n), S5)
+        st = SpinorStructure.shared(n, S5)
         ann = st.annihilator()
         if ann.dim != dim:
             fails.append(f"n={n}: annihilator dim {ann.dim} != {dim}")
@@ -369,7 +369,7 @@ def _property_bracket(rng, trials):
 def _property_chi_vanishes(rng, trials):
     for k in range(trials):
         n = 6 if k % 2 else 7
-        st = SpinorStructure(SpinRep.build(n), S5)
+        st = SpinorStructure.shared(n, S5)
         s = _rand_matrix(rng, n)
         xi = st.torsion_from_S(s)
         chi = st.chi_vector(xi, s)
@@ -388,7 +388,7 @@ def _w3_class_matrix(rng, st):
 
 
 def _property_w3_energy(rng, trials):
-    st = SpinorStructure(SpinRep.build(6), S5)
+    st = SpinorStructure.shared(6, S5)
     for k in range(trials):
         s = _w3_class_matrix(rng, st)
         xi = st.torsion_from_S(s)
@@ -409,7 +409,7 @@ def _property_w3_energy(rng, trials):
 def _property_dirac(rng, trials):
     for k in range(trials):
         n = 6 if k % 2 else 7
-        st = SpinorStructure(SpinRep.build(n), S5)
+        st = SpinorStructure.shared(n, S5)
         raw = _rand_matrix(rng, n)
         sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
         sym = sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))

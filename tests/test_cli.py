@@ -111,6 +111,40 @@ def test_internal_invariant_exit3(monkeypatch, capsys):
     assert "invariant breach" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,t", [("cp3", "0"), ("aw11", "0"),
+                                     ("cp3", "-1")])
+def test_report_at_outside_domain_exit2(capsys, model, t):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("report", model, "--at", t)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "t must be positive" in err and "Traceback" not in err
+
+
+def test_report_at_pole_exit2(tmp_path, capsys, flat6_dict):
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "1/(t-1)"}]
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path), "--at", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: t = 1 is a pole of the model's coefficients\n"
+    code, text = run_cli("report", str(path), "--at", "2")
+    assert code == 0 and "at t = 2: flags" in text
+
+
+def test_report_sequence_matches_golden_bytes():
+    # later reports reuse the stabilizer data built for earlier ones
+    golden = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "perfbench", "golden")
+    for name in ("cp3", "spin4", "aw11", "cp3"):
+        code, text = run_cli("report", name, "--format", "structured")
+        assert code == 0
+        with open(os.path.join(golden, f"report-{name}.json"),
+                  encoding="utf-8") as fh:
+            assert text == fh.read(), name
+
+
 def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
     chain = "+".join(["t"] * 5000)
     flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": chain}]

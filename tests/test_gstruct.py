@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from spinharm.clifford import MultiVector, SpinRep
+from spinharm.clifford import MultiVector, SpinRep, _perm_sign, index_pairs
 from spinharm.gstruct import SpinorStructure, UnitSpinor
-from spinharm.linalg import (Matrix, Subspace, subspace_equal, vec_add,
-                             vec_dot, vec_is_zero, vec_scale, zero_vec)
+from spinharm.linalg import (Matrix, Subspace, basis_vec, subspace_equal,
+                             vec_add, vec_dot, vec_is_zero, vec_scale,
+                             zero_vec)
 from spinharm.scalars import Scalar, Substitution
 from spinharm.verify import (G2_COMPLEMENT, G2_GENERATORS, S5, S6,
                              SU3_COMPLEMENT, SU3_GENERATORS, _forms_subspace)
@@ -46,6 +47,15 @@ def test_unit_spinor_validation():
     with pytest.raises(ValueError, match="zero spinor"):
         UnitSpinor([sc(0)] * 8, 6)
     UnitSpinor([sc(3, 5), sc(0), sc(0), sc(0), sc(4, 5)] + [sc(0)] * 3, 6)
+
+
+def test_shared_structure_is_built_once_per_key():
+    assert SpinorStructure.shared(6, S5) is SpinorStructure.shared(6, list(S5))
+    assert SpinorStructure.shared(7, S5) is not SpinorStructure.shared(6, S5)
+    bad = [sc(2)] + [sc(0)] * 7
+    for _ in range(2):   # a failed build leaves nothing behind
+        with pytest.raises(ValueError, match="unit"):
+            SpinorStructure.shared(6, bad)
 
 
 def test_decompose_phi_itself():
@@ -190,6 +200,27 @@ def test_psi_form_n7_frozen():
     assert psi.terms == {k: sc(v) for k, v in PSI7.items()}
     assert len(psi.terms) == 7
     assert all(c == sc(1) or c == sc(-1) for c in psi.terms.values())
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_psi_form_sign_flips_the_whole_form(n):
+    st = structure(n)
+    assert st.psi_form(-1) == -st.psi_form(+1)
+    assert st.psi_form() == st.psi_form(-1 if n == 6 else +1)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_psi_eval_matches_psi_form(n):
+    st = structure(n)
+    psi = st.psi_form()
+    for a in range(1, n + 1):
+        x = basis_vec(n, a - 1)
+        for (b, c) in index_pairs(n):
+            key = (a, b, c)
+            want = sc(0)
+            if len(set(key)) == 3:
+                want = psi.coeff(sorted(key)) * sc(_perm_sign(key))
+            assert st.psi_eval(x, b, c) == want, key
 
 
 def test_psi_repeated_argument_vanishes():

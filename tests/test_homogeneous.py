@@ -195,6 +195,12 @@ def test_torsion_slots_in_complement():
             assert vec_is_zero(g.project(coords))
 
 
+def test_models_with_one_spinor_share_one_structure():
+    cp3 = ModelAnalysis(load_model("cp3"))
+    assert cp3.structure is ModelAnalysis(load_model("spin4")).structure
+    assert cp3.structure is not ModelAnalysis(load_model("aw11")).structure
+
+
 def test_aw11_torsion_at_one_eighth():
     an = ModelAnalysis(load_model("aw11"))
     g = an.structure.annihilator()
