@@ -19,6 +19,12 @@ lift of a skew matrix A = sum_{i<j} A_ji E_ij into the spin representation
 carries the factor 1/2 (the unique factor making [lift(A), X.] = (AX). hold,
 so the lift is a Lie algebra homomorphism so(n) -> spin(n)).
 
+Each e_I is a signed permutation of the basis spinors, so the action on one
+spinor (`act`, `act_vector`, and `lift_act` for the lift) moves the
+spinor's nonzero entries into place with their signs and builds no matrix.
+The dense 8x8 matrices (`endo`, `spin_lift`, `gens`, `j_matrix`) serve the
+checks that compare operators, such as the Clifford relations.
+
 For a frame tensor T (one 2-form per frame direction) the module builds
 c_T = 1/2 sum_i T_i . T_i and sigma_T = 1/2 sum_i T_i ^ T_i together with
 |T|^2 = sum_i sum_{j<k} (T_i)_jk^2.  Under these conventions the difference
@@ -235,9 +241,10 @@ class SpinRep:
     Every product e_I of generators is a signed permutation of the basis
     spinors: column j of e_I has its one nonzero entry, signs[j] = +-1, in
     row rows[j].  The generators' permutations are read off _GEN_TABLE,
-    composed once per index tuple and kept in `_perms`; the dense generator
-    matrices `gens` are built from them, and `endo` places +-c into 8 cells
-    per term.  `build` returns one representation per n for the process.
+    composed once per index tuple and kept in `_perms`.  `act` applies them
+    to a spinor directly; the dense generator matrices `gens` are built
+    from them, and `endo` places +-c into 8 cells per term.  `build`
+    returns one representation per n for the process.
     """
 
     def __init__(self, n):
@@ -293,11 +300,37 @@ class SpinRep:
         return Matrix(data)
 
     def act(self, m: MultiVector, spinor):
-        return self.endo(m).apply(spinor)
+        """The spinor m.spinor, with no matrix built."""
+        if m.n != self.n:
+            raise ValueError("dimension mismatch")
+        return self._act(m.terms.items(), spinor)
 
     def act_vector(self, coords, spinor):
         """Clifford action of the vector with the given frame coordinates."""
-        return self.endo(MultiVector.vector(self.n, coords)).apply(spinor)
+        if len(coords) != self.n:
+            raise ValueError("dimension mismatch")
+        return self._act((((i + 1,), c) for i, c in enumerate(coords) if c),
+                         spinor)
+
+    def lift_act(self, omega: MultiVector, spinor):
+        """spin_lift(omega).spinor: the 2-form's action times LIFT_FACTOR,
+        which is read on every call, as in spin_lift."""
+        f = Scalar.rational(LIFT_FACTOR)
+        return [f * x for x in self.act(omega, spinor)]
+
+    def _act(self, terms, spinor):
+        """Sum of c e_I.spinor over (I, c) in terms: each e_I moves entry j
+        of the spinor to row rows[j] with sign signs[j]."""
+        if len(spinor) != 8:
+            raise ValueError("dimension mismatch")
+        entries = [(j, x, -x) for j, x in enumerate(spinor) if x]
+        out = [ZERO] * 8
+        for key, c in terms:
+            rows, signs = self._signed_perm(key)
+            for j, x, neg in entries:
+                r = rows[j]
+                out[r] = out[r] + c * (x if signs[j] > 0 else neg)
+        return out
 
     def volume_element(self) -> MultiVector:
         if self.n != 6:

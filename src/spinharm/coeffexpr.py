@@ -13,7 +13,8 @@ Expressions may mention both t and u; t is rewritten through the model's
 substitution before any arithmetic, so model files can quote coefficients
 like (1-t)/(2*u) verbatim.  Folding happens in exact Scalar arithmetic;
 division by a subexpression that folds to zero is rejected with a position,
-and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS.
+and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS, and
+any token past the first MAX_TOKENS.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ MAX_NESTING = 100
 MAX_DEGREE = 128
 MAX_COEFF_BITS = 4096
 
+# tokens in one coefficient string, whitespace not counted: bounds the
+# length of the input, which the limits above do not, before any folding
+MAX_TOKENS = 12_000
+
 
 class ParseError(ValueError):
     def __init__(self, message, position):
@@ -51,6 +56,8 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
+        if len(tokens) == MAX_TOKENS:
+            raise ParseError(f"more than {MAX_TOKENS} tokens", i + 1)
         if ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i + 1))
             i += 1

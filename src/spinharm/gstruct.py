@@ -4,7 +4,9 @@ A unit spinor phi in Delta = R^8 determines SU(3) (n = 6) or G2 (n = 7) as
 the stabilizer inside SO(n).  This module computes, exactly over Q(u):
 
   * the spinor-space decomposition  psi = a phi + b (j phi) + X.phi
-    (the j-term only for n = 6), solved by one 8x8 linear system;
+    (the j-term only for n = 6): phi, j phi and the e_i.phi are an
+    orthonormal basis of Delta for any unit phi, so the coefficients are
+    inner products, read off by the transposed frame;
   * the stabilizer algebra = kernel of the 2-form action omega -> omega.phi
     (dimension 8 resp. 14) and its orthogonal complement m (dimension 7);
   * the almost complex structure J with J(X).phi = j.X.phi (n = 6);
@@ -20,7 +22,9 @@ recombine to the input on the nose and each component re-classifies pure.
 
 These depend on (n, phi) alone, not on a model's Wang map or on t:
 `SpinorStructure.shared` keeps one structure per (n, phi) for the process,
-and computes each piece once, on first use.
+and computes each piece once, on first use.  Two of those pieces carry a
+check made once per structure: the decomposition frame must be orthonormal,
+and the W4 solve multiplies back through the (e_l -| psi) matrix.
 """
 
 from __future__ import annotations
@@ -90,20 +94,30 @@ class SpinorStructure:
     def _decomp_matrix(self):
         cols = [self.phi]
         if self.n == 6:
-            cols.append(self.rep.j_matrix().apply(self.phi))
+            cols.append(self.rep.act(self.rep.volume_element(), self.phi))
         for g in self.rep.gens:
             cols.append(g.apply(self.phi))
         return Matrix.from_columns(cols)
 
-    def decompose(self, psi) -> SpinorParts:
-        """Solve psi = a phi (+ b j phi) + X.phi exactly.
+    @cached_property
+    def _decomp_transpose(self):
+        """Q^T for the decomposition matrix Q, checked to be its inverse.
 
-        The columns always span Delta, so failure signals a broken
-        representation and raises InternalInvariantError.
+        Every e_I with one, two or five generators is skew and e_i e_i = -1,
+        so phi, j phi and the e_i.phi are orthonormal for any unit phi;
+        Q^T Q != Id signals a broken representation or spinor.
         """
-        sol = self._decomp_matrix.solve(psi)
-        if sol is None:
-            raise InternalInvariantError("spinor decomposition inconsistent")
+        q = self._decomp_matrix
+        qt = q.transpose()
+        if qt * q != Matrix.identity(8):
+            raise InternalInvariantError(
+                "spinor decomposition frame is not orthonormal")
+        return qt
+
+    def decompose(self, psi) -> SpinorParts:
+        """Split psi = a phi (+ b j phi) + X.phi exactly: the coefficients
+        are the inner products of psi with the orthonormal columns."""
+        sol = self._decomp_transpose.apply(psi)
         if self.n == 6:
             return SpinorParts(sol[0], sol[1], sol[2:])
         return SpinorParts(sol[0], None, sol[1:])
@@ -135,10 +149,10 @@ class SpinorStructure:
 
     @cached_property
     def _almost_complex(self):
-        jm = self.rep.j_matrix()
+        vol = self.rep.volume_element()
         cols = []
         for g in self.rep.gens:
-            parts = self.decompose(jm.apply(g.apply(self.phi)))
+            parts = self.decompose(self.rep.act(vol, g.apply(self.phi)))
             if not (parts.a.is_zero and parts.b.is_zero):
                 raise InternalInvariantError(
                     "j.X.phi has a phi or j.phi component")
@@ -228,7 +242,7 @@ class SpinorStructure:
     def dirac(self, s: Matrix, eta=None):
         """sum_i e_i.(S(e_i).phi + eta(e_i) j.phi), the pointwise Dirac term."""
         out = zero_vec(8)
-        jphi = (self.rep.j_matrix().apply(self.phi)
+        jphi = (self.rep.act(self.rep.volume_element(), self.phi)
                 if self.n == 6 else None)
         for i in range(self.n):
             term = self.rep.act_vector(s.column(i), self.phi)
@@ -300,16 +314,24 @@ class SpinorStructure:
         w4 = MultiVector.from_pair_coeffs(7, m_coords).to_skew_matrix()
         return G2Classes(self, lam=lam, w1=w1, w2=w2, w3=w3, w4=w4, v=v)
 
-    def _solve_w4_vector(self, m_coords):
-        """Unique V with V -| psi equal to the given m-part 2-form."""
+    @cached_property
+    def _w4_frame(self):
+        """(M, L): M has the columns e_l -| psi as 2-form coordinates, and
+        L is its left inverse (M^T M)^-1 M^T."""
         psi = self.psi_form()
-        cols = []
-        for l in range(1, 8):
-            el = MultiVector(7, {(l,): ONE})
-            cols.append(el.interior(psi).pair_coeffs())
-        m = Matrix.from_columns(cols)
-        v = m.solve(m_coords)
-        if v is None:
+        m = Matrix.from_columns(
+            [MultiVector(7, {(l,): ONE}).interior(psi).pair_coeffs()
+             for l in range(1, 8)])
+        return m, m.left_inverse()
+
+    def _solve_w4_vector(self, m_coords):
+        """Unique V with V -| psi equal to the given m-part 2-form.
+
+        L m is the least-squares V; it is exact only when M V = m, which is
+        checked, so an m-part outside the image raises."""
+        m, left = self._w4_frame
+        v = left.apply(m_coords)
+        if m.apply(v) != m_coords:
             raise InternalInvariantError(
                 "m-part not representable as V -| psi")
         return v

@@ -199,6 +199,14 @@ class Matrix:
             basis.append(v)
         return Subspace.from_vectors(self.cols, basis)
 
+    def left_inverse(self):
+        """(A^T A)^-1 A^T for A of full column rank, from one RREF of
+        [A^T A | A^T], whose right block it is."""
+        at = self.transpose()
+        gram = at * self
+        R, _ = Matrix([g + r for g, r in zip(gram.data, at.data)]).rref()
+        return Matrix([row[self.cols:] for row in R.data])
+
     def solve(self, b):
         """One exact solution of Ax = b, or None when inconsistent."""
         if len(b) != self.rows:
@@ -271,15 +279,12 @@ class Subspace:
         return self._projector.apply(v)
 
     def _build_projector(self):
-        """P = B^T (B B^T)^-1 B for the basis rows B, from one RREF of
-        [B B^T | B], whose right block is (B B^T)^-1 B."""
-        n, k = self.ambient_dim, len(self.basis)
-        if not k:
-            return Matrix.zeros(n, n)
-        B = Matrix(self.basis)
-        gram = B * B.transpose()
-        R, _ = Matrix([g + b for g, b in zip(gram.data, self.basis)]).rref()
-        return B.transpose() * Matrix([row[k:] for row in R.data])
+        """P = B^T (B B^T)^-1 B for the basis rows B: B^T times its left
+        inverse."""
+        if not self.basis:
+            return Matrix.zeros(self.ambient_dim, self.ambient_dim)
+        bt = Matrix(self.basis).transpose()
+        return bt * bt.left_inverse()
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in R^{self.ambient_dim})"

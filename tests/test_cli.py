@@ -13,6 +13,7 @@ import spinharm.cli as cli
 import spinharm.clifford as clifford
 import spinharm.verify as verify
 from spinharm.cli import main
+from spinharm.coeffexpr import MAX_TOKENS
 from spinharm.gstruct import InternalInvariantError
 from spinharm.homogeneous import ModelAnalysis
 
@@ -153,6 +154,18 @@ def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
     code, _ = run_cli("report", str(path))
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_token_limit_exit2(tmp_path, capsys, flat6_dict):
+    chain = "+".join(["t"] * (MAX_TOKENS // 2 + 1))
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": chain}]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: slot 1") and "more than" in err
+    assert f"column {MAX_TOKENS + 1}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("coeff", ["*".join(["(t+1)"] * 2000),

@@ -1,7 +1,8 @@
 import pytest
 
 from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
-                                ParseError, fold, parse_coeff, parse_scalar)
+                                MAX_TOKENS, ParseError, fold, parse_coeff,
+                                parse_scalar)
 from spinharm.scalars import Scalar, Substitution
 
 U = Scalar.u()
@@ -113,6 +114,20 @@ def test_long_operator_chain_folds_without_recursion():
     chain = "+".join(["t"] * 5000)
     assert parse_scalar(chain, T_ID) == sc(5000) * U
     assert parse_scalar("*".join(["1"] * 5000) + "/t", T_ID) == sc(1) / U
+
+
+def test_token_limit_boundary():
+    # "-1+1+...+1": exactly MAX_TOKENS tokens, spaces not counted
+    ones = MAX_TOKENS // 2
+    assert parse_scalar("-" + " + ".join(["1"] * ones), T_ID) == sc(ones - 2)
+    with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens") \
+            as err:
+        parse_coeff("+".join(["1"] * (ones + 1)))
+    # the first excess token, one column per token
+    assert err.value.position == MAX_TOKENS + 1
+    with pytest.raises(ParseError) as err:
+        parse_coeff("t  " * (MAX_TOKENS + 1))
+    assert err.value.position == 3 * MAX_TOKENS + 1
 
 
 def test_long_product_chain_refused_at_degree_limit():
