@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .scalars import (format_scalar, IrrationalRoots, NotExpressibleInT,
-                      PoleError)
+                      PoleError, vanishes_at)
 from .coeffexpr import ParseError
 from .gstruct import InternalInvariantError
 from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
@@ -131,9 +131,21 @@ def _report_data(args):
             flags = classes.flags_at(model.substitution, args.at)
         except PoleError:
             raise ValueError(f"t = {args.at} is a pole of the model's "
-                             "coefficients") from None
+                             f"coefficients{_pole_site(model, args.at)}"
+                             ) from None
         data["at"] = {"t": str(args.at), "flags": sorted(flags)}
     return data
+
+
+def _pole_site(model, t0):
+    """' (slot k, entry (i, j))' naming the first Lambda coefficient whose
+    denominator vanishes at t0, or '' if none does."""
+    c, root = model.substitution.u_value(t0)
+    for k, slot in enumerate(model.lam, 1):
+        for (i, j), coeff in sorted(slot.terms.items()):
+            if vanishes_at(coeff.den, c, root):
+                return f" (slot {k}, entry ({i}, {j}))"
+    return ""
 
 
 def _print_report_text(data, out):

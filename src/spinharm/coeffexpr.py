@@ -13,8 +13,9 @@ Expressions may mention both t and u; t is rewritten through the model's
 substitution before any arithmetic, so model files can quote coefficients
 like (1-t)/(2*u) verbatim.  Folding happens in exact Scalar arithmetic;
 division by a subexpression that folds to zero is rejected with a position,
-and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS, and
-any token past the first MAX_TOKENS.
+and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS, any
+token past the first MAX_TOKENS, and any step that takes the cumulative
+folding work past MAX_FOLD_WORK.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ MAX_COEFF_BITS = 4096
 # tokens in one coefficient string, whitespace not counted: bounds the
 # length of the input, which the limits above do not, before any folding
 MAX_TOKENS = 12_000
+
+# cumulative folding work in one coefficient string: each + - * / step is
+# charged (d_a + 1) * (d_b + 1) for operands of u-degrees d_a and d_b, the
+# size of the polynomial products and gcds it needs.  The limits above bound
+# one step; this bounds their sum, which a long chain of large operands
+# (a sum of hundreds of degree-60 fractions) would otherwise run up to
+# minutes of folding.  A built-in coefficient uses at most a few hundred
+# units, and the longest test input (t+t+...+t, 5,000 terms) about 20,000
+MAX_FOLD_WORK = 200_000
 
 
 class ParseError(ValueError):
@@ -197,37 +207,51 @@ def fold(node, sub: Substitution) -> Scalar:
     long, so the left spine of binary operators is walked in a loop; only
     right operands and bracketed or negated subexpressions recurse, and
     MAX_NESTING bounds those.  Every step's result is checked against
-    MAX_DEGREE and MAX_COEFF_BITS, a breach reported at its operator.
+    MAX_DEGREE and MAX_COEFF_BITS, and every binary step is charged to
+    MAX_FOLD_WORK before it is computed; a breach is reported at its
+    operator.
     """
-    spine = []
-    while node[0] in _BINARY:
-        spine.append(node)
-        node = node[1]
-    kind = node[0]
-    if kind == "int":
-        acc = Scalar.rational(node[1])
-    elif kind == "sym":
-        acc = Scalar.u() if node[1] == "u" else sub.t_as_scalar()
-    elif kind == "neg":
-        acc = -fold(node[1], sub)
-    elif kind == "pow":
-        base = fold(node[1], sub)
-        exp = node[2]
-        if exp < 0 and base.is_zero:
-            raise ParseError("division by zero", node[3])
-        degree, bits = _size(base)
-        _check_size(abs(exp) * degree, abs(exp) * bits, node[3])
-        acc = base ** exp
-    else:
-        raise ParseError(f"unknown operator {kind!r}", node[-1])
-    _check_size(*_size(acc), node[-1])
-    for op, _, rhs, pos in reversed(spine):
-        b = fold(rhs, sub)
-        if op == "/" and b.is_zero:
-            raise ParseError("division by zero", pos)
-        acc = _BINARY[op](acc, b)
-        _check_size(*_size(acc), pos)
-    return acc
+    work = 0
+
+    def walk(node):
+        """(value, u-degree) of a subtree."""
+        nonlocal work
+        spine = []
+        while node[0] in _BINARY:
+            spine.append(node)
+            node = node[1]
+        kind = node[0]
+        if kind == "int":
+            acc = Scalar.rational(node[1])
+        elif kind == "sym":
+            acc = Scalar.u() if node[1] == "u" else sub.t_as_scalar()
+        elif kind == "neg":
+            acc = -walk(node[1])[0]
+        elif kind == "pow":
+            base = walk(node[1])[0]
+            exp = node[2]
+            if exp < 0 and base.is_zero:
+                raise ParseError("division by zero", node[3])
+            degree, bits = _size(base)
+            _check_size(abs(exp) * degree, abs(exp) * bits, node[3])
+            acc = base ** exp
+        else:
+            raise ParseError(f"unknown operator {kind!r}", node[-1])
+        degree, bits = _size(acc)
+        _check_size(degree, bits, node[-1])
+        for op, _, rhs, pos in reversed(spine):
+            b, b_degree = walk(rhs)
+            if op == "/" and b.is_zero:
+                raise ParseError("division by zero", pos)
+            work += (degree + 1) * (b_degree + 1)
+            if work > MAX_FOLD_WORK:
+                raise ParseError(f"folding work above {MAX_FOLD_WORK}", pos)
+            acc = _BINARY[op](acc, b)
+            degree, bits = _size(acc)
+            _check_size(degree, bits, pos)
+        return acc, degree
+
+    return walk(node)[0]
 
 
 def parse_scalar(text, sub: Substitution) -> Scalar:

@@ -169,6 +169,13 @@ class SpinorStructure:
         return MultiVector.from_skew_matrix(self.almost_complex())
 
     @cached_property
+    def _kahler_coords(self):
+        """(x_J, <x_J, x_J>): the Kahler form in pair coordinates and its
+        squared norm, for the W1+ component."""
+        xj = self.kahler_form().pair_coeffs()
+        return xj, vec_dot(xj, xj)
+
+    @cached_property
     def _psi_plus(self):
         terms = {}
         for key in combinations(range(1, self.n + 1), 3):
@@ -284,13 +291,13 @@ class SpinorStructure:
         skw = (s - sym)
         w1m = Matrix.identity(6).scale(mu)
         sym0 = sym - w1m
-        w2m = (sym0 - j * sym0 * j).scale(Scalar.rational(1, 2))
-        w3 = (sym0 + j * sym0 * j).scale(Scalar.rational(1, 2))
+        jsj = j * sym0 * j
+        w2m = (sym0 - jsj).scale(Scalar.rational(1, 2))
+        w3 = (sym0 + jsj).scale(Scalar.rational(1, 2))
         omega = MultiVector.from_skew_matrix(skw)
         x = omega.pair_coeffs()
-        omega_j = self.kahler_form()
-        xj = omega_j.pair_coeffs()
-        lam = vec_dot(x, xj) / vec_dot(xj, xj)
+        xj, xj_norm2 = self._kahler_coords
+        lam = vec_dot(x, xj) / xj_norm2
         w1p = j.scale(lam)
         g_part = self.annihilator().project(x)
         w2p = MultiVector.from_pair_coeffs(6, g_part).to_skew_matrix()

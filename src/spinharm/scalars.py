@@ -16,7 +16,8 @@ divisor's primitive part (Gauss's lemma).  `Poly.coeffs` gives the
 coefficients back as Fractions.  Scalars keep den monic and gcd(num, den) =
 1, which makes equality a syntactic check and is used everywhere as the
 exact zero test.  Verdicts are always decided exactly; floating point
-appears only in eval_numeric, the oracle backend.
+appears only in eval_numeric, the one-value reference the float oracle
+(numeric.py) is tested against.
 """
 
 from __future__ import annotations
@@ -633,21 +634,26 @@ def evaluate_exact(s: Scalar, sub: Substitution, t0: Fraction) -> QuadValue:
     return num / den
 
 
+def vanishes_at(p: Poly, c: Fraction, root) -> bool:
+    """Whether p(u) is exactly 0 at u = root, or at u = sqrt(c) when root
+    is None: the pair (c, root) that `Substitution.u_value` gives."""
+    if root is not None:
+        return p.eval(root) == 0
+    return _poly_eval_quad(p, c).is_zero
+
+
 def eval_numeric(s: Scalar, sub: Substitution, t0) -> float:
-    """Double-precision value of s at t0; oracle backend, never a verdict."""
+    """Double-precision value of s at t0, never a verdict; the reference
+    for the batched oracle in numeric.py."""
     t0f = float(t0)
     if sub.u_squared_per_t is None:
         u0 = t0f
     else:
         u0 = math.sqrt(float(sub.u_squared_per_t) * t0f)
     # exact pole check at rational t0, else float guard
-    if isinstance(t0, (int, Fraction)):
-        cr = sub.u_value(Fraction(t0))
-        if cr[1] is not None:
-            if s.den.eval(cr[1]) == 0:
-                raise PoleError("pole")
-        elif _poly_eval_quad(s.den, cr[0]).is_zero:
-            raise PoleError("pole")
+    if isinstance(t0, (int, Fraction)) and \
+            vanishes_at(s.den, *sub.u_value(Fraction(t0))):
+        raise PoleError("pole")
     den = s.den.eval(u0)
     if den == 0.0:
         raise PoleError("pole")

@@ -488,8 +488,7 @@ def check_numeric_scan(samples=20, seed=77):
         ts = [Fraction(rng.randint(1, 64), rng.randint(16, 32))
               for _ in range(samples)]
         worst = 0.0
-        for t0 in ts:
-            r = numeric.residual_norm(model, t0)
+        for t0, r in zip(ts, numeric.residual_norms(model, ts)):
             if r is None:
                 continue
             if verdict.kind == ALL_T:
@@ -503,9 +502,8 @@ def check_numeric_scan(samples=20, seed=77):
         if verdict.kind == ROOT_SET:
             for root in verdict.roots:
                 eps = Fraction(1, 1024)
-                lo = numeric.residual_norm(model, root - eps)
-                mid = numeric.residual_norm(model, Fraction(root))
-                hi = numeric.residual_norm(model, root + eps)
+                lo, mid, hi = numeric.residual_norms(
+                    model, [root - eps, Fraction(root), root + eps])
                 if mid is None or mid > NUMERIC_TOL:
                     fails.append(f"{name}: no dip at root {root}")
                 if lo is not None and hi is not None and \

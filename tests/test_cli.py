@@ -129,9 +129,44 @@ def test_report_at_pole_exit2(tmp_path, capsys, flat6_dict):
     code, _ = run_cli("report", str(path), "--at", "1")
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: t = 1 is a pole of the model's coefficients\n"
+    assert err == ("error: t = 1 is a pole of the model's coefficients "
+                   "(slot 1, entry (1, 2))\n")
     code, text = run_cli("report", str(path), "--at", "2")
     assert code == 0 and "at t = 2: flags" in text
+
+
+def test_report_at_pole_names_first_slot(tmp_path, capsys, flat6_dict):
+    # t = 2 is u = sqrt(2) under t=u^2: the pole is found in Q(sqrt(2)),
+    # and the first of the two slots with a pole there is named
+    flat6_dict["substitution"] = "t=u^2"
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "1/(t-3)"}]
+    flat6_dict["lambda"][1] = [{"i": 1, "j": 4, "coeff": "1/(u^2-2)"}]
+    flat6_dict["lambda"][3] = [{"i": 3, "j": 6, "coeff": "1/(t-2)"}]
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path), "--at", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: t = 2 is a pole of the model's coefficients "
+                   "(slot 2, entry (1, 4))\n")
+    code, text = run_cli("report", str(path), "--at", "5/2")
+    assert code == 0 and "at t = 5/2: flags" in text
+
+
+def test_report_fold_work_limit_exit2(tmp_path, capsys, flat6_dict):
+    # 11,999 tokens, every step inside the degree and bit caps: the sum
+    # folded for about 13 s before the cumulative work was bounded
+    coeff = "+".join(["(t+1)^60/(t+2)^60"] * 750)
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
+    path = tmp_path / "work.json"
+    path.write_text(json.dumps(flat6_dict))
+    start = time.perf_counter()
+    code, _ = run_cli("report", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: slot 1") and "folding work above" in err
+    assert "Traceback" not in err
 
 
 def test_report_sequence_matches_golden_bytes():

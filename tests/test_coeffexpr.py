@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
-from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
-                                MAX_TOKENS, ParseError, fold, parse_coeff,
-                                parse_scalar)
+from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_FOLD_WORK,
+                                MAX_NESTING, MAX_TOKENS, ParseError, fold,
+                                parse_coeff, parse_scalar)
 from spinharm.scalars import Scalar, Substitution
 
 U = Scalar.u()
@@ -168,3 +170,25 @@ def test_coefficient_bits_boundary():
 def test_huge_powers_refused_before_computing(text, message):
     with pytest.raises(ParseError, match=message):
         parse_scalar(text, T_U2)
+
+
+def test_fold_work_limit_boundary():
+    # each '+' of t^49 + t^49 + ... is charged (49 + 1) * (49 + 1)
+    steps, rest = divmod(MAX_FOLD_WORK, 50 * 50)
+    assert rest == 0
+    at_limit = "+".join(["t^49"] * (steps + 1))
+    assert parse_scalar(at_limit, T_ID) == sc(steps + 1) * U ** 49
+    over = at_limit + "+t^49"
+    with pytest.raises(ParseError, match="folding work above") as err:
+        parse_scalar(over, T_ID)
+    assert err.value.position == len(at_limit) + 1
+    assert over[err.value.position - 1] == "+"
+
+
+def test_fold_work_limit_stops_sum_of_large_fractions():
+    text = "+".join(["(t+1)^60/(t+2)^60"] * 750)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="folding work above") as err:
+        parse_scalar(text, T_ID)
+    assert time.perf_counter() - start < 2
+    assert text[err.value.position - 1] in "+/"

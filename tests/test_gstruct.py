@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -371,6 +372,26 @@ def test_classify_su3_cp3_at_half():
     cls = st.classify(cp3_S(), zero_vec(6))
     sub = Substitution.T_EQUALS_U_SQUARED
     assert cls.flags_at(sub, Fraction(1, 2)) == {"W1-"}
+
+
+def test_warm_classify_su3_forms_j_s_j_once(monkeypatch):
+    st = structure(6)
+    st.classify(cp3_S(), zero_vec(6))   # builds J and its Kahler coordinates
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((Matrix, "__mul__"),
+                        (SpinorStructure, "kahler_form")):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    cls = st.classify(cp3_S(), zero_vec(6))
+    assert calls == Counter({"__mul__": 2})   # J * sym0, then (J sym0) * J
+    assert cls.total() == cp3_S()
+    assert cls.flags() == {"W1-", "W2-"}
 
 
 def test_classify_components_reclassify_pure():
