@@ -15,7 +15,8 @@ like (1-t)/(2*u) verbatim.  Folding happens in exact Scalar arithmetic;
 division by a subexpression that folds to zero is rejected with a position,
 and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS, any
 token past the first MAX_TOKENS, and any step that takes the cumulative
-folding work past MAX_FOLD_WORK.
+folding work past MAX_FOLD_WORK, or past MAX_FILE_FOLD_WORK for all the
+coefficients of one model file.
 """
 
 from __future__ import annotations
@@ -48,11 +49,31 @@ MAX_TOKENS = 12_000
 # units, and the longest test input (t+t+...+t, 5,000 terms) about 20,000
 MAX_FOLD_WORK = 200_000
 
+# cumulative folding work in one model file, charged the same way by every
+# coefficient parsed with one FoldBudget: without it a file could hold one
+# coefficient at MAX_FOLD_WORK per Wang-map entry (147 for n = 7)
+MAX_FILE_FOLD_WORK = 4 * MAX_FOLD_WORK
+
 
 class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} at column {position}")
         self.position = position
+
+
+class FoldBudget:
+    """Folding work shared by the coefficients of one model file."""
+
+    __slots__ = ("work",)
+
+    def __init__(self):
+        self.work = 0
+
+    def charge(self, cost, pos):
+        self.work += cost
+        if self.work > MAX_FILE_FOLD_WORK:
+            raise ParseError(
+                f"model-file folding work above {MAX_FILE_FOLD_WORK}", pos)
 
 
 _TOKEN_CHARS = set("+-*/^()")
@@ -200,7 +221,7 @@ def _check_size(degree, bits, pos):
         raise ParseError(f"coefficient above {MAX_COEFF_BITS} bits", pos)
 
 
-def fold(node, sub: Substitution) -> Scalar:
+def fold(node, sub: Substitution, budget=None) -> Scalar:
     """Evaluate an AST to a Scalar, binding t through the substitution.
 
     A chain like t+t+...+t parses into a left-nested tree as deep as it is
@@ -208,8 +229,8 @@ def fold(node, sub: Substitution) -> Scalar:
     right operands and bracketed or negated subexpressions recurse, and
     MAX_NESTING bounds those.  Every step's result is checked against
     MAX_DEGREE and MAX_COEFF_BITS, and every binary step is charged to
-    MAX_FOLD_WORK before it is computed; a breach is reported at its
-    operator.
+    MAX_FOLD_WORK, and to the file's budget when one is given, before it is
+    computed; a breach is reported at its operator.
     """
     work = 0
 
@@ -243,9 +264,12 @@ def fold(node, sub: Substitution) -> Scalar:
             b, b_degree = walk(rhs)
             if op == "/" and b.is_zero:
                 raise ParseError("division by zero", pos)
-            work += (degree + 1) * (b_degree + 1)
+            cost = (degree + 1) * (b_degree + 1)
+            work += cost
             if work > MAX_FOLD_WORK:
                 raise ParseError(f"folding work above {MAX_FOLD_WORK}", pos)
+            if budget is not None:
+                budget.charge(cost, pos)
             acc = _BINARY[op](acc, b)
             degree, bits = _size(acc)
             _check_size(degree, bits, pos)
@@ -254,6 +278,7 @@ def fold(node, sub: Substitution) -> Scalar:
     return walk(node)[0]
 
 
-def parse_scalar(text, sub: Substitution) -> Scalar:
-    """Parse and fold a coefficient string in one step."""
-    return fold(parse_coeff(text), sub)
+def parse_scalar(text, sub: Substitution, budget=None) -> Scalar:
+    """Parse and fold a coefficient string in one step, charging the
+    folding work to budget (a FoldBudget) when one is given."""
+    return fold(parse_coeff(text), sub, budget)

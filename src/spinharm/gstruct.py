@@ -366,6 +366,14 @@ class SU3Classes:
                            "W2-": w2m, "W3": w3, "W4": w4}
         self.eta = eta
 
+    def scale(self, c):
+        """The classes of (c S, c eta): every component times c."""
+        m = {label: mat.scale(c) for label, mat in self.components.items()}
+        return SU3Classes(self.structure, mu=c * self.mu, w1m=m["W1-"],
+                          lam=c * self.lam, w1p=m["W1+"], w2p=m["W2+"],
+                          w2m=m["W2-"], w3=m["W3"], w4=m["W4"],
+                          eta=vec_scale(c, self.eta))
+
     def total(self) -> Matrix:
         out = Matrix.zeros(6, 6)
         for m in self.components.values():
@@ -399,6 +407,13 @@ class G2Classes:
         self.lam = lam
         self.components = {"W1": w1, "W2": w2, "W3": w3, "W4": w4}
         self.v = v
+
+    def scale(self, c):
+        """The classes of c S: every component times c."""
+        m = {label: mat.scale(c) for label, mat in self.components.items()}
+        return G2Classes(self.structure, lam=c * self.lam, w1=m["W1"],
+                         w2=m["W2"], w3=m["W3"], w4=m["W4"],
+                         v=vec_scale(c, self.v))
 
     def total(self) -> Matrix:
         out = Matrix.zeros(7, 7)

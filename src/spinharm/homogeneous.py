@@ -3,7 +3,12 @@
 A model is a Wang map Lambda (one so(n)-valued 2-form per orthonormal frame
 direction, encoding the Levi-Civita connection of an invariant metric), a
 defining unit spinor phi0, and a substitution binding the deformation
-parameter t to the formal variable u.  Everything downstream is exact:
+parameter t to the formal variable u.  Everything downstream is exact,
+and runs on the cleared Wang map: ModelAnalysis multiplies every slot by
+the model's common denominator D(u), the monic lcm of the denominators of
+all Lambda coefficients, so each stage computes with polynomials in u, and
+reduces an output once, dividing it by D when it is linear in Lambda and
+by D^2 when it is quadratic:
 
   * extract_S_eta decomposes lift(Lambda(X_i)).phi0 into S(X_i) and
     eta(X_i) (the phi-component must vanish; its survival is a hard error);
@@ -40,7 +45,7 @@ import os
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import (Scalar, Poly, ZERO, ONE, Substitution,
+from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, Substitution,
                       as_polynomial_in_t, rational_roots, real_root_count,
                       poly_gcd, IdenticallyZero, IrrationalRoots, PoleError,
                       evaluate_exact, format_scalar)
@@ -221,22 +226,27 @@ class HomogeneousModel:
 
     @classmethod
     def from_dict(cls, data):
-        from .coeffexpr import parse_scalar, ParseError
+        from .coeffexpr import FoldBudget, parse_scalar, ParseError
         try:
             name = data["name"]
             n = int(data["n"])
             sub = Substitution.from_label(data["substitution"])
             spinor = [_parse_fraction(c) for c in data["spinor"]]
             lam_raw = data["lambda"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad model record: {exc}") from exc
+        if not (isinstance(lam_raw, list)
+                and all(isinstance(entries, list) for entries in lam_raw)):
+            raise ModelError("bad model record: lambda must be a list of "
+                             "entry lists, one per slot")
         lam = []
+        budget = FoldBudget()
         for k, entries in enumerate(lam_raw):
             coeffs = {}
             for ent in entries:
                 try:
                     i, j = int(ent["i"]), int(ent["j"])
-                    c = parse_scalar(ent["coeff"], sub)
+                    c = parse_scalar(ent["coeff"], sub, budget)
                 except ParseError as exc:
                     raise ModelError(
                         f"slot {k + 1} ({ent.get('i')},{ent.get('j')}): {exc}"
@@ -367,14 +377,51 @@ def load_model(name_or_path) -> HomogeneousModel:
 
 
 class ModelAnalysis:
-    """Lazy exact pipeline over one model.  S, eta and the torsion are kept
-    once computed; the stabilizer, m, J and psi come from the structure
-    shared by every model with the same n and phi0."""
+    """Lazy exact pipeline over one model, run on the cleared Wang map.
+
+    D(u), the monic lcm of the denominators of every Lambda coefficient
+    (1 for a polynomial model), is computed once; its zeros are the model's
+    poles.  Every stage runs on the cleared slots D*Lambda_i, whose entries
+    are polynomials, so no Scalar in its inner loops needs a gcd.  Each
+    output is reduced once, at the end: an output linear in Lambda (S, eta,
+    the torsion, the canonical-parameter coordinates, the classes) is
+    divided by D, and a quadratic one (the harmonicity residual, Delta phi,
+    c_xi.phi and the cross-check residual) by D^2.  S, eta and the torsion
+    are kept once computed; the stabilizer, m, J and psi come from the
+    structure shared by every model with the same n and phi0.
+    """
 
     def __init__(self, model: HomogeneousModel):
         self.model = model
         self.rep = SpinRep.build(model.n)
         self.structure = SpinorStructure.shared(model.n, model.phi0)
+
+    # -- the cleared Wang map ----------------------------------------------------
+
+    @cached_property
+    def common_denominator(self) -> Poly:
+        """D(u): the monic lcm of the Lambda coefficients' denominators."""
+        d = ONE_POLY
+        for den in {c.den for slot in self.model.lam
+                    for c in slot.terms.values()}:
+            d = d * den.exact_div(poly_gcd(d, den))
+        return d
+
+    @cached_property
+    def cleared(self):
+        """The slots D*Lambda_i; every coefficient is a polynomial in u."""
+        d = self.common_denominator
+        return [MultiVector(self.model.n,
+                            {key: Scalar(c.num * d.exact_div(c.den))
+                             for key, c in slot.terms.items()})
+                for slot in self.model.lam]
+
+    @cached_property
+    def _inverse(self):
+        """{1: 1/D, 2: 1/D^2}: the factor that reduces an output of degree
+        1 or 2 in the cleared slots to the model's."""
+        inv = Scalar(ONE_POLY, self.common_denominator)
+        return {1: inv, 2: inv * inv}
 
     # -- S and eta -------------------------------------------------------------
 
@@ -383,12 +430,19 @@ class ModelAnalysis:
 
     @cached_property
     def _s_eta(self):
+        s, eta = self._cleared_s_eta
+        inv = self._inverse[1]
+        return s.scale(inv), vec_scale(inv, eta)
+
+    @cached_property
+    def _cleared_s_eta(self):
         return self._extract()
 
     def _extract(self):
+        """(D S, D eta), read off the cleared slots."""
         cols = []
         eta = []
-        for i, slot in enumerate(self.model.lam):
+        for i, slot in enumerate(self.cleared):
             parts = self.structure.decompose(
                 self.rep.lift_act(slot, self.structure.phi))
             if not parts.a.is_zero:
@@ -405,41 +459,54 @@ class ModelAnalysis:
 
     @cached_property
     def _torsion(self):
-        m = self.structure.complement_m()
-        out = []
-        for slot in self.model.lam:
-            proj = m.project(slot.pair_coeffs())
-            out.append(MultiVector.from_pair_coeffs(self.model.n, proj))
-        return out
+        inv = self._inverse[1]
+        return [slot.scale(inv) for slot in self._cleared_torsion]
 
-    def canonical_parameters(self, positive_only=True) -> Verdict:
+    @cached_property
+    def _cleared_torsion(self):
+        """The m-projections of the cleared slots: D times the torsion."""
+        m = self.structure.complement_m()
+        return [MultiVector.from_pair_coeffs(self.model.n,
+                                             m.project(slot.pair_coeffs()))
+                for slot in self.cleared]
+
+    def canonical_coordinates(self):
+        """The stabilizer components of every Lambda slot, slot after slot
+        in pair coordinates; they vanish exactly where Lambda is the
+        canonical connection."""
         g = self.structure.annihilator()
         coords = []
-        for slot in self.model.lam:
+        for slot in self.cleared:
             coords.extend(g.project(slot.pair_coeffs()))
-        return vanishing_verdict_general(coords, self.model.substitution,
+        return vec_scale(self._inverse[1], coords)
+
+    def canonical_parameters(self, positive_only=True) -> Verdict:
+        return vanishing_verdict_general(self.canonical_coordinates(),
+                                         self.model.substitution,
                                          positive_only)
 
     # -- divergences -------------------------------------------------------------
 
-    def divergence_endo(self, s: Matrix):
-        """div S = sum_i [A_i, S] X_i for invariant S (A_i = Lambda(X_i)),
-        with column i of [A_i, S] computed as A_i (S X_i) - S (A_i X_i)."""
+    def divergence_endo(self, s: Matrix, slots=None):
+        """div S = sum_i [A_i, S] X_i for invariant S, with A_i the i-th of
+        the given slots (Lambda(X_i) by default); column i of [A_i, S] is
+        computed as A_i (S X_i) - S (A_i X_i)."""
         if s.rows != self.model.n or s.cols != self.model.n:
             raise ValueError("dimension mismatch")
         out = zero_vec(self.model.n)
-        for i, slot in enumerate(self.model.lam):
+        for i, slot in enumerate(self.model.lam if slots is None else slots):
             a = slot.to_skew_matrix()
             out = vec_add(out, vec_sub(a.apply(s.column(i)),
                                        s.apply(a.column(i))))
         return out
 
-    def divergence_vector(self, v):
-        """div V = sum_i <A_i V, X_i> for an invariant vector field V."""
+    def divergence_vector(self, v, slots=None):
+        """div V = sum_i <A_i V, X_i> for an invariant vector field V, with
+        A_i the i-th of the given slots (Lambda(X_i) by default)."""
         if len(v) != self.model.n:
             raise ValueError("dimension mismatch")
         acc = ZERO
-        for i, slot in enumerate(self.model.lam):
+        for i, slot in enumerate(self.model.lam if slots is None else slots):
             acc = acc + slot.to_skew_matrix().apply(v)[i]
         return acc
 
@@ -457,12 +524,14 @@ class ModelAnalysis:
         chi^S enters with the sign that makes the residual the exact
         negative of the Laplacian cross-check residual (a polynomial
         identity, validated on fixtures with nonvanishing chi); under this
-        package's contraction convention that is -chi_vector.
+        package's contraction convention that is -chi_vector.  Every term
+        is quadratic in Lambda: the sum over the cleared slots is D^2 times
+        the residual.
         """
         if self.model.n != 6:
             raise ValueError("SU(3) harmonicity needs n = 6")
-        s, eta = self.extract_S_eta()
-        xi = self.torsion()
+        s, eta = self._cleared_s_eta
+        xi = self._cleared_torsion
         phi = self.structure.phi
         vol = self.rep.volume_element()
         jphi = self.rep.act(vol, phi)
@@ -478,10 +547,10 @@ class ModelAnalysis:
         term = self.rep.act(xi_eta, jphi)
         residual = [r - half * v for r, v in zip(residual, term)]
 
-        div_s = self.divergence_endo(s)
+        div_s = self.divergence_endo(s, self.cleared)
         residual = vec_add(residual, self.rep.act_vector(div_s, phi))
 
-        div_eta = self.divergence_vector(eta)
+        div_eta = self.divergence_vector(eta, self.cleared)
         residual = vec_add(residual, vec_scale(div_eta, jphi))
 
         s_eta = s.apply(eta)
@@ -491,6 +560,7 @@ class ModelAnalysis:
         eta2 = vec_dot(eta, eta)
         residual = vec_add(residual, vec_scale(-eta2, phi))
 
+        residual = vec_scale(self._inverse[2], residual)
         verdict = vanishing_verdict(residual, self.model.substitution,
                                     positive_only)
         return HarmonicityVerdict(residual, verdict)
@@ -499,8 +569,9 @@ class ModelAnalysis:
         """Residual div S; the structure is harmonic iff it vanishes."""
         if self.model.n != 7:
             raise ValueError("G2 harmonicity needs n = 7")
-        s, _ = self.extract_S_eta()
-        residual = self.divergence_endo(s)
+        s, _ = self._cleared_s_eta
+        residual = vec_scale(self._inverse[2],
+                             self.divergence_endo(s, self.cleared))
         verdict = vanishing_verdict(residual, self.model.substitution,
                                     positive_only)
         return HarmonicityVerdict(residual, verdict)
@@ -511,26 +582,34 @@ class ModelAnalysis:
         """Delta phi = -sum lift(Lambda_i)^2 phi0 against -1/2 c_xi.phi.
 
         The residual Delta phi + 1/2 c_xi.phi equals -1/2 L.phi, so its
-        vanishing set is the harmonic parameter set.
+        vanishing set is the harmonic parameter set.  All three are
+        quadratic in Lambda, summed over the cleared slots and divided by
+        D^2.
         """
         phi = self.structure.phi
         rep = self.rep
         delta = zero_vec(8)
-        for slot in self.model.lam:
+        for slot in self.cleared:
             delta = vec_sub(delta, rep.lift_act(slot, rep.lift_act(slot, phi)))
         # c_xi.phi = 1/2 sum_i xi_i.(xi_i.phi), one slot at a time
         half = Scalar.rational(1, 2)
         c_xi_phi = zero_vec(8)
-        for slot in self.torsion():
+        for slot in self._cleared_torsion:
             c_xi_phi = vec_add(c_xi_phi, rep.act(slot, rep.act(slot, phi)))
         c_xi_phi = vec_scale(half, c_xi_phi)
         residual = [d + half * c for d, c in zip(delta, c_xi_phi)]
+        inv2 = self._inverse[2]
+        residual = vec_scale(inv2, residual)
         verdict = vanishing_verdict(residual, self.model.substitution,
                                     positive_only)
-        return CrossCheck(delta, c_xi_phi, residual, verdict)
+        return CrossCheck(vec_scale(inv2, delta), vec_scale(inv2, c_xi_phi),
+                          residual, verdict)
 
     # -- classification ---------------------------------------------------------------
 
     def classify(self):
-        s, eta = self.extract_S_eta()
-        return self.structure.classify(s, eta if self.model.n == 6 else None)
+        """The classes of (D S, D eta), scaled back by 1/D."""
+        s, eta = self._cleared_s_eta
+        classes = self.structure.classify(
+            s, eta if self.model.n == 6 else None)
+        return classes.scale(self._inverse[1])

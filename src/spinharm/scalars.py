@@ -396,8 +396,10 @@ class Scalar:
             return other
         if other.is_zero:
             return self
-        if self.den == ONE_POLY and other.den == ONE_POLY:
-            return Scalar(self.num + other.num, ONE_POLY, _reduced=True)
+        if self.den == other.den:
+            if self.den == ONE_POLY:
+                return Scalar(self.num + other.num, ONE_POLY, _reduced=True)
+            return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 

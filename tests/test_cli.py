@@ -13,7 +13,7 @@ import spinharm.cli as cli
 import spinharm.clifford as clifford
 import spinharm.verify as verify
 from spinharm.cli import main
-from spinharm.coeffexpr import MAX_TOKENS
+from spinharm.coeffexpr import MAX_FILE_FOLD_WORK, MAX_TOKENS
 from spinharm.gstruct import InternalInvariantError
 from spinharm.homogeneous import ModelAnalysis
 
@@ -169,6 +169,28 @@ def test_report_fold_work_limit_exit2(tmp_path, capsys, flat6_dict):
     assert "Traceback" not in err
 
 
+def test_file_fold_work_limit_exit2(tmp_path, capsys, flat6_dict):
+    # ten entries, each just under the per-coefficient budget: they share
+    # one budget of MAX_FILE_FOLD_WORK, which the fifth entry parsed (the
+    # first of slot 3) passes
+    coeff = "+".join(["(t+1)^60/(t+2)^60"] * 26)
+    pairs = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
+             (2, 5), (2, 6), (3, 4)]
+    for k, (i, j) in enumerate(pairs):
+        flat6_dict["lambda"][k % 6].append({"i": i, "j": j, "coeff": coeff})
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(flat6_dict))
+    for command in ("report", "dump"):
+        start = time.perf_counter()
+        code, _ = run_cli(command, str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: slot 3 (1,4): ")
+        assert f"model-file folding work above {MAX_FILE_FOLD_WORK}" in err
+        assert "Traceback" not in err
+
+
 def test_report_sequence_matches_golden_bytes():
     # later reports reuse the stabilizer data built for earlier ones
     golden = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -189,6 +211,23 @@ def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
     code, _ = run_cli("report", str(path))
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lambda", None), ("lambda", 5), ("lambda", [3] * 6),
+    ("spinor", ["1/0"] + ["0"] * 7)])
+def test_report_mistyped_field_exit2(tmp_path, capsys, flat6_dict, field,
+                                     value):
+    # found by tests/test_fuzz_model_file.py: these exited 3
+    flat6_dict[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(flat6_dict))
+    for command in ("report", "dump"):
+        code, _ = run_cli(command, str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad model record") and \
+            "Traceback" not in err
 
 
 def test_report_token_limit_exit2(tmp_path, capsys, flat6_dict):
