@@ -20,14 +20,16 @@ by D^2 when it is quadratic:
     component of Lambda vanishes (canonical connection);
   * divergences of invariant tensors reduce to commutator sums, of which
     only column i of [A_i, S] is needed;
-  * the harmonicity residual (the full six-term spinor expression for
-    n = 6, div S for n = 7) is converted coordinate-wise into rational
-    functions of t, and the exact rational roots of the gcd of their
-    numerators are found (irrational common roots are refused);
+  * the harmonicity residual is the full six-term spinor expression for
+    n = 6 and div S for n = 7;
   * laplacian_cross_check computes Delta phi = -sum lift(L_i)^2 phi0 and
     c_xi.phi from the torsion slots and reports the residual
     Delta phi + 1/2 c_xi.phi, which equals -1/2 L.phi and must vanish
     exactly where the structure is harmonic.
+
+Canonical parameters, harmonicity and the cross-check share one verdict
+engine, vanishing_verdict, on the gcd of their values' u-numerators; a
+refusal (a real root in the domain that is not rational) names the stage.
 
 Built-in models: cp3 (SO(5)/U(2), t = u^2), spin4 (the Lie group
 Spin(4) = S^3 x S^3, t = u^2/2), aw11 (the Aloff-Wallach space
@@ -45,10 +47,9 @@ import os
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, Substitution,
-                      as_polynomial_in_t, rational_roots, real_root_count,
-                      poly_gcd, IdenticallyZero, IrrationalRoots, PoleError,
-                      evaluate_exact, format_scalar)
+from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, ZERO_POLY, U_POLY,
+                      Substitution, rational_roots, real_root_count, poly_gcd,
+                      IrrationalRoots, vanishes_at, format_scalar)
 from .linalg import (Matrix, vec_add, vec_dot, vec_scale, vec_sub,
                      zero_vec)
 from .clifford import MultiVector, SpinRep
@@ -92,70 +93,53 @@ class Verdict:
 def vanishing_verdict(values, sub, positive_only=True) -> Verdict:
     """Joint vanishing t-set of u-domain Scalars under the substitution.
 
-    Requires every value to be expressible as a rational function of t
-    (raises NotExpressibleInT otherwise).  The common roots are those of
-    the gcd of the t-numerators, with the gcd's multiplicities (the least
-    over the numerators).  Raises IrrationalRoots when the gcd has a real
-    root in the domain (t > 0, or t != 0) that is not rational.
+    g is the gcd of the u-numerators, its multiplicities the least over the
+    numerators.  An even g is E(m t) (g itself when t = u), whose rational
+    roots are the answer on t > 0, or on t != 0 and t = 0 when positive_only
+    is off.  A g = E(u^2) + u O(u^2) with odd terms vanishes at
+    u = sqrt(v0) > 0 only where the norm E(v)^2 - v O(v)^2 does: each
+    rational root v0 > 0 of the norm is kept if g vanishes at sqrt(v0),
+    with the multiplicity of sqrt(v0)'s minimal polynomial in g.  Raises
+    IrrationalRoots when a Sturm count finds more real roots of g in the
+    domain than were kept.
     """
-    nums = [as_polynomial_in_t(v, sub).num for v in values]
-    nonzero = [p for p in nums if not p.is_zero]
-    if not nonzero:
-        return Verdict(ALL_T)
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        if g.degree < 1:
-            break
-        g = poly_gcd(g, p)
-    if g.degree < 1:
-        return Verdict(NEVER)
-    roots = {r: m for r, m in rational_roots(g).items()
-             if r > 0 or not positive_only}
-    if real_root_count(g, positive_only) > sum(1 for r in roots if r):
-        raise IrrationalRoots(
-            f"gcd of the t-numerators "
-            f"{format_scalar(Scalar(Poly(g.int_coeffs())), 't')} "
-            "has irrational real roots")
-    return Verdict(ROOT_SET, roots) if roots else Verdict(NEVER)
-
-
-def vanishing_verdict_general(values, sub, positive_only=True) -> Verdict:
-    """Joint vanishing t-set without requiring expressibility in t.
-
-    A u-domain numerator N(u) = E(u^2) + u*O(u^2) vanishes at u0 = sqrt(mt)
-    only if the norm polynomial E(v)^2 - v*O(v)^2 vanishes at v = mt, so
-    rational candidates come from the norm and are confirmed by exact
-    evaluation in Q(sqrt(mt)).  Multiplicities are not meaningful for the
-    irrational branch and are reported as 1.
-    """
-    nonzero = [v for v in values if not v.is_zero]
-    if not nonzero:
+    g = ZERO_POLY
+    for v in values:
+        if not v.is_zero:
+            g = poly_gcd(g, v.num) if g else v.num
+            if g.degree < 1:
+                return Verdict(NEVER)
+    if not g:
         return Verdict(ALL_T)
     m = sub.u_squared_per_t
-    if m is None:
-        return vanishing_verdict(values, sub, positive_only)
-    first = nonzero[0]
-    e, o = first.num.even_odd_parts()
-    norm = e * e - Poly((0, 1)) * (o * o)
-    try:
-        v_roots = rational_roots(norm)
-    except IdenticallyZero:  # pragma: no cover - num nonzero => norm nonzero
-        v_roots = {}
-    candidates = []
-    for v_root in v_roots:
-        t0 = v_root / m
-        # u = sqrt(m t) needs t > 0 regardless of the sign flag
-        if t0 <= 0:
-            continue
-        candidates.append(t0)
-    confirmed = {}
-    for t0 in candidates:
-        try:
-            if all(evaluate_exact(v, sub, t0).is_zero for v in nonzero):
-                confirmed[t0] = 1
-        except PoleError:
-            continue
-    return Verdict(ROOT_SET, confirmed) if confirmed else Verdict(NEVER)
+    e, o = g.even_odd_parts()
+    if m is None or not o:
+        p = g if m is None else e.scale_argument(m)
+        roots = {r: k for r, k in rational_roots(p).items()
+                 if r > 0 or not positive_only}
+        irrational = real_root_count(p, positive_only) > \
+            sum(1 for r in roots if r)
+        shown, var = p, "t"
+    else:
+        roots = {}
+        for v0 in rational_roots(e * e - U_POLY * (o * o)):
+            if v0 <= 0:
+                continue
+            _, root = sub.u_value(v0 / m)
+            minimal = Poly((-v0, 0, 1) if root is None else (-root, 1))
+            work, k = g, 0
+            while vanishes_at(work, v0, root):
+                work, k = work.exact_div(minimal), k + 1
+            if k:
+                roots[v0 / m] = k
+        irrational = real_root_count(g) > len(roots)
+        shown, var = g, "u"
+    if irrational:
+        raise IrrationalRoots(
+            f"gcd of the numerators "
+            f"{format_scalar(Scalar(Poly(shown.int_coeffs())), var)} "
+            "has irrational real roots")
+    return Verdict(ROOT_SET, roots) if roots else Verdict(NEVER)
 
 
 class HarmonicityVerdict:
@@ -231,7 +215,8 @@ class HomogeneousModel:
             name = data["name"]
             n = int(data["n"])
             sub = Substitution.from_label(data["substitution"])
-            spinor = [_parse_fraction(c) for c in data["spinor"]]
+            spinor = [_parse_fraction(k, c)
+                      for k, c in enumerate(data["spinor"], 1)]
             lam_raw = data["lambda"]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad model record: {exc}") from exc
@@ -277,8 +262,13 @@ def _fraction_str(c: Scalar) -> str:
         else str(f.numerator)
 
 
-def _parse_fraction(text) -> Scalar:
-    return Scalar.rational(Fraction(str(text)))
+def _parse_fraction(k, text) -> Scalar:
+    """Spinor entry k (counted from 1) as a rational Scalar."""
+    try:
+        return Scalar.rational(Fraction(str(text)))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"spinor entry {k}: not a rational: {text!r}") \
+            from None
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +471,17 @@ class ModelAnalysis:
         return vec_scale(self._inverse[1], coords)
 
     def canonical_parameters(self, positive_only=True) -> Verdict:
-        return vanishing_verdict_general(self.canonical_coordinates(),
-                                         self.model.substitution,
-                                         positive_only)
+        return self._verdict("canonical parameters",
+                             self.canonical_coordinates(), positive_only)
+
+    def _verdict(self, stage, values, positive_only):
+        """vanishing_verdict under the model's substitution; a refusal
+        names the stage."""
+        try:
+            return vanishing_verdict(values, self.model.substitution,
+                                     positive_only)
+        except IrrationalRoots as exc:
+            raise IrrationalRoots(f"{stage}: {exc}") from None
 
     # -- divergences -------------------------------------------------------------
 
@@ -561,9 +559,8 @@ class ModelAnalysis:
         residual = vec_add(residual, vec_scale(-eta2, phi))
 
         residual = vec_scale(self._inverse[2], residual)
-        verdict = vanishing_verdict(residual, self.model.substitution,
-                                    positive_only)
-        return HarmonicityVerdict(residual, verdict)
+        return HarmonicityVerdict(
+            residual, self._verdict("harmonicity", residual, positive_only))
 
     def harmonicity_g2(self, positive_only=True) -> HarmonicityVerdict:
         """Residual div S; the structure is harmonic iff it vanishes."""
@@ -572,9 +569,8 @@ class ModelAnalysis:
         s, _ = self._cleared_s_eta
         residual = vec_scale(self._inverse[2],
                              self.divergence_endo(s, self.cleared))
-        verdict = vanishing_verdict(residual, self.model.substitution,
-                                    positive_only)
-        return HarmonicityVerdict(residual, verdict)
+        return HarmonicityVerdict(
+            residual, self._verdict("harmonicity", residual, positive_only))
 
     # -- spinor Laplacian cross-check ------------------------------------------------
 
@@ -600,8 +596,7 @@ class ModelAnalysis:
         residual = [d + half * c for d, c in zip(delta, c_xi_phi)]
         inv2 = self._inverse[2]
         residual = vec_scale(inv2, residual)
-        verdict = vanishing_verdict(residual, self.model.substitution,
-                                    positive_only)
+        verdict = self._verdict("cross-check", residual, positive_only)
         return CrossCheck(vec_scale(inv2, delta), vec_scale(inv2, c_xi_phi),
                           residual, verdict)
 

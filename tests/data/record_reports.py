@@ -8,9 +8,11 @@ Writes models/<name>.json and, for each model, the exact stdout of
 reports/.  tests/test_pinned_reports.py compares the program's output with
 these bytes.  The models divide some Lambda entries of the built-ins by
 (t + 3), (t^2 + 1) or (2t - 1), so that their coefficients carry
-denominators beyond u; the others are the test fixtures with a pole at
-t = 1 (tests/test_cli.py), g2_toy_dict and eta_toy_dict
-(tests/conftest.py).  Re-record only when an output is meant to change.
+denominators beyond u; cp3-mixed adds to cp3's slot 5 the entries of its
+slot 1 times (t - 2)(1 + u), so that its Lambda mixes even and odd powers
+of u = sqrt(t); the others are the test fixtures with a pole at t = 1
+(tests/test_cli.py), g2_toy_dict and eta_toy_dict (tests/conftest.py).
+Re-record only when an output is meant to change.
 """
 
 import copy
@@ -50,6 +52,18 @@ def _g2_toy():
     return d
 
 
+def _cp3_mixed():
+    base = load_model("cp3").to_dict()
+    d = copy.deepcopy(base)
+    d["name"] = "cp3-mixed"
+    extra = copy.deepcopy(base["lambda"][0])
+    for ent in extra:
+        ent["coeff"] = f"({ent['coeff']})*(t-2)*(1+u)"
+    d["lambda"][4] = d["lambda"][4] + extra
+    d["notes"] = "cp3 with slot 1 times (t-2)*(1+u) added to slot 5"
+    return d
+
+
 def _eta_toy():
     return {
         "name": "etatoy", "n": 6, "substitution": "t=u",
@@ -77,6 +91,7 @@ MODELS = {
         (0, 0, "2*t-1"), (1, 1, "t^2+1"), (3, 0, "t+3")]), "3/2"),
     "aw11-divided": (_divided("aw11", "aw11-divided", [
         (0, 1, "t+3"), (2, 1, "t^2+1"), (6, 0, "2*t-1")]), "3/2"),
+    "cp3-mixed": (_cp3_mixed(), "2"),
     "pole": (_pole(), "2"),
     "g2toy": (_g2_toy(), "1/2"),
     "etatoy": (_eta_toy(), "3/2"),

@@ -100,7 +100,9 @@ def test_report_irrational_roots_exit2(tmp_path, capsys, g2_toy_dict):
     path.write_text(json.dumps(g2_toy_dict))
     code, _ = run_cli("report", str(path))
     assert code == 2
-    assert "irrational real roots" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "irrational real roots" in err
+    assert err.startswith("error: harmonicity: gcd of the numerators")
 
 
 def test_internal_invariant_exit3(monkeypatch, capsys):
@@ -215,7 +217,8 @@ def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
 
 @pytest.mark.parametrize("field,value", [
     ("lambda", None), ("lambda", 5), ("lambda", [3] * 6),
-    ("spinor", ["1/0"] + ["0"] * 7)])
+    ("spinor", ["0"] * 4 + ["1/0"] + ["0"] * 3),
+    ("spinor", ["0"] * 4 + ["x"] + ["0"] * 3)])
 def test_report_mistyped_field_exit2(tmp_path, capsys, flat6_dict, field,
                                      value):
     # found by tests/test_fuzz_model_file.py: these exited 3
@@ -228,6 +231,8 @@ def test_report_mistyped_field_exit2(tmp_path, capsys, flat6_dict, field,
         err = capsys.readouterr().err
         assert err.startswith("error: bad model record") and \
             "Traceback" not in err
+        if field == "spinor":
+            assert "spinor entry 5" in err
 
 
 def test_report_token_limit_exit2(tmp_path, capsys, flat6_dict):

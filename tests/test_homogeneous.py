@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from spinharm.clifford import FrameTensor, MultiVector, c_sigma
 from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
                                   ModelAnalysis, ModelError, Verdict,
-                                  load_model, vanishing_verdict,
-                                  vanishing_verdict_general)
+                                  load_model, vanishing_verdict)
 from spinharm.linalg import Matrix, basis_vec, vec_is_zero, zero_vec
 from spinharm.numeric import NumericModel, scan
-from spinharm.scalars import (IrrationalRoots, NotExpressibleInT, Scalar,
-                              Substitution, as_polynomial_in_t, eval_numeric,
+from spinharm.scalars import (IrrationalRoots, Poly, Scalar, Substitution,
+                              as_polynomial_in_t, eval_numeric,
                               evaluate_exact, rational_roots)
 
 U = Scalar.u()
@@ -390,19 +389,44 @@ def test_vanishing_verdict_negative_roots_flag():
         Verdict(ROOT_SET, {Fraction(-1): 1})
 
 
-def test_vanishing_verdict_strict_rejects_odd_powers():
-    sub = Substitution.T_EQUALS_U_SQUARED
-    with pytest.raises(NotExpressibleInT):
-        vanishing_verdict([U], sub)
-
-
-def test_vanishing_verdict_general_handles_odd_powers():
+def test_vanishing_verdict_handles_odd_powers():
     sub = Substitution.T_EQUALS_U_SQUARED
     # u - 2 vanishes at u = 2, i.e. t = 4; u + 2 never for u > 0
-    assert vanishing_verdict_general([U - sc(2)], sub) == \
+    assert vanishing_verdict([U - sc(2)], sub) == \
         Verdict(ROOT_SET, {Fraction(4): 1})
-    assert vanishing_verdict_general([U + sc(2)], sub) == Verdict(NEVER)
-    assert vanishing_verdict_general([sc(0)], sub) == Verdict(ALL_T)
+    assert vanishing_verdict([U + sc(2)], sub) == Verdict(NEVER)
+    assert vanishing_verdict([sc(0)], sub) == Verdict(ALL_T)
+    # u = 0 is t = 0, outside the domain of u = sqrt(t)
+    assert vanishing_verdict([U], sub) == Verdict(NEVER)
+    assert vanishing_verdict([U], sub, positive_only=False) == Verdict(NEVER)
+
+
+def test_vanishing_verdict_mixed_parity_multiplicities():
+    sub = Substitution.T_EQUALS_U_SQUARED
+    val = (U - sc(2)) ** 3 * (U * U + sc(1))
+    assert vanishing_verdict([val], sub) == Verdict(ROOT_SET, {Fraction(4): 3})
+    # sqrt(2) is irrational, t = 2 is not: u^2 - 2 divides the gcd twice
+    val = U * (U * U - sc(2)) ** 2
+    assert vanishing_verdict([val, val * (U + sc(1))], sub) == \
+        Verdict(ROOT_SET, {Fraction(2): 2})
+    sub = Substitution.T_EQUALS_HALF_U_SQUARED
+    assert vanishing_verdict([(U - sc(1)) * (U + sc(3))], sub) == \
+        Verdict(ROOT_SET, {Fraction(1, 2): 1})
+
+
+def test_vanishing_verdict_refuses_irrational_even_gcd():
+    # u^4 - 2 vanishes at t = sqrt(2): NEVER would be false
+    sub = Substitution.T_EQUALS_U_SQUARED
+    with pytest.raises(IrrationalRoots, match=r"-2 \+ t\^2"):
+        vanishing_verdict([U ** 4 - sc(2)], sub)
+
+
+def test_vanishing_verdict_refuses_irrational_mixed_gcd():
+    # u^2 - u - 1 vanishes at the golden ratio, where t = u^2 is irrational;
+    # ROOT_SET {9} would silently drop it
+    sub = Substitution.T_EQUALS_U_SQUARED
+    with pytest.raises(IrrationalRoots, match=r"3 \+ 2\*u - 4\*u\^2 \+ u\^3"):
+        vanishing_verdict([(U - sc(3)) * (U * U - U - sc(1))], sub)
 
 
 def test_vanishing_verdict_refuses_irrational_common_roots():
@@ -481,6 +505,98 @@ def test_vanishing_verdict_gcd_first_matches_intersection(family,
     values, sub = family
     assert vanishing_verdict(values, sub, positive_only) == \
         _intersected_verdict(values, sub, positive_only)
+
+
+_linear = st.fractions(min_value=-3, max_value=3,
+                       max_denominator=3).map(lambda a: (-a, 1))
+_quadratic = st.tuples(st.integers(-3, 3), st.integers(-4, 4),
+                       st.just(1))   # u^2 + b u + c as (c, b, 1)
+_even = st.fractions(min_value=-4, max_value=4,
+                     max_denominator=3).map(lambda c: (c, 0, 1))
+_u_factor = st.one_of(_linear, _quadratic, _even)
+
+
+@st.composite
+def _u_factor_families(draw):
+    """Products of linear and quadratic factors in u, sharing factors from
+    one pool (of even factors only, at times), each over a root-free
+    denominator u^2 + k; some are zero."""
+    sub = draw(st.sampled_from(_SUBS))
+    pool = draw(st.lists(st.one_of(_u_factor, _even) if draw(st.booleans())
+                         else _even, min_size=1, max_size=3))
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 5)) == 0:
+            families.append(None)
+            continue
+        factors = [f for f in pool + [draw(_u_factor)]
+                   for _ in range(draw(st.integers(0, 2)))]
+        families.append((draw(st.integers(1, 4)), factors,
+                         draw(st.integers(1, 3))))
+    return sub, families
+
+
+def _sympy_verdict(sympy, sub, nums, positive_only):
+    """The verdict from sympy's exact real roots of the gcd of the
+    u-numerators, or "refused" where a root in the domain has no
+    rational t."""
+    u, t = sympy.symbols("u t")
+    nums = [n for n in nums if n != 0]
+    if not nums:
+        return Verdict(ALL_T)
+    g = sympy.expand(nums[0])
+    for n in nums[1:]:
+        g = sympy.gcd(g, n)
+    m = sub.u_squared_per_t
+    if m is None or sympy.expand(g - g.subs(u, -u)) == 0:
+        # a polynomial in t: every real root in t > 0, or in t != 0 and 0
+        var = t if m is None else sympy.sqrt(sympy.Rational(m.numerator,
+                                                            m.denominator) * t)
+        p = sympy.Poly(sympy.expand(g.subs(u, var)), t)
+        found = [(r, k) for r, k in p.real_roots(multiple=False)
+                 if r > 0 or not positive_only]
+    else:
+        # u = +sqrt(m t): only u > 0, t = u^2/m
+        found = [(r ** 2 / sympy.Rational(m.numerator, m.denominator), k)
+                 for r, k in sympy.Poly(g, u).real_roots(multiple=False)
+                 if r > 0]
+    if not found:
+        return Verdict(NEVER)
+    roots = {}
+    for r, k in found:
+        poly = sympy.minimal_polynomial(r, t)
+        if sympy.degree(poly, t) != 1:
+            return "refused"
+        q = sympy.Rational(sympy.solve(poly, t)[0])
+        roots[Fraction(int(q.p), int(q.q))] = k
+    return Verdict(ROOT_SET, roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_u_factor_families(), st.booleans())
+def test_vanishing_verdict_matches_sympy(family, positive_only):
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    sub, families = family
+    values, nums = [], []
+    for fam in families:
+        if fam is None:
+            values.append(sc(0))
+            nums.append(sympy.Integer(0))
+            continue
+        c, factors, k = fam
+        value, expr = sc(c), sympy.Integer(c)
+        for f in factors:
+            value = value * Scalar(Poly(f))
+            expr = expr * sum(sympy.Rational(a.numerator, a.denominator)
+                              * u ** i for i, a in enumerate(map(Fraction, f)))
+        values.append(value / (U * U + sc(k)))
+        nums.append(sympy.fraction(sympy.cancel(expr / (u ** 2 + k)))[0])
+    try:
+        got = vanishing_verdict(values, sub, positive_only)
+    except IrrationalRoots:
+        got = "refused"
+    assert got == _sympy_verdict(sympy, sub, nums, positive_only)
 
 
 def test_extraction_invariant_no_phi_component():

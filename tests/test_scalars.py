@@ -392,6 +392,25 @@ def test_constant_side_skips_gcd_exactly(cs, ds, c, constant_num):
     assert (s.num, s.den) == _gcd_reduced(num, den)
 
 
+def test_constant_times_fraction_skips_gcd(monkeypatch):
+    # c * n/d is reduced already: no poly_gcd call, and the same result
+    from spinharm import scalars
+    frac = U / (U + sc(1))
+    calls = [0]
+    gcd = scalars.poly_gcd
+
+    def counted(a, b):
+        calls[0] += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(scalars, "poly_gcd", counted)
+    left, right = sc(2) * frac, frac * sc(-3, 2)
+    assert calls[0] == 0
+    assert (left.num, left.den) == _gcd_reduced(Poly((0, 2)), Poly((1, 1)))
+    assert (right.num, right.den) == \
+        _gcd_reduced(Poly((0, Fraction(-3, 2))), Poly((1, 1)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_coeffs, _coeffs)
 def test_polynomial_sum_and_product_stay_reduced(xs, ys):

@@ -1,7 +1,10 @@
 """perfbench/tracer.py times spinharm by replacing the functions it names.
 
 A name that became a property or cached_property would be wrapped as if it
-were a function, and the traced run would break or lose that layer.
+were a function, and the traced run would break or lose that layer.  A
+name in REMOVED was deleted from spinharm on purpose: the tracer lists it
+as "not found" and reads its counters as 0 (perfbench/NOTES.md), until the
+next change to the benchmark drops it from SPANS.
 """
 
 import importlib
@@ -11,6 +14,8 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
+REMOVED = {"homogeneous.vanishing_verdict_general"}
+
 
 def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -19,13 +24,20 @@ def _spans():
     return tracer.SPANS
 
 
+def _traced(modname, cls, attr):
+    module = importlib.import_module(f"spinharm.{modname}")
+    if cls:
+        return vars(getattr(module, cls)).get(attr)
+    return getattr(module, attr, None)
+
+
 def test_traced_names_are_plain_functions():
     spans = _spans()
     assert spans
+    assert REMOVED <= {prefix for prefix, *_ in spans}
     for prefix, modname, cls, attr, _ in spans:
-        module = importlib.import_module(f"spinharm.{modname}")
-        if cls:
-            value = vars(getattr(module, cls)).get(attr)
+        value = _traced(modname, cls, attr)
+        if prefix in REMOVED:
+            assert value is None, f"{prefix} is back: {value!r}"
         else:
-            value = getattr(module, attr, None)
-        assert inspect.isfunction(value), f"{prefix}: {value!r}"
+            assert inspect.isfunction(value), f"{prefix}: {value!r}"
