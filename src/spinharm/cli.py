@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .scalars import format_scalar, IrrationalRoots, PoleError, vanishes_at
 from .coeffexpr import ParseError
@@ -44,7 +45,10 @@ def _positive_fraction(text):
     return t
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     p = argparse.ArgumentParser(
         prog="spinharm",
         description="Exact spinorial analysis of SU(3)/G2-structures "
@@ -120,10 +124,11 @@ def _report_data(args):
         data["classes"]["lambda_W1"] = format_scalar(classes.lam, var)
         data["classes"]["W4_vector"] = [format_scalar(c, var)
                                         for c in classes.v]
-    data["classes"]["components"] = {
-        label: _matrix_strings(mat, var)
-        for label, mat in sorted(classes.components.items())
-    }
+    if args.format == "structured":   # text output never prints them
+        data["classes"]["components"] = {
+            label: _matrix_strings(mat, var)
+            for label, mat in sorted(classes.components.items())
+        }
     if args.at is not None:
         try:
             flags = classes.flags_at(model.substitution, args.at)

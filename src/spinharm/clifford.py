@@ -131,10 +131,10 @@ class MultiVector:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return MultiVector(self.n, out)
+        return _multivector(self.n, out)
 
     def __neg__(self):
-        return MultiVector(self.n, {k: -c for k, c in self.terms.items()})
+        return _multivector(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -143,7 +143,8 @@ class MultiVector:
         c = c if isinstance(c, Scalar) else _coerce(c)
         if c.is_zero:
             return MultiVector.zero(self.n)
-        return MultiVector(self.n, {k: c * v for k, v in self.terms.items()})
+        return _multivector(self.n,
+                            {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, MultiVector) and self.n == other.n
@@ -201,7 +202,10 @@ class MultiVector:
 
     @classmethod
     def from_pair_coeffs(cls, n, coords):
-        return cls(n, {p: c for p, c in zip(index_pairs(n), coords)})
+        """The 2-form with the given Scalar coordinates in index_pairs
+        order."""
+        return _multivector(n, {p: c for p, c in zip(index_pairs(n), coords)
+                                if c})
 
     def to_skew_matrix(self):
         """Grade-2 element as the skew matrix A with A_ji = omega_ij."""
@@ -217,9 +221,8 @@ class MultiVector:
     def from_skew_matrix(cls, a: Matrix):
         if not a.is_skew():
             raise ValueError("skew-symmetric matrix required")
-        n = a.rows
-        return cls(n, {(i, j): a.data[j - 1][i - 1]
-                       for (i, j) in index_pairs(n)})
+        return cls.from_pair_coeffs(a.rows, [a.data[j - 1][i - 1] for (i, j)
+                                             in index_pairs(a.rows)])
 
     def norm2(self):
         acc = ZERO
@@ -233,6 +236,15 @@ class MultiVector:
         body = " + ".join(f"({c})*e{''.join(map(str, k))}" if k else f"({c})"
                           for k, c in sorted(self.terms.items()))
         return f"MultiVector({body})"
+
+
+def _multivector(n, terms):
+    """MultiVector from terms already valid: increasing in-range keys and
+    nonzero Scalar coefficients."""
+    m = object.__new__(MultiVector)
+    m.n = n
+    m.terms = terms
+    return m
 
 
 class SpinRep:

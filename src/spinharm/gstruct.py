@@ -269,57 +269,32 @@ class SpinorStructure:
     # -- Gray-Hervella classification ------------------------------------------
 
     def classify(self, s: Matrix, eta=None):
+        """The classes of (S, eta) for n = 6 (eta = 0 by default), of S
+        for n = 7, computed as coordinates."""
         if self.n == 6:
-            return self.classify_su3(s, eta)
-        return self.classify_g2(s)
-
-    def classify_su3(self, s: Matrix, eta=None):
-        if self.n != 6:
-            raise ValueError("SU(3) classification needs n = 6")
-        return self._classify_su3(s, eta if eta is not None else zero_vec(6))
-
-    def classify_g2(self, s: Matrix):
-        if self.n != 7:
-            raise ValueError("G2 classification needs n = 7")
+            return self._classify_su3(s, zero_vec(6) if eta is None else eta)
         return self._classify_g2(s)
 
     def _classify_su3(self, s, eta):
+        mu = s.trace() / Scalar.rational(6)
+        sym0, x = _split(s, mu)
         j = self.almost_complex()
-        n6 = Scalar.rational(6)
-        mu = s.trace() / n6
-        sym = (s + s.transpose()).scale(Scalar.rational(1, 2))
-        skw = (s - sym)
-        w1m = Matrix.identity(6).scale(mu)
-        sym0 = sym - w1m
-        jsj = j * sym0 * j
-        w2m = (sym0 - jsj).scale(Scalar.rational(1, 2))
-        w3 = (sym0 + jsj).scale(Scalar.rational(1, 2))
-        omega = MultiVector.from_skew_matrix(skw)
-        x = omega.pair_coeffs()
+        jsj = (j * _symmetric(6, sym0) * j).data
+        w2m = [(c - jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
+        w3 = [(c + jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
         xj, xj_norm2 = self._kahler_coords
         lam = vec_dot(x, xj) / xj_norm2
-        w1p = j.scale(lam)
         g_part = self.annihilator().project(x)
-        w2p = MultiVector.from_pair_coeffs(6, g_part).to_skew_matrix()
-        w4_coords = vec_sub(vec_sub(x, g_part), vec_scale(lam, xj))
-        w4 = MultiVector.from_pair_coeffs(6, w4_coords).to_skew_matrix()
-        return SU3Classes(self, mu=mu, w1m=w1m, lam=lam, w1p=w1p, w2p=w2p,
-                          w2m=w2m, w3=w3, w4=w4, eta=list(eta))
+        w4 = vec_sub(vec_sub(x, g_part), vec_scale(lam, xj))
+        return SU3Classes(self, mu, lam, g_part, w2m, w3, w4, list(eta))
 
     def _classify_g2(self, s):
         lam = s.trace() / Scalar.rational(7)
-        w1 = Matrix.identity(7).scale(lam)
-        sym = (s + s.transpose()).scale(Scalar.rational(1, 2))
-        w3 = sym - w1
-        skw = s - sym
-        omega = MultiVector.from_skew_matrix(skw)
-        x = omega.pair_coeffs()
+        w3, x = _split(s, lam)
         g_part = self.annihilator().project(x)
-        w2 = MultiVector.from_pair_coeffs(7, g_part).to_skew_matrix()
         m_coords = vec_sub(x, g_part)
-        v = self._solve_w4_vector(m_coords)
-        w4 = MultiVector.from_pair_coeffs(7, m_coords).to_skew_matrix()
-        return G2Classes(self, lam=lam, w1=w1, w2=w2, w3=w3, w4=w4, v=v)
+        return G2Classes(self, lam, g_part, w3, m_coords,
+                         self._solve_w4_vector(m_coords))
 
     @cached_property
     def _w4_frame(self):
@@ -349,90 +324,109 @@ def _shared_structure(n, phi0):
     return SpinorStructure(SpinRep.build(n), list(phi0))
 
 
-class SU3Classes:
-    """Gray-Hervella components of (S, eta) for n = 6.
+_HALF = Scalar.rational(1, 2)
 
-    Components are endomorphism matrices that sum exactly to the input S;
-    eta carries the W5 class.  Flags list classes with nonzero component.
-    """
 
-    LABELS = ("W1+", "W1-", "W2+", "W2-", "W3", "W4", "W5")
+@cache
+def _upper(n):
+    """Index pairs (a, b), a <= b, of the upper triangle, row by row."""
+    return [(a, b) for a in range(n) for b in range(a, n)]
 
-    def __init__(self, structure, mu, w1m, lam, w1p, w2p, w2m, w3, w4, eta):
-        self.structure = structure
-        self.mu = mu
-        self.lam = lam
-        self.components = {"W1+": w1p, "W1-": w1m, "W2+": w2p,
-                           "W2-": w2m, "W3": w3, "W4": w4}
-        self.eta = eta
 
-    def scale(self, c):
-        """The classes of (c S, c eta): every component times c."""
-        m = {label: mat.scale(c) for label, mat in self.components.items()}
-        return SU3Classes(self.structure, mu=c * self.mu, w1m=m["W1-"],
-                          lam=c * self.lam, w1p=m["W1+"], w2p=m["W2+"],
-                          w2m=m["W2-"], w3=m["W3"], w4=m["W4"],
-                          eta=vec_scale(c, self.eta))
+def _split(s, c):
+    """The upper triangle of sym(S) - c Id and the pair coordinates of
+    skew(S): (S_ab + S_ba)/2 off the diagonal and (S_ji - S_ij)/2."""
+    d = s.data
+    sym = [d[a][a] - c if a == b else (d[a][b] + d[b][a]) * _HALF
+           for a, b in _upper(s.rows)]
+    skew = [(d[j - 1][i - 1] - d[i - 1][j - 1]) * _HALF
+            for i, j in index_pairs(s.rows)]
+    return sym, skew
+
+
+def _symmetric(n, upper):
+    """The symmetric matrix with the given upper triangle."""
+    m = [[None] * n for _ in range(n)]
+    for (a, b), c in zip(_upper(n), upper):
+        m[a][b] = m[b][a] = c
+    return Matrix(m)
+
+
+def _skew(n, pairs):
+    return MultiVector.from_pair_coeffs(n, pairs).to_skew_matrix()
+
+
+class _Classes:
+    """Gray-Hervella classes as coordinates: trace scalars, upper triangles
+    of the symmetric parts, pair coordinates of the skew parts.  The
+    `components` matrices mirror them and sum exactly to the input S."""
 
     def total(self) -> Matrix:
-        out = Matrix.zeros(6, 6)
+        out = Matrix.zeros(self.structure.n, self.structure.n)
         for m in self.components.values():
             out = out + m
         return out
 
     def flags(self):
-        out = {label for label, m in self.components.items() if not m.is_zero}
-        if not vec_is_zero(self.eta):
-            out.add("W5")
-        return out
+        return {label for label, cs in self.coordinates().items()
+                if not vec_is_zero(cs)}
 
     def flags_at(self, sub, t0):
         """Flags after exact evaluation at rational parameter t0."""
-        out = set()
-        for label, m in self.components.items():
-            if _matrix_nonzero_at(m, sub, t0):
-                out.add(label)
-        if any(not evaluate_exact(e, sub, t0).is_zero for e in self.eta):
-            out.add("W5")
-        return out
+        return {label for label, cs in self.coordinates().items()
+                if any(not c.is_zero and not evaluate_exact(c, sub, t0).is_zero
+                       for c in cs)}
 
 
-class G2Classes:
-    """Gray-Hervella components of S for n = 7; W4 stores the vector V."""
+class SU3Classes(_Classes):
+    """Gray-Hervella classes of (S, eta) for n = 6; eta carries W5."""
 
-    LABELS = ("W1", "W2", "W3", "W4")
-
-    def __init__(self, structure, lam, w1, w2, w3, w4, v):
+    def __init__(self, structure, mu, lam, w2p, w2m, w3, w4, eta):
         self.structure = structure
-        self.lam = lam
-        self.components = {"W1": w1, "W2": w2, "W3": w3, "W4": w4}
-        self.v = v
+        self.mu, self.lam, self.eta = mu, lam, eta
+        self.w2p, self.w2m, self.w3, self.w4 = w2p, w2m, w3, w4
 
     def scale(self, c):
-        """The classes of c S: every component times c."""
-        m = {label: mat.scale(c) for label, mat in self.components.items()}
-        return G2Classes(self.structure, lam=c * self.lam, w1=m["W1"],
-                         w2=m["W2"], w3=m["W3"], w4=m["W4"],
-                         v=vec_scale(c, self.v))
+        """The classes of (c S, c eta): every coordinate times c."""
+        return SU3Classes(self.structure, c * self.mu, c * self.lam,
+                          *(vec_scale(c, v) for v in (self.w2p, self.w2m,
+                                                      self.w3, self.w4,
+                                                      self.eta)))
 
-    def total(self) -> Matrix:
-        out = Matrix.zeros(7, 7)
-        for m in self.components.values():
-            out = out + m
-        return out
+    def coordinates(self):
+        return {"W1+": [self.lam], "W1-": [self.mu], "W2+": self.w2p,
+                "W2-": self.w2m, "W3": self.w3, "W4": self.w4,
+                "W5": self.eta}
 
-    def flags(self):
-        return {label for label, m in self.components.items()
-                if not m.is_zero}
+    @property
+    def components(self):
+        xj = self.structure._kahler_coords[0]
+        return {"W1+": _skew(6, vec_scale(self.lam, xj)),
+                "W1-": Matrix.identity(6).scale(self.mu),
+                "W2+": _skew(6, self.w2p), "W2-": _symmetric(6, self.w2m),
+                "W3": _symmetric(6, self.w3), "W4": _skew(6, self.w4)}
 
-    def flags_at(self, sub, t0):
-        return {label for label, m in self.components.items()
-                if _matrix_nonzero_at(m, sub, t0)}
 
+class G2Classes(_Classes):
+    """Gray-Hervella classes of S for n = 7; W4 also as the vector V."""
 
-def _matrix_nonzero_at(m: Matrix, sub, t0) -> bool:
-    for row in m.data:
-        for e in row:
-            if not e.is_zero and not evaluate_exact(e, sub, t0).is_zero:
-                return True
-    return False
+    def __init__(self, structure, lam, w2, w3, w4, v):
+        self.structure = structure
+        self.lam, self.v = lam, v
+        self.w2, self.w3, self.w4 = w2, w3, w4
+
+    def scale(self, c):
+        """The classes of c S: every coordinate times c."""
+        return G2Classes(self.structure, c * self.lam,
+                         *(vec_scale(c, v) for v in (self.w2, self.w3,
+                                                     self.w4, self.v)))
+
+    def coordinates(self):
+        return {"W1": [self.lam], "W2": self.w2, "W3": self.w3,
+                "W4": self.w4}
+
+    @property
+    def components(self):
+        return {"W1": Matrix.identity(7).scale(self.lam),
+                "W2": _skew(7, self.w2), "W3": _symmetric(7, self.w3),
+                "W4": _skew(7, self.w4)}

@@ -603,7 +603,8 @@ class ModelAnalysis:
     # -- classification ---------------------------------------------------------------
 
     def classify(self):
-        """The classes of (D S, D eta), scaled back by 1/D."""
+        """The classes of (D S, D eta), each distinct coordinate scaled
+        back by 1/D once; the component matrices mirror the results."""
         s, eta = self._cleared_s_eta
         classes = self.structure.classify(
             s, eta if self.model.n == 6 else None)

@@ -15,7 +15,12 @@ convolutions with one gcd per result, and exact division divides by the
 divisor's primitive part (Gauss's lemma).  `Poly.coeffs` gives the
 coefficients back as Fractions.  Scalars keep den monic and gcd(num, den) =
 1, which makes equality a syntactic check and is used everywhere as the
-exact zero test.  Verdicts are always decided exactly; floating point
+exact zero test.  A Scalar whose denominator is 1 holds the shared ONE_POLY
+object itself, so `den is ONE_POLY` is the polynomial test on hot paths.
+Results already in this normal form (a sum of polynomials, a polynomial
+plus a fraction, a negation, a product of polynomials or with a rational
+constant) are built raw by `_scalar`; only the other cases run the
+reducing constructor.  Verdicts are always decided exactly; floating point
 appears only in eval_numeric, the one-value reference the float oracle
 (numeric.py) is tested against.
 """
@@ -90,8 +95,9 @@ class Poly:
         return bool(self.ints)
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.ints == other.ints
-                and self.dd == other.dd)
+        return self is other or (isinstance(other, Poly)
+                                 and self.ints == other.ints
+                                 and self.dd == other.dd)
 
     def __hash__(self):
         return hash((self.ints, self.dd))
@@ -129,6 +135,10 @@ class Poly:
             a, b = self.ints, other.ints
             if not a or not b:
                 return ZERO_POLY
+            if len(a) == 1:
+                return other._scale(a[0], self.dd)
+            if len(b) == 1:
+                return self._scale(b[0], other.dd)
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if ca:
@@ -328,39 +338,40 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=ONE_POLY, _reduced=False):
+    def __init__(self, num, den=ONE_POLY):
         if not isinstance(num, Poly):
             num = Poly.const(num)
         if not isinstance(den, Poly):
             den = Poly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            if num.is_zero:
-                den = ONE_POLY
-            else:
-                # a nonzero constant on either side makes the gcd 1
-                if num.degree > 0 and den.degree > 0:
-                    g = poly_gcd(num, den)
-                    if g.degree > 0:
-                        num = num.exact_div(g)
-                        den = den.exact_div(g)
-                lead = den.ints[-1]
-                if lead != den.dd:
-                    # num * (1/lead of den), the sign moved to the numerator
-                    num = num._scale(den.dd if lead > 0 else -den.dd,
-                                     abs(lead))
-                    den = den.monic()
+        if num.is_zero:
+            den = ONE_POLY
+        else:
+            # a nonzero constant on either side makes the gcd 1
+            if num.degree > 0 and den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            lead = den.ints[-1]
+            if lead != den.dd:
+                # num * (1/lead of den), the sign moved to the numerator
+                num = num._scale(den.dd if lead > 0 else -den.dd, abs(lead))
+                den = den.monic()
+            if den == ONE_POLY:
+                den = ONE_POLY   # the shared object, see the module docstring
         self.num = num
         self.den = den
 
     @classmethod
     def rational(cls, p, q=1):
-        return cls(Poly.const(Fraction(p, q)), ONE_POLY, _reduced=True)
+        f = Fraction(p, q)
+        return _scalar(_poly((f.numerator,), f.denominator), ONE_POLY)
 
     @classmethod
     def u(cls, power=1):
-        return cls(Poly((0,) * power + (1,)), ONE_POLY, _reduced=True)
+        return _scalar(_raw((0,) * power + (1,), 1), ONE_POLY)
 
     @property
     def is_zero(self):
@@ -368,7 +379,7 @@ class Scalar:
 
     @property
     def is_rational(self):
-        return self.den == ONE_POLY and self.num.degree <= 0
+        return self.den is ONE_POLY and len(self.num.ints) <= 1
 
     def as_fraction(self):
         if not self.is_rational:
@@ -377,67 +388,72 @@ class Scalar:
             Fraction(0)
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.num.ints)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.den == other.den:
-            if self.den == ONE_POLY:
-                return Scalar(self.num + other.num, ONE_POLY, _reduced=True)
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _reduced=True)
+        return _scalar(-self.num, self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, _scalar(-other.num, other.den))
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not a.ints or not b.ints:
             return ZERO
+        da, db = self.den, other.den
         # c * n/d is reduced for a rational constant c: no gcd needed
-        if self.den == ONE_POLY and (other.den == ONE_POLY or self.is_rational):
-            return Scalar(self.num * other.num, other.den, _reduced=True)
-        if other.is_rational:
-            return Scalar(self.num * other.num, self.den, _reduced=True)
-        return Scalar(self.num * other.num, self.den * other.den)
+        if da is ONE_POLY:
+            if db is ONE_POLY or len(a.ints) == 1:
+                return _scalar(a * b, db)
+        elif db is ONE_POLY and len(b.ints) == 1:
+            return _scalar(a * b, da)
+        return Scalar(a * b, da * db)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b = other.num.ints
+        if not b:
             raise ZeroDivisionError("zero denominator")
+        if other.den is ONE_POLY and len(b) == 1:
+            # division by the rational constant b0/dd scales the numerator
+            n, d = other.num.dd, b[0]
+            return _scalar(self.num._scale(n if d > 0 else -n, abs(d)),
+                           self.den)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -462,6 +478,33 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _scalar(num, den):
+    """Scalar from fields already in normal form, ONE_POLY for den = 1."""
+    s = object.__new__(Scalar)
+    s.num = num
+    s.den = den
+    return s
+
+
+def _add(x, y):
+    """x + y for Scalars; sums over a denominator of 1 and a polynomial
+    plus a fraction are reduced as they stand."""
+    a, b = x.num, y.num
+    if not a.ints:
+        return y
+    if not b.ints:
+        return x
+    dx, dy = x.den, y.den
+    if dx is ONE_POLY:
+        # gcd(a dy + b, dy) = gcd(b, dy) = 1
+        return _scalar(a + b if dy is ONE_POLY else a * dy + b, dy)
+    if dy is ONE_POLY:
+        return _scalar(a + b * dx, dx)
+    if dx == dy:
+        return Scalar(a + b, dx)
+    return Scalar(a * dy + b * dx, dx * dy)
 
 
 def _coerce(x):

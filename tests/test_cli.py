@@ -285,6 +285,30 @@ def test_report_does_not_import_numpy():
     assert done.stdout.split() == ["0", "False"], done.stderr
 
 
+def test_cached_parser_gives_fresh_process_outputs(capsys):
+    # one parser serves every main() call of a process; a parse that ends
+    # in an argparse error must not change what later calls print
+    runs = (["report", "cp3", "--at", "3/2"], ["report", "cp3", "--at", "0"],
+            ["dump", "spin4"])
+    in_process = []
+    for argv in runs:
+        out = io.StringIO()
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, out.getvalue(), capsys.readouterr().err))
+    assert [r[0] for r in in_process] == [0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
+    src = os.path.dirname(os.path.dirname(spinharm.__file__))
+    script = "import sys, spinharm.cli\nsys.exit(spinharm.cli.main())\n"
+    for argv, got in zip(runs, in_process):
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert got == (done.returncode, done.stdout, done.stderr), argv
+
+
 # ---------------------------------------------------------------------------
 # dump
 

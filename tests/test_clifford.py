@@ -130,6 +130,27 @@ def test_index_out_of_range():
         MultiVector(6, {(1, 7): sc(1)})
 
 
+@pytest.mark.parametrize("key", [(2, 1), (3, 3), (1, 4, 2)])
+def test_indices_must_increase(key):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MultiVector(6, {key: sc(1)})
+
+
+def test_internal_results_equal_checked_construction():
+    # sums, negation, scaling and the pair and skew-matrix constructors
+    # build their terms unchecked; the checked constructor must agree
+    a = MultiVector(6, {(1, 2): U, (3, 4): sc(2), (1, 2, 3): sc(-1)})
+    b = MultiVector(6, {(1, 2): -U, (5, 6): sc(1, 3)})
+    for got in (a + b, -a, a.scale(U), a.scale(0), a - a,
+                MultiVector.from_pair_coeffs(6, b.pair_coeffs()),
+                MultiVector.from_skew_matrix(b.to_skew_matrix())):
+        assert got == MultiVector(got.n, got.terms)
+        assert all(not c.is_zero for c in got.terms.values())
+    assert a + b == MultiVector(6, {(3, 4): sc(2), (5, 6): sc(1, 3),
+                                    (1, 2, 3): sc(-1)})
+    assert MultiVector.from_skew_matrix(b.to_skew_matrix()) == b
+
+
 def test_vector_square_is_minus_norm():
     rng = random.Random(9)
     for n in (6, 7):

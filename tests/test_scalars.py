@@ -420,6 +420,64 @@ def test_polynomial_sum_and_product_stay_reduced(xs, ys):
     assert (p.num, p.den) == _gcd_reduced(Poly(xs) * Poly(ys), ONE_POLY)
 
 
+# a fixed pair of denominators, so that two draws often share one
+_SHARED_DENS = (Poly((1, 1)), Poly((-2, 0, 1)))
+
+
+@st.composite
+def _fast_path_scalars(draw):
+    """A Scalar of one of the kinds the arithmetic treats apart: a
+    polynomial, a rational constant, a fraction over a shared denominator,
+    or a general fraction."""
+    kind = draw(st.sampled_from(("poly", "const", "shared", "general")))
+    if kind == "poly":
+        return Scalar(Poly(draw(_coeffs)))
+    if kind == "const":
+        return Scalar.rational(draw(st.fractions(
+            min_value=-4, max_value=4, max_denominator=3)))
+    if kind == "shared":
+        return Scalar(Poly(draw(_coeffs)), draw(st.sampled_from(_SHARED_DENS)))
+    return draw(scalars())
+
+
+def _assert_reduced_as(got, num, den):
+    """got equals the reducing constructor's Scalar(num, den), field by
+    field, and a denominator of 1 is the shared ONE_POLY."""
+    want = Scalar(num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert (got.den is ONE_POLY) == (got.den == ONE_POLY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fast_path_scalars(), _fast_path_scalars(),
+       st.one_of(st.integers(-3, 3), _nonzero_consts))
+def test_fast_paths_match_the_reducing_constructor(a, b, q):
+    _assert_reduced_as(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
+    _assert_reduced_as(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
+    _assert_reduced_as(-a, -a.num, a.den)
+    _assert_reduced_as(a * b, a.num * b.num, a.den * b.den)
+    if not b.is_zero:
+        _assert_reduced_as(a / b, a.num * b.den, a.den * b.num)
+    c = Scalar.rational(q)
+    for got, want in ((a + q, a + c), (q + a, a + c), (a - q, a - c),
+                      (q - a, c - a), (a * q, a * c), (q * a, a * c)):
+        assert (got.num, got.den) == (want.num, want.den)
+    _assert_reduced_as(a * q, a.num * q, a.den)
+    if q:
+        _assert_reduced_as(a / q, a.num, a.den * q)
+    for s in (a, b, c):
+        assert (s.den is ONE_POLY) == (s.den == ONE_POLY)
+
+
+def test_reduction_to_a_unit_denominator_interns_it():
+    s = Scalar(Poly((-1, 0, 1)), Poly((-1, 1)))   # (u^2 - 1)/(u - 1)
+    assert s.den is ONE_POLY
+    f = U / (U + sc(1))
+    for unit in (f * (sc(1) / f), f - f + U, Scalar(Poly((3,)), Poly((3,))),
+                 Scalar(Poly((0, 1)), Poly((2,)))):
+        assert unit.den is ONE_POLY, unit
+
+
 # ---------------------------------------------------------------------------
 # integer kernel against a Fraction-tuple reference
 
