@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .scalars import format_scalar, IrrationalRoots, PoleError, vanishes_at
+from .scalars import format_scalar, IrrationalRoots, vanishes_at
 from .coeffexpr import ParseError
 from .gstruct import InternalInvariantError
 from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
@@ -130,24 +130,25 @@ def _report_data(args):
             for label, mat in sorted(classes.components.items())
         }
     if args.at is not None:
-        try:
-            flags = classes.flags_at(model.substitution, args.at)
-        except PoleError:
+        site = _pole_site(model, args.at)
+        if site:
             raise ValueError(f"t = {args.at} is a pole of the model's "
-                             f"coefficients{_pole_site(model, args.at)}"
-                             ) from None
+                             f"coefficients ({site})")
+        flags = classes.flags_at(model.substitution, args.at)
         data["at"] = {"t": str(args.at), "flags": sorted(flags)}
     return data
 
 
 def _pole_site(model, t0):
-    """' (slot k, entry (i, j))' naming the first Lambda coefficient whose
-    denominator vanishes at t0, or '' if none does."""
+    """'slot k, entry (i, j)' naming the first Lambda coefficient whose
+    denominator vanishes at t0, or '' if none does.  Every class
+    coordinate is reduced over a power of Lambda's common denominator, so
+    none has a pole where Lambda has none."""
     c, root = model.substitution.u_value(t0)
     for k, slot in enumerate(model.lam, 1):
         for (i, j), coeff in sorted(slot.terms.items()):
             if vanishes_at(coeff.den, c, root):
-                return f" (slot {k}, entry ({i}, {j}))"
+                return f"slot {k}, entry ({i}, {j})"
     return ""
 
 

@@ -12,8 +12,9 @@ the stabilizer inside SO(n).  This module computes, exactly over Q(u):
   * the almost complex structure J with J(X).phi = j.X.phi (n = 6);
   * the cubic form psi(X,Y,Z) = -<X.Y.Z.phi, phi> for n = 6 and
     +<X.Y.Z.phi, phi> for n = 7 (the sign each dimension's theory uses);
-  * intrinsic torsion slots from an endomorphism S via
-    g(xi_X Y, Z) = psi(S(X), Y, Z), with the extra factor 2/3 for n = 7;
+  * intrinsic torsion slots from an endomorphism S as the contractions
+    xi_X = S(X) -| psi, i.e. g(xi_X Y, Z) = psi(S(X), Y, Z), with the extra
+    factor 2/3 for n = 7;
   * chi^S = sum_i xi_{e_i} S(e_i) and the pointwise Dirac contraction;
   * the Gray-Hervella splitting of (S, eta) into W-components.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 from itertools import combinations
 
-from .scalars import Scalar, ZERO, ONE, evaluate_exact
+from .scalars import Scalar, ONE, zero_at
 from .linalg import (Matrix, Subspace, vec_add, vec_dot, vec_is_zero,
                      vec_scale, vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, index_pairs
@@ -193,50 +194,22 @@ class SpinorStructure:
             sign = -1 if self.n == 6 else +1
         return self._psi_plus if sign > 0 else -self._psi_plus
 
-    def psi_eval(self, x_coords, b, c):
-        """psi(X, e_b, e_c) for a coordinate vector X."""
-        psi = self._psi_plus
-        acc = ZERO
-        for a in range(1, self.n + 1):
-            xa = x_coords[a - 1]
-            if xa.is_zero or a == b or a == c:
-                continue
-            tri = tuple(sorted((a, b, c)))
-            coeff = psi.coeff(tri)
-            if coeff.is_zero:
-                continue
-            # sign of (a, b, c) relative to sorted order; b < c always here
-            if a < b:
-                sign = 1
-            elif a < c:
-                sign = -1
-            else:
-                sign = 1
-            acc = acc + (xa * coeff if sign > 0 else -(xa * coeff))
-        # the default psi is the +1 form for n = 7 and its negative for n = 6
-        return acc if self.n == 7 else -acc
-
     # -- torsion machinery ----------------------------------------------------
 
     def torsion_from_S(self, s: Matrix, eta=None):
-        """Torsion slots xi_i with g(xi_X Y, Z) = psi(S(X), Y, Z).
+        """Torsion slots xi_i = S(e_i) -| psi, i.e. g(xi_X Y, Z) =
+        psi(S(X), Y, Z).
 
         n = 7 carries the extra factor 2/3.  For n = 6 this description is
         only valid when eta vanishes.
         """
         if self.n == 6 and eta is not None and not vec_is_zero(eta):
             raise ValueError("use homogeneous model torsion")
-        factor = Scalar.rational(2, 3) if self.n == 7 else ONE
-        slots = []
-        for i in range(self.n):
-            col = s.column(i)
-            coeffs = {}
-            for (b, c) in index_pairs(self.n):
-                val = factor * self.psi_eval(col, b, c)
-                if not val.is_zero:
-                    coeffs[(b, c)] = val
-            slots.append(MultiVector(self.n, coeffs))
-        return slots
+        psi = self.psi_form()
+        if self.n == 7:
+            psi = psi.scale(Scalar.rational(2, 3))
+        return [MultiVector.vector(self.n, s.column(i)).interior(psi)
+                for i in range(self.n)]
 
     def chi_vector(self, xi_slots, s: Matrix):
         """chi^S = sum_i xi_{e_i} S(e_i) as frame coordinates."""
@@ -374,8 +347,7 @@ class _Classes:
     def flags_at(self, sub, t0):
         """Flags after exact evaluation at rational parameter t0."""
         return {label for label, cs in self.coordinates().items()
-                if any(not c.is_zero and not evaluate_exact(c, sub, t0).is_zero
-                       for c in cs)}
+                if any(not c.is_zero and not zero_at(c, sub, t0) for c in cs)}
 
 
 class SU3Classes(_Classes):

@@ -229,20 +229,13 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "_projector")
 
-    def __init__(self, ambient_dim, basis_rows, _canonical=False):
+    def __init__(self, ambient_dim, basis_rows):
         self.ambient_dim = ambient_dim
         self._projector = None
-        if _canonical:
-            self.basis = basis_rows
-        else:
-            self.basis = self._canonicalize(ambient_dim, basis_rows)
-
-    @staticmethod
-    def _canonicalize(ambient_dim, rows):
-        if not rows:
-            return []
-        R, pivots = Matrix(rows).rref()
-        return [R.data[k] for k in range(len(pivots))]
+        self.basis = []
+        if basis_rows:
+            R, pivots = Matrix(basis_rows).rref()
+            self.basis = [R.data[k] for k in range(len(pivots))]
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):

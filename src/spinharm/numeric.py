@@ -13,8 +13,9 @@ Lambda coefficient is evaluated once over the whole grid, and S, eta, the
 torsion, chi, the divergences and both residuals come out of einsum
 contractions and one batched solve, with the grid as the leading axis.
 Poles are exact: at a rational t every distinct non-constant denominator
-is tested in Q(sqrt(c)), so a row whose float denominator merely rounds to
-a tiny nonzero value is still a pole, and reads None.
+is tested with `scalars.vanishes_at`, so a row whose float denominator
+merely rounds to a tiny nonzero value is still a pole, and reads None.
+There is no one-row view: a single t is the grid [t0], read at row 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .clifford import _GEN_TABLE, index_pairs
-from .scalars import PoleError, vanishes_at
+from .scalars import vanishes_at
 
 _NULL_TOL = 1e-9
 
@@ -211,29 +212,6 @@ class Grid:
         c_xi_phi = 0.5 * np.einsum('tkab,tkb->ta', a,
                                    np.einsum('tkab,b->tka', a, phi))
         return delta + 0.5 * c_xi_phi
-
-
-class NumericModel:
-    """One model at one parameter value: the one-row view of a Grid.
-    Raises PoleError where a coefficient has a pole."""
-
-    def __init__(self, model, t0):
-        self.grid = Grid(model, [t0])
-        if self.grid.poles[0]:
-            raise PoleError("pole")
-
-    def extract(self):
-        s, eta = self.grid.s_eta
-        return s[0], eta[0]
-
-    def residual(self):
-        return self.grid.residual()[0]
-
-    def cross_check_residual(self):
-        return self.grid.cross_check_residual()[0]
-
-    def divergence_vector(self, v):
-        return float(self.grid.divergence_vector(np.asarray(v)[None])[0])
 
 
 def residual_norms(model, ts):

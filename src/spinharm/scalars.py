@@ -20,9 +20,12 @@ object itself, so `den is ONE_POLY` is the polynomial test on hot paths.
 Results already in this normal form (a sum of polynomials, a polynomial
 plus a fraction, a negation, a product of polynomials or with a rational
 constant) are built raw by `_scalar`; only the other cases run the
-reducing constructor.  Verdicts are always decided exactly; floating point
-appears only in eval_numeric, the one-value reference the float oracle
-(numeric.py) is tested against.
+reducing constructor.  A point question ("is s zero at t0?") is answered by
+`zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
+parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
+Verdicts are always decided exactly; floating point appears only in
+eval_numeric, the one-value reference the float oracle (numeric.py) is
+tested against.
 """
 
 from __future__ import annotations
@@ -601,94 +604,24 @@ def as_polynomial_in_t(s: Scalar, sub: Substitution) -> Scalar:
     return Scalar(num_v.scale_argument(m), den_v.scale_argument(m))
 
 
-class QuadValue:
-    """Element a + b*sqrt(c) of a real quadratic extension of Q."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a, b=Fraction(0), c=Fraction(0)):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if b:
-            r = _fraction_sqrt(c)
-            if r is not None:
-                a, b, c = a + b * r, Fraction(0), Fraction(0)
-        else:
-            c = Fraction(0)
-        self.a, self.b, self.c = a, b, c
-
-    @property
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadValue) and self.a == other.a
-                and self.b == other.b and self.c == other.c)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    def __add__(self, other):
-        assert not (self.b and other.b and self.c != other.c)
-        return QuadValue(self.a + other.a, self.b + other.b,
-                         self.c or other.c)
-
-    def __neg__(self):
-        return QuadValue(-self.a, -self.b, self.c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        assert not (self.b and other.b and self.c != other.c)
-        c = self.c or other.c
-        return QuadValue(self.a * other.a + self.b * other.b * c,
-                         self.a * other.b + self.b * other.a, c)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        nrm = other.a * other.a - other.b * other.b * other.c
-        conj = QuadValue(other.a, -other.b, other.c)
-        num = self * conj
-        return QuadValue(num.a / nrm, num.b / nrm, num.c)
-
-    def to_float(self):
-        return float(self.a) + float(self.b) * math.sqrt(float(self.c))
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadValue({self.a})"
-        return f"QuadValue({self.a} + {self.b}*sqrt({self.c}))"
-
-
-def _poly_eval_quad(p: Poly, c: Fraction) -> QuadValue:
-    """p(sqrt(c)) exactly in Q(sqrt(c))."""
-    e, o = p.even_odd_parts()
-    return QuadValue(e.eval(c), o.eval(c), c)
-
-
-def evaluate_exact(s: Scalar, sub: Substitution, t0: Fraction) -> QuadValue:
-    """Exact value of s at parameter t0 > 0, in Q(sqrt(c))."""
-    t0 = Fraction(t0)
-    c, root = sub.u_value(t0)
-    if root is not None:
-        dv = s.den.eval(root)
-        if dv == 0:
-            raise PoleError("pole")
-        return QuadValue(s.num.eval(root) / dv)
-    num = _poly_eval_quad(s.num, c)
-    den = _poly_eval_quad(s.den, c)
-    if den.is_zero:
-        raise PoleError("pole")
-    return num / den
-
-
 def vanishes_at(p: Poly, c: Fraction, root) -> bool:
     """Whether p(u) is exactly 0 at u = root, or at u = sqrt(c) when root
-    is None: the pair (c, root) that `Substitution.u_value` gives."""
+    is None: the pair (c, root) that `Substitution.u_value` gives.  An
+    irrational sqrt(c) is a root of p = E(u^2) + u O(u^2) exactly when
+    E(c) = O(c) = 0."""
     if root is not None:
         return p.eval(root) == 0
-    return _poly_eval_quad(p, c).is_zero
+    e, o = p.even_odd_parts()
+    return e.eval(c) == 0 and o.eval(c) == 0
+
+
+def zero_at(s: Scalar, sub: Substitution, t0) -> bool:
+    """Whether s is exactly 0 at the rational parameter t0; PoleError
+    where its denominator vanishes."""
+    c, root = sub.u_value(Fraction(t0))
+    if vanishes_at(s.den, c, root):
+        raise PoleError("pole")
+    return vanishes_at(s.num, c, root)
 
 
 def eval_numeric(s: Scalar, sub: Substitution, t0) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, evaluate_exact
+from .scalars import Scalar, ZERO, ONE, zero_at
 from .linalg import Matrix, Subspace, subspace_equal, vec_is_zero
 from .clifford import (MultiVector, SpinRep, FrameTensor, bracket, c_sigma,
                        index_pairs)
@@ -464,9 +464,8 @@ def check_cross_check():
                 fails.append(f"{name}: residual not identically zero")
         else:
             for t0 in verdict.roots:
-                vals = [evaluate_exact(c, an.model.substitution, t0)
-                        for c in cc.residual]
-                if not all(v.is_zero for v in vals):
+                if not all(zero_at(c, an.model.substitution, t0)
+                           for c in cc.residual):
                     fails.append(f"{name}: residual != 0 at t={t0}")
     return [CheckResult("laplacian-cross-check", not fails,
                         "; ".join(fails) or

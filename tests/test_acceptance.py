@@ -9,9 +9,15 @@ pinned by regression tests in test_homogeneous.py and test_gstruct.py,
 and the full analysis lives in the repository notes.
 """
 
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from spinharm import verify
+
+MODELS_DIR = Path(__file__).parent / "data" / "models"
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +87,28 @@ def test_criterion_8_laplacian_cross_check():
 
 def test_criterion_9_numeric_scan():
     _assert_all(verify.check_numeric_scan(samples=20))
+
+
+@pytest.fixture
+def g2toy_everywhere(monkeypatch):
+    """Run the per-model checks on the pinned g2toy fixture, whose
+    harmonicity is ROOT_SET {1/2}, in place of each built-in."""
+    model = verify.load_model(str(MODELS_DIR / "g2toy.json"))
+    assert verify.ModelAnalysis(model).harmonicity().verdict == \
+        verify.Verdict(verify.ROOT_SET, {Fraction(1, 2): 1})
+    monkeypatch.setattr(verify, "load_model", lambda name: model)
+
+
+def test_numeric_scan_root_set_branch(g2toy_everywhere):
+    _assert_all(verify.check_numeric_scan(samples=20))
+
+
+def test_numeric_scan_wrong_root_has_no_dip(g2toy_everywhere, monkeypatch):
+    wrong = SimpleNamespace(
+        verdict=verify.Verdict(verify.ROOT_SET, {Fraction(1, 3): 1}))
+    monkeypatch.setattr(verify.ModelAnalysis, "harmonicity",
+                        lambda self, positive_only=True: wrong)
+    [result] = verify.check_numeric_scan(samples=20)
+    assert not result.ok
+    # the check names the built-in whose slot the fixture took
+    assert "cp3: no dip at root 1/3" in result.detail

@@ -18,7 +18,7 @@ import reference
 from spinharm.gstruct import SpinorStructure
 from spinharm.homogeneous import ModelAnalysis, load_model
 from spinharm.linalg import Matrix
-from spinharm.scalars import PoleError, Scalar, Substitution, evaluate_exact
+from spinharm.scalars import PoleError, Scalar, Substitution, zero_at
 
 MODELS_DIR = Path(__file__).parent / "data" / "models"
 MODELS = ("cp3", "spin4", "aw11") + tuple(
@@ -32,7 +32,7 @@ def sc(p, q=1):
 
 
 def _nonzero_at(m, sub, t0):
-    return any(not e.is_zero and not evaluate_exact(e, sub, t0).is_zero
+    return any(not e.is_zero and not zero_at(e, sub, t0)
                for row in m.data for e in row)
 
 
@@ -51,7 +51,7 @@ def _reference(structure, s, eta):
         out = {label for label, m in comps.items()
                if _nonzero_at(m, sub, t0)}
         out |= {label for label, vec in extra.items()
-                if any(not evaluate_exact(e, sub, t0).is_zero for e in vec)}
+                if any(not zero_at(e, sub, t0) for e in vec)}
         return out
 
     flags = ({label for label, m in comps.items() if not m.is_zero}

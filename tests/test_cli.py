@@ -137,8 +137,26 @@ def test_report_at_pole_exit2(tmp_path, capsys, flat6_dict):
     assert code == 0 and "at t = 2: flags" in text
 
 
+def test_report_at_pole_hidden_from_the_classes_exit2(tmp_path, capsys,
+                                                     flat6_dict):
+    # (e13 - e24)/(t - 1) lies in su(3), which S never sees: every class
+    # coordinate is finite at t = 1, but Lambda is not defined there
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 3, "coeff": "1/(t-1)"},
+                               {"i": 2, "j": 4, "coeff": "-1/(t-1)"},
+                               {"i": 3, "j": 5, "coeff": "t"}]
+    path = tmp_path / "hidden.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path), "--at", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: t = 1 is a pole of the model's coefficients "
+                   "(slot 1, entry (1, 3))\n")
+    code, text = run_cli("report", str(path), "--at", "2")
+    assert code == 0 and "at t = 2: flags" in text
+
+
 def test_report_at_pole_names_first_slot(tmp_path, capsys, flat6_dict):
-    # t = 2 is u = sqrt(2) under t=u^2: the pole is found in Q(sqrt(2)),
+    # t = 2 is u = sqrt(2) under t=u^2: the pole is found exactly there,
     # and the first of the two slots with a pole there is named
     flat6_dict["substitution"] = "t=u^2"
     flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "1/(t-3)"}]

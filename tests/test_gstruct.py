@@ -6,7 +6,7 @@ import pytest
 
 from spinharm.clifford import MultiVector, SpinRep, _perm_sign, index_pairs
 from spinharm.gstruct import SpinorStructure, UnitSpinor
-from spinharm.linalg import (Matrix, Subspace, basis_vec, subspace_equal,
+from spinharm.linalg import (Matrix, Subspace, subspace_equal,
                              vec_add, vec_dot, vec_is_zero, vec_scale,
                              zero_vec)
 from spinharm.scalars import Scalar, Substitution
@@ -211,17 +211,25 @@ def test_psi_form_sign_flips_the_whole_form(n):
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_psi_eval_matches_psi_form(n):
+def test_torsion_from_S_contracts_psi(n):
+    # S e_i = e_a: slot i is f * (e_a -| psi), its (b, c) coefficient
+    # f * sign(a, b, c) * psi_sorted, with f = 1 (n = 6), 2/3 (n = 7)
     st = structure(n)
-    psi = st.psi_form()
-    for a in range(1, n + 1):
-        x = basis_vec(n, a - 1)
-        for (b, c) in index_pairs(n):
-            key = (a, b, c)
-            want = sc(0)
-            if len(set(key)) == 3:
-                want = psi.coeff(sorted(key)) * sc(_perm_sign(key))
-            assert st.psi_eval(x, b, c) == want, key
+    psi = PSI6 if n == 6 else PSI7
+    f = sc(1) if n == 6 else sc(2, 3)
+    for i in (0, n - 1):
+        for a in range(1, n + 1):
+            s = Matrix.zeros(n, n)
+            s.data[a - 1][i] = sc(1)
+            xi = st.torsion_from_S(s)
+            assert all(slot.is_zero for k, slot in enumerate(xi) if k != i)
+            for (b, c) in index_pairs(n):
+                key = (a, b, c)
+                want = sc(0)
+                if len(set(key)) == 3:
+                    want = f * sc(psi.get(tuple(sorted(key)), 0)
+                                  * _perm_sign(key))
+                assert xi[i].coeff((b, c)) == want, (i, key)
 
 
 def test_psi_repeated_argument_vanishes():

@@ -10,10 +10,10 @@ from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
                                   ModelAnalysis, ModelError, Verdict,
                                   load_model, vanishing_verdict)
 from spinharm.linalg import Matrix, basis_vec, vec_is_zero, zero_vec
-from spinharm.numeric import NumericModel, scan
+from spinharm.numeric import Grid, scan
 from spinharm.scalars import (IrrationalRoots, Poly, Scalar, Substitution,
                               as_polynomial_in_t, eval_numeric,
-                              evaluate_exact, rational_roots)
+                              rational_roots, zero_at)
 
 U = Scalar.u()
 
@@ -206,7 +206,7 @@ def test_aw11_torsion_at_one_eighth():
     sub = an.model.substitution
     for slot in an.model.lam:
         for comp in g.project(slot.pair_coeffs()):
-            assert evaluate_exact(comp, sub, Fraction(1, 8)).is_zero
+            assert zero_at(comp, sub, Fraction(1, 8))
 
 
 def test_canonical_parameters():
@@ -246,8 +246,8 @@ def test_divergence_vector_numeric_cross_check():
     e1 = basis_vec(6, 0)
     exact = an.divergence_vector(e1)
     val = eval_numeric(exact, model.substitution, 1)
-    nm = NumericModel(model, Fraction(1))
-    assert val == pytest.approx(nm.divergence_vector(np.eye(6)[0]),
+    grid = Grid(model, [Fraction(1)])
+    assert val == pytest.approx(grid.divergence_vector(np.eye(6)[:1])[0],
                                 abs=1e-9)
 
 
@@ -627,21 +627,23 @@ def test_numeric_twin_agreement(name):
     s, eta = an.extract_S_eta()
     hv = an.harmonicity()
     cc = an.laplacian_cross_check()
-    for _ in range(20):
-        t0 = Fraction(rng.randint(1, 80), rng.randint(10, 40))
-        nm = NumericModel(model, t0)
-        s_num, eta_num = nm.extract()
+    ts = [Fraction(rng.randint(1, 80), rng.randint(10, 40))
+          for _ in range(20)]
+    grid = Grid(model, ts)
+    assert not grid.poles.any()
+    for row, t0 in enumerate(ts):
+        s_num, eta_num = grid.s_eta[0][row], grid.s_eta[1][row]
         for i in range(model.n):
             for jj in range(model.n):
                 exact = eval_numeric(s.data[i][jj], sub, t0)
                 assert exact == pytest.approx(s_num[i, jj], abs=1e-9)
             assert eval_numeric(eta[i], sub, t0) == \
                 pytest.approx(eta_num[i], abs=1e-9)
-        res_num = nm.residual()
+        res_num = grid.residual()[row]
         for k, coord in enumerate(hv.residual):
             assert eval_numeric(coord, sub, t0) == \
                 pytest.approx(res_num[k], abs=1e-9)
-        cc_num = nm.cross_check_residual()
+        cc_num = grid.cross_check_residual()[row]
         for k, coord in enumerate(cc.residual):
             assert eval_numeric(coord, sub, t0) == \
                 pytest.approx(cc_num[k], abs=1e-9)

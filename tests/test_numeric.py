@@ -14,7 +14,7 @@ import pytest
 
 from spinharm import numeric
 from spinharm.homogeneous import HomogeneousModel, ModelAnalysis, load_model
-from spinharm.scalars import PoleError, eval_numeric
+from spinharm.scalars import eval_numeric
 
 GRID = [Fraction(k, 8) for k in range(1, 33, 3)]   # 1/8 .. 31/8
 
@@ -99,8 +99,7 @@ def test_pole_found_exactly_where_float_misses_it(flat6_dict):
     assert [r is None for _, r in rows] == [False, False, True, False, False]
     assert all(math.isfinite(r) for _, r in rows if r is not None)
     assert numeric.residual_norm(model, Fraction(2)) is None
-    with pytest.raises(PoleError):
-        numeric.NumericModel(model, Fraction(2))
+    assert numeric.Grid(model, [Fraction(2)]).poles.tolist() == [True]
 
 
 def test_spin4_bracket_at_three_halves_dips():
@@ -119,15 +118,15 @@ def test_spin4_bracket_at_three_halves_dips():
     assert max(plain) < 1e-9
 
 
-def test_one_row_view_matches_grid_rows():
+def test_one_row_grid_matches_batch_rows():
     model = load_model("cp3")
     grid = numeric.Grid(model, GRID)
     s, eta = grid.s_eta
     for k, t0 in enumerate(GRID[:3]):
-        nm = numeric.NumericModel(model, t0)
-        s1, eta1 = nm.extract()
-        assert np.array_equal(s1, s[k]) and np.array_equal(eta1, eta[k])
-        assert np.allclose(nm.residual(), grid.residual()[k], atol=1e-15)
+        row = numeric.Grid(model, [t0])
+        s1, eta1 = row.s_eta
+        assert np.array_equal(s1[0], s[k]) and np.array_equal(eta1[0], eta[k])
+        assert np.allclose(row.residual()[0], grid.residual()[k], atol=1e-15)
 
 
 def test_frame_built_once_per_spinor(monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from spinharm.scalars import (
     IdenticallyZero, NotExpressibleInT, ONE_POLY, Poly, PoleError, Scalar,
-    Substitution, ZERO_POLY, as_polynomial_in_t, eval_numeric, evaluate_exact,
-    format_scalar, poly_gcd, rational_roots,
+    Substitution, ZERO_POLY, as_polynomial_in_t, eval_numeric, format_scalar,
+    poly_gcd, rational_roots, vanishes_at, zero_at,
 )
 
 U = Scalar.u()
@@ -261,18 +261,40 @@ def test_eval_numeric_pole():
         eval_numeric(s, T_U2, 1)
 
 
-def test_evaluate_exact_quadratic_field():
-    s = (sc(1) - U * U) / (sc(2) * U)
-    v = evaluate_exact(s, T_U2, Fraction(1, 2))
-    # (1 - 1/2)/(2 sqrt(1/2)) = sqrt(2)/4 = (1/2) sqrt(1/2)
-    assert v.a == 0 and v.b == Fraction(1, 2) and v.c == Fraction(1, 2)
-    assert v.to_float() == pytest.approx(math.sqrt(2) / 4)
+def test_zero_at_quadratic_field():
+    # u = sqrt(2) at t = 2 under t = u^2: zero iff E(2) = O(2) = 0
+    two = Fraction(2)
+    assert not zero_at((sc(1) - U * U) / (sc(2) * U), T_U2, two)
+    assert zero_at(U * U - sc(2), T_U2, two)
+    assert zero_at(U ** 3 - sc(2) * U, T_U2, two)      # E = 0, O(2) = 0
+    assert not zero_at(U ** 3 - sc(2) * U + sc(1), T_U2, two)   # E(2) != 0
+    assert not zero_at(U ** 3 - U, T_U2, two)           # O(2) != 0
+    with pytest.raises(PoleError):
+        zero_at(U / (U * U - sc(2)), T_U2, two)
+    # t = u^2/2: t = 1 is u = sqrt(2), so u^2 - 2t vanishes there
+    assert zero_at(U * U - sc(2), T_HALF, 1)
+    assert not zero_at(U - sc(2), T_HALF, 1)
 
 
-def test_evaluate_exact_rational_point():
-    s = (sc(1) + U) / U
-    v = evaluate_exact(s, T_ID, Fraction(1, 4))
-    assert v.b == 0 and v.a == Fraction(5)
+def test_zero_at_rational_point():
+    assert not zero_at((sc(1) + U) / U, T_ID, Fraction(1, 4))
+    assert zero_at((sc(4) * U - sc(1)) / U, T_ID, Fraction(1, 4))
+    with pytest.raises(PoleError):
+        zero_at(sc(1) / (sc(4) * U - sc(1)), T_ID, Fraction(1, 4))
+    # t = 1/4 under t = u^2 is u = 1/2, rational
+    assert zero_at(sc(2) * U - sc(1), T_U2, Fraction(1, 4))
+
+
+@given(st.lists(st.integers(-5, 5), max_size=6),
+       st.sampled_from([2, 3, 5, 6, 7, Fraction(1, 2), Fraction(8, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_vanishes_at_sqrt_c_iff_divisible_by_u2_minus_c(ints, c):
+    # c is not a rational square, so u^2 - c is irreducible over Q
+    p = Poly(ints)
+    m = Poly((-Fraction(c), 0, 1))
+    want = p.is_zero or poly_gcd(p, m).degree == 2
+    assert vanishes_at(p, Fraction(c), None) == want
+    assert vanishes_at(p * m, Fraction(c), None)
 
 
 # ---------------------------------------------------------------------------
