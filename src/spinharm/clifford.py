@@ -22,8 +22,10 @@ so the lift is a Lie algebra homomorphism so(n) -> spin(n)).
 Each e_I is a signed permutation of the basis spinors, so the action on one
 spinor (`act`, `act_vector`, and `lift_act` for the lift) moves the
 spinor's nonzero entries into place with their signs and builds no matrix.
-The dense 8x8 matrices (`endo`, `spin_lift`, `gens`, `j_matrix`) serve the
-checks that compare operators, such as the Clifford relations.
+A 2-form acts on frame vectors the same way, term by term
+(`MultiVector.apply`).  The dense matrices (`endo`, `spin_lift`, `gens`,
+`j_matrix`, `to_skew_matrix`) serve the checks that compare operators, such
+as the Clifford relations, and the class component matrices.
 
 For a frame tensor T (one 2-form per frame direction) the module builds
 c_T = 1/2 sum_i T_i . T_i and sigma_T = 1/2 sum_i T_i ^ T_i together with
@@ -207,6 +209,19 @@ class MultiVector:
         return _multivector(n, {p: c for p, c in zip(index_pairs(n), coords)
                                 if c})
 
+    def apply(self, v):
+        """A v for the skew matrix A of this 2-form, at most two
+        multiply-adds per term (none for a zero entry of v):
+        to_skew_matrix().apply(v) with no matrix built."""
+        out = [ZERO] * self.n
+        for (i, j), c in self.terms.items():
+            x, y = v[j - 1], v[i - 1]
+            if x:
+                out[i - 1] = out[i - 1] - c * x
+            if y:
+                out[j - 1] = out[j - 1] + c * y
+        return out
+
     def to_skew_matrix(self):
         """Grade-2 element as the skew matrix A with A_ji = omega_ij."""
         if not self.is_pure_grade(2):
@@ -328,20 +343,23 @@ class SpinRep:
         """spin_lift(omega).spinor: the 2-form's action times LIFT_FACTOR,
         which is read on every call, as in spin_lift."""
         f = Scalar.rational(LIFT_FACTOR)
-        return [f * x for x in self.act(omega, spinor)]
+        return [f * x if x else x for x in self.act(omega, spinor)]
 
     def _act(self, terms, spinor):
         """Sum of c e_I.spinor over (I, c) in terms: each e_I moves entry j
         of the spinor to row rows[j] with sign signs[j]."""
         if len(spinor) != 8:
             raise ValueError("dimension mismatch")
-        entries = [(j, x, -x) for j, x in enumerate(spinor) if x]
+        entries = [(j, x) for j, x in enumerate(spinor) if x]
         out = [ZERO] * 8
         for key, c in terms:
             rows, signs = self._signed_perm(key)
-            for j, x, neg in entries:
+            for j, x in entries:
                 r = rows[j]
-                out[r] = out[r] + c * (x if signs[j] > 0 else neg)
+                if signs[j] > 0:
+                    out[r] = out[r] + c * x
+                else:
+                    out[r] = out[r] - c * x
         return out
 
     def volume_element(self) -> MultiVector:

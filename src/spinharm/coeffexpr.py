@@ -16,7 +16,9 @@ division by a subexpression that folds to zero is rejected with a position,
 and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS, any
 token past the first MAX_TOKENS, and any step that takes the cumulative
 folding work past MAX_FOLD_WORK, or past MAX_FILE_FOLD_WORK for all the
-coefficients of one model file.
+coefficients of one model file.  Those share one FoldBudget, which folds
+each distinct string once per file: a repeat reuses the Scalar and charges
+its work again, so the file limit trips at the same entry and column.
 """
 
 from __future__ import annotations
@@ -64,16 +66,32 @@ class ParseError(ValueError):
 class FoldBudget:
     """Folding work shared by the coefficients of one model file."""
 
-    __slots__ = ("work",)
+    __slots__ = ("work", "_folded")
 
     def __init__(self):
         self.work = 0
+        self._folded = {}
 
     def charge(self, cost, pos):
         self.work += cost
         if self.work > MAX_FILE_FOLD_WORK:
             raise ParseError(
                 f"model-file folding work above {MAX_FILE_FOLD_WORK}", pos)
+
+    def parse(self, text, sub: Substitution) -> Scalar:
+        """parse_scalar(text, sub, self), once per distinct string; a repeat
+        that would pass MAX_FILE_FOLD_WORK is folded afresh to name its
+        column."""
+        if type(text) is not str:   # e.g. a JSON list: not hashable
+            return parse_scalar(text, sub, self)
+        hit = self._folded.get(text)
+        if hit is not None and self.work + hit[1] <= MAX_FILE_FOLD_WORK:
+            self.work += hit[1]
+            return hit[0]
+        start = self.work
+        value = parse_scalar(text, sub, self)
+        self._folded[text] = (value, self.work - start)
+        return value
 
 
 _TOKEN_CHARS = set("+-*/^()")

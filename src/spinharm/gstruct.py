@@ -215,8 +215,7 @@ class SpinorStructure:
         """chi^S = sum_i xi_{e_i} S(e_i) as frame coordinates."""
         out = zero_vec(self.n)
         for i, slot in enumerate(xi_slots):
-            a = slot.to_skew_matrix()
-            out = vec_add(out, a.apply(s.column(i)))
+            out = vec_add(out, slot.apply(s.column(i)))
         return out
 
     def dirac(self, s: Matrix, eta=None):

@@ -50,8 +50,8 @@ from functools import cached_property
 from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, ZERO_POLY, U_POLY,
                       Substitution, rational_roots, real_root_count, poly_gcd,
                       IrrationalRoots, vanishes_at, format_scalar)
-from .linalg import (Matrix, vec_add, vec_dot, vec_scale, vec_sub,
-                     zero_vec)
+from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
+                     vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep
 from .gstruct import SpinorStructure, InternalInvariantError
 
@@ -210,7 +210,7 @@ class HomogeneousModel:
 
     @classmethod
     def from_dict(cls, data):
-        from .coeffexpr import FoldBudget, parse_scalar, ParseError
+        from .coeffexpr import FoldBudget, ParseError
         try:
             name = data["name"]
             n = int(data["n"])
@@ -231,7 +231,7 @@ class HomogeneousModel:
             for ent in entries:
                 try:
                     i, j = int(ent["i"]), int(ent["j"])
-                    c = parse_scalar(ent["coeff"], sub, budget)
+                    c = budget.parse(ent["coeff"], sub)
                 except ParseError as exc:
                     raise ModelError(
                         f"slot {k + 1} ({ent.get('i')},{ent.get('j')}): {exc}"
@@ -376,9 +376,11 @@ class ModelAnalysis:
     output is reduced once, at the end: an output linear in Lambda (S, eta,
     the torsion, the canonical-parameter coordinates, the classes) is
     divided by D, and a quadratic one (the harmonicity residual, Delta phi,
-    c_xi.phi and the cross-check residual) by D^2.  S, eta and the torsion
-    are kept once computed; the stabilizer, m, J and psi come from the
-    structure shared by every model with the same n and phi0.
+    c_xi.phi and the cross-check residual) by D^2.  S, eta, the torsion
+    xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi) are
+    kept once computed; the stabilizer part of a slot is D Lambda_i - xi_i,
+    m being its orthogonal complement.  The stabilizer, m, J and psi come
+    from the structure shared by every model with the same n and phi0.
     """
 
     def __init__(self, model: HomogeneousModel):
@@ -428,13 +430,18 @@ class ModelAnalysis:
     def _cleared_s_eta(self):
         return self._extract()
 
+    @cached_property
+    def _lifted_phi(self):
+        """lift(D Lambda_i).phi0 per slot, for _extract and Delta phi."""
+        return [self.rep.lift_act(slot, self.structure.phi)
+                for slot in self.cleared]
+
     def _extract(self):
         """(D S, D eta), read off the cleared slots."""
         cols = []
         eta = []
-        for i, slot in enumerate(self.cleared):
-            parts = self.structure.decompose(
-                self.rep.lift_act(slot, self.structure.phi))
+        for i, lifted in enumerate(self._lifted_phi):
+            parts = self.structure.decompose(lifted)
             if not parts.a.is_zero:
                 raise InternalInvariantError(
                     f"slot {i + 1}: nabla phi has a phi component")
@@ -462,12 +469,11 @@ class ModelAnalysis:
 
     def canonical_coordinates(self):
         """The stabilizer components of every Lambda slot, slot after slot
-        in pair coordinates; they vanish exactly where Lambda is the
-        canonical connection."""
-        g = self.structure.annihilator()
+        in pair coordinates, as D Lambda_i - xi_i over D; they vanish
+        exactly where Lambda is the canonical connection."""
         coords = []
-        for slot in self.cleared:
-            coords.extend(g.project(slot.pair_coeffs()))
+        for slot, xi in zip(self.cleared, self._cleared_torsion):
+            coords.extend(vec_sub(slot.pair_coeffs(), xi.pair_coeffs()))
         return vec_scale(self._inverse[1], coords)
 
     def canonical_parameters(self, positive_only=True) -> Verdict:
@@ -491,11 +497,11 @@ class ModelAnalysis:
         computed as A_i (S X_i) - S (A_i X_i)."""
         if s.rows != self.model.n or s.cols != self.model.n:
             raise ValueError("dimension mismatch")
-        out = zero_vec(self.model.n)
+        n = self.model.n
+        out = zero_vec(n)
         for i, slot in enumerate(self.model.lam if slots is None else slots):
-            a = slot.to_skew_matrix()
-            out = vec_add(out, vec_sub(a.apply(s.column(i)),
-                                       s.apply(a.column(i))))
+            out = vec_add(out, vec_sub(slot.apply(s.column(i)),
+                                       s.apply(slot.apply(basis_vec(n, i)))))
         return out
 
     def divergence_vector(self, v, slots=None):
@@ -505,7 +511,7 @@ class ModelAnalysis:
             raise ValueError("dimension mismatch")
         acc = ZERO
         for i, slot in enumerate(self.model.lam if slots is None else slots):
-            acc = acc + slot.to_skew_matrix().apply(v)[i]
+            acc = acc + slot.apply(v)[i]
         return acc
 
     # -- harmonicity --------------------------------------------------------------
@@ -585,8 +591,8 @@ class ModelAnalysis:
         phi = self.structure.phi
         rep = self.rep
         delta = zero_vec(8)
-        for slot in self.cleared:
-            delta = vec_sub(delta, rep.lift_act(slot, rep.lift_act(slot, phi)))
+        for slot, lifted in zip(self.cleared, self._lifted_phi):
+            delta = vec_sub(delta, rep.lift_act(slot, lifted))
         # c_xi.phi = 1/2 sum_i xi_i.(xi_i.phi), one slot at a time
         half = Scalar.rational(1, 2)
         c_xi_phi = zero_vec(8)

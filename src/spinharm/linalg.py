@@ -61,7 +61,10 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[ZERO] * cols for _ in range(rows)])
+        m = object.__new__(cls)   # rows of ZERO need no coercion
+        m.data = [[ZERO] * cols for _ in range(rows)]
+        m.rows, m.cols = rows, cols
+        return m
 
     @classmethod
     def identity(cls, n):

@@ -111,13 +111,7 @@ class Poly:
             return self
         if not a:
             return other
-        dd = self.dd
-        if dd != other.dd:
-            g = math.gcd(dd, other.dd)
-            ma, mb = other.dd // g, dd // g
-            a = [c * ma for c in a]
-            b = [c * mb for c in b]
-            dd *= ma
+        a, b, dd = self._over_common_dd(other)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -129,7 +123,26 @@ class Poly:
         return _raw(tuple(-c for c in self.ints), self.dd)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return -other
+        a, b, dd = self._over_common_dd(other)
+        out = list(a) + [0] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] -= c
+        return _poly(out, dd)
+
+    def _over_common_dd(self, other):
+        """(a, b, dd): both numerators over the lcm dd of the denominators."""
+        a, b, dd = self.ints, other.ints, self.dd
+        if dd != other.dd:
+            g = math.gcd(dd, other.dd)
+            ma, mb = other.dd // g, dd // g
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+            dd *= ma
+        return a, b, dd
 
     def __mul__(self, other):
         # Poly first: Fraction is ABC-registered, so testing it first would
@@ -420,6 +433,8 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if self.den is ONE_POLY and other.den is ONE_POLY:
+            return _scalar(self.num - other.num, ONE_POLY)
         return _add(self, _scalar(-other.num, other.den))
 
     def __rsub__(self, other):
@@ -539,6 +554,8 @@ class Substitution:
         # u^2 = u_squared_per_t * t, or None when u = t directly
         self.label = label
         self.u_squared_per_t = u_squared_per_t
+        self._t = Scalar.u() if u_squared_per_t is None else \
+            Scalar(Poly((0, 0, Fraction(1, u_squared_per_t))))
         Substitution._BY_LABEL[label] = self
 
     def __repr__(self):
@@ -552,10 +569,8 @@ class Substitution:
             raise ValueError(f"unknown substitution {label!r}") from None
 
     def t_as_scalar(self):
-        """The image of t in Q(u)."""
-        if self.u_squared_per_t is None:
-            return Scalar.u()
-        return Scalar(Poly((0, 0, Fraction(1, self.u_squared_per_t))))
+        """The image of t in Q(u), built once per substitution."""
+        return self._t
 
     def u_value(self, t0: Fraction):
         """(c, root) with u = root if rational else sqrt(c), at t = t0."""

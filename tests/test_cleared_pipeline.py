@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinharm import cli, homogeneous, scalars
+from spinharm.clifford import MultiVector
 from spinharm.homogeneous import HomogeneousModel, ModelAnalysis, load_model
 from spinharm.scalars import ONE, ONE_POLY, Poly, Scalar
 
@@ -143,3 +144,50 @@ def test_divergence_over_given_slots(name):
     if an.model.n == 6:
         assert an.divergence_vector([x * d for x in eta], an.cleared) == \
             an.divergence_vector(eta) * d * d
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer part of a slot is D Lambda_i - xi_i
+
+
+def _projected_canonical_coordinates(an):
+    """The canonical-parameter coordinates by the annihilator projector,
+    slot by slot, over D."""
+    g = an.structure.annihilator()
+    inv = Scalar(ONE_POLY, an.common_denominator)
+    return [inv * c for slot in an.cleared
+            for c in g.project(slot.pair_coeffs())]
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_canonical_coordinates_match_the_annihilator_projection(name):
+    an = ModelAnalysis(load_model(name))
+    assert an.canonical_coordinates() == _projected_canonical_coordinates(an)
+
+
+_SLOT_ENTRIES = st.sampled_from(
+    [Scalar.rational(1), Scalar.rational(-3, 2), Scalar.u(),
+     Scalar.u() ** 2 - Scalar.rational(2), ONE / (Scalar.u() + ONE)])
+# rational unit spinors, all but the first off the basis
+_UNIT_SPINORS = ([0, 0, 0, 0, 1, 0, 0, 0],
+                 [Scalar.rational(3, 5), Scalar.rational(4, 5)] + [0] * 6,
+                 [Scalar.rational(1, 2)] * 4 + [0] * 4)
+
+
+@st.composite
+def _random_model(draw):
+    n = draw(st.sampled_from((6, 7)))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    lam = []
+    for _ in range(n):
+        keys = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+        lam.append(MultiVector(n, {key: draw(_SLOT_ENTRIES) for key in keys}))
+    return HomogeneousModel("random", n, scalars.Substitution.T_EQUALS_U,
+                            lam, draw(st.sampled_from(_UNIT_SPINORS)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_model())
+def test_canonical_coordinates_match_projection_on_random_slots(model):
+    an = ModelAnalysis(model)
+    assert an.canonical_coordinates() == _projected_canonical_coordinates(an)

@@ -1,10 +1,14 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
+from spinharm import coeffexpr
 from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_FOLD_WORK,
-                                MAX_NESTING, MAX_TOKENS, ParseError, fold,
-                                parse_coeff, parse_scalar)
+                                MAX_NESTING, MAX_TOKENS, FoldBudget,
+                                ParseError, fold, parse_coeff, parse_scalar)
+from spinharm.homogeneous import _BUILTIN_DATA, HomogeneousModel, ModelError
 from spinharm.scalars import Scalar, Substitution
 
 U = Scalar.u()
@@ -192,3 +196,82 @@ def test_fold_work_limit_stops_sum_of_large_fractions():
         parse_scalar(text, T_ID)
     assert time.perf_counter() - start < 2
     assert text[err.value.position - 1] in "+/"
+
+
+# ---------------------------------------------------------------------------
+# one fold per distinct string in a model file, its work charged each time
+
+MODELS_DIR = Path(__file__).parent / "data" / "models"
+RECORDS = [_BUILTIN_DATA[name] for name in sorted(_BUILTIN_DATA)] + [
+    json.loads(p.read_text()) for p in sorted(MODELS_DIR.glob("*.json"))]
+
+
+@pytest.fixture
+def loader_budgets(monkeypatch):
+    """The FoldBudget of every model record loaded in the test."""
+    made = []
+
+    class Recorded(FoldBudget):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(coeffexpr, "FoldBudget", Recorded)
+    return made
+
+
+def _entries(record):
+    return [(k, ent) for k, entries in enumerate(record["lambda"], 1)
+            for ent in entries]
+
+
+def _fresh_fold(record):
+    """Every entry folded afresh in file order, charged to one budget:
+    (total work, the load error it meets or None)."""
+    sub = Substitution.from_label(record["substitution"])
+    budget = FoldBudget()
+    for k, ent in _entries(record):
+        try:
+            parse_scalar(ent["coeff"], sub, budget)
+        except ParseError as exc:
+            return budget.work, f"slot {k} ({ent['i']},{ent['j']}): {exc}"
+    return budget.work, None
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r["name"])
+def test_file_fold_work_equals_the_sum_over_entries(record, loader_budgets):
+    sub = Substitution.from_label(record["substitution"])
+    per_entry = 0
+    for _, ent in _entries(record):
+        budget = FoldBudget()
+        parse_scalar(ent["coeff"], sub, budget)
+        per_entry += budget.work
+    HomogeneousModel.from_dict(record)
+    assert len(loader_budgets) == 1
+    assert loader_budgets[0].work == per_entry == _fresh_fold(record)[0]
+
+
+_HEAVY = "+".join(["(t+1)^60/(t+2)^60"] * 26)
+_LIGHT = "+".join(["(t+1)^9/(t+3)^9"] * 40)
+
+
+# H costs 189,875 units of folding work and L 8,060: each layout passes
+# MAX_FILE_FOLD_WORK inside a repeat, of H (the first three) or of L
+@pytest.mark.parametrize("layout", ["HHHHHH", "HLHLHHH", "LLLLLHHHHH",
+                                    "HHHHLLLLLLL", "HLLHLLHLLHLL"])
+def test_repeated_heavy_string_trips_where_a_fresh_fold_does(
+        layout, flat6_dict, loader_budgets):
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    for k, (kind, (i, j)) in enumerate(zip(layout, pairs)):
+        flat6_dict["lambda"][k % 6].append(
+            {"i": i, "j": j, "coeff": _HEAVY if kind == "H" else _LIGHT})
+    work, message = _fresh_fold(flat6_dict)
+    assert "model-file folding work above" in message
+    with pytest.raises(ModelError) as err:
+        HomogeneousModel.from_dict(flat6_dict)
+    assert str(err.value) == message
+    column = err.value.__cause__.position
+    assert 1 < column < len(_HEAVY)
+    assert loader_budgets[0].work == work

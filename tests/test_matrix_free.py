@@ -17,10 +17,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinharm import clifford, cli
+from spinharm import clifford, cli, coeffexpr
 from spinharm.clifford import MultiVector, SpinRep
 from spinharm.gstruct import InternalInvariantError, SpinorStructure
-from spinharm.homogeneous import HomogeneousModel, ModelAnalysis
+from spinharm.homogeneous import (BUILTIN_MODELS, _BUILTIN_DATA,
+                                  HomogeneousModel, ModelAnalysis)
 from spinharm.linalg import Matrix, vec_add, zero_vec
 from spinharm.scalars import Scalar, Substitution
 
@@ -127,6 +128,19 @@ def test_divergence_endo_matches_full_commutator(case):
     assert ModelAnalysis(model).divergence_endo(s) == expected
 
 
+@st.composite
+def _two_form_and_vector(draw):
+    n = draw(st.sampled_from((6, 7)))
+    return draw(_multivector(n, 2)), _vector(draw, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_two_form_and_vector())
+def test_two_form_apply_matches_skew_matrix(case):
+    omega, v = case
+    assert omega.apply(v) == omega.to_skew_matrix().apply(v)
+
+
 @pytest.mark.parametrize("phi", _SPINORS)
 @settings(max_examples=15, deadline=None)
 @given(v=st.lists(_ENTRY, min_size=7, max_size=7))
@@ -190,3 +204,42 @@ def test_warm_reports_build_no_dense_operator_and_solve_nothing(monkeypatch):
     for argv in argvs:
         assert cli.main(argv, out=io.StringIO()) == 0
     assert calls == Counter()
+
+
+def test_warm_reports_do_each_piece_of_work_once(monkeypatch):
+    # per warm report: one fold per distinct coefficient string, one
+    # lift(Lambda_i).phi0 per slot, and a skew matrix only for each printed
+    # skew class component (W1+, W2+, W4 for n = 6; W2, W4 for n = 7)
+    for name in BUILTIN_MODELS:
+        assert cli.main(["report", name, "--format", "structured"],
+                        out=io.StringIO()) == 0
+    calls = Counter()
+    parse, lift_act = coeffexpr.parse_scalar, SpinRep.lift_act
+    to_skew = MultiVector.to_skew_matrix
+
+    def counted_parse(text, sub, budget=None):
+        calls["parse_scalar"] += 1
+        return parse(text, sub, budget)
+
+    def counted_lift(rep, omega, spinor):
+        calls["lift_act on phi0"] += spinor == phi0
+        return lift_act(rep, omega, spinor)
+
+    def counted_skew(omega):
+        calls["to_skew_matrix"] += 1
+        return to_skew(omega)
+
+    monkeypatch.setattr(coeffexpr, "parse_scalar", counted_parse)
+    monkeypatch.setattr(SpinRep, "lift_act", counted_lift)
+    monkeypatch.setattr(MultiVector, "to_skew_matrix", counted_skew)
+    for name in BUILTIN_MODELS:
+        data = _BUILTIN_DATA[name]
+        phi0 = [sc(Fraction(x)) for x in data["spinor"]]
+        strings = {e["coeff"] for entries in data["lambda"] for e in entries}
+        for fmt, skew in (("text", 0), ("structured", 9 - data["n"])):
+            calls.clear()
+            assert cli.main(["report", name, "--format", fmt],
+                            out=io.StringIO()) == 0
+            assert calls == Counter({"parse_scalar": len(strings),
+                                     "lift_act on phi0": data["n"],
+                                     "to_skew_matrix": skew}), (name, fmt)

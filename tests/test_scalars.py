@@ -489,6 +489,13 @@ def test_fast_paths_match_the_reducing_constructor(a, b, q):
         _assert_reduced_as(a / q, a.num, a.den * q)
     for s in (a, b, c):
         assert (s.den is ONE_POLY) == (s.den == ONE_POLY)
+    # subtraction builds no negated copy: it must equal adding one
+    for x, y in ((a, b), (b, a), (a, c), (c, a), (a, a)):
+        diff, ref = x - y, x + (-y)
+        assert (diff.num, diff.den) == (ref.num, ref.den)
+        for p, r in ((x.num - y.num, x.num + (-y.num)),
+                     (x.den - y.num, x.den + (-y.num))):
+            assert (p.ints, p.dd) == (r.ints, r.dd)
 
 
 def test_reduction_to_a_unit_denominator_interns_it():
