@@ -82,8 +82,8 @@ class FoldBudget:
         """parse_scalar(text, sub, self), once per distinct string; a repeat
         that would pass MAX_FILE_FOLD_WORK is folded afresh to name its
         column."""
-        if type(text) is not str:   # e.g. a JSON list: not hashable
-            return parse_scalar(text, sub, self)
+        if type(text) is not str:   # a JSON list would tokenize as a string
+            raise TypeError(f"coefficient {text!r} is not a string")
         hit = self._folded.get(text)
         if hit is not None and self.work + hit[1] <= MAX_FILE_FOLD_WORK:
             self.work += hit[1]

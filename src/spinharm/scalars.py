@@ -23,6 +23,10 @@ constant) are built raw by `_scalar`; only the other cases run the
 reducing constructor.  A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
+Root finding runs on ints: a Sturm chain isolates each real root by
+bisection from the Cauchy bound, on dyadic endpoints a/2^k signed by a
+homogeneous Horner with shifts.  A Fraction is built only for the final
+candidate p/q, which exact division by q t - p confirms and deflates.
 Verdicts are always decided exactly; floating point appears only in
 eval_numeric, the one-value reference the float oracle (numeric.py) is
 tested against.
@@ -673,13 +677,13 @@ def _sturm_chain(a):
     return chain
 
 
-def _int_sign_at(a, x: Fraction):
-    """Sign of the integer polynomial a at x (homogeneous Horner)."""
-    n, d = x.numerator, x.denominator
-    acc, dk = a[-1], 1
-    for c in reversed(a[:-1]):
-        dk *= d
-        acc = acc * n + c * dk
+def _sign_at(a, n, k):
+    """Sign of the integer polynomial a at the dyadic n/2^k: the sign of
+    sum a_j n^j 2^(k(deg-j)), by Horner with shifts."""
+    acc, shift = a[-1], 0
+    for c in a[-2::-1]:
+        shift += k
+        acc = acc * n + (c << shift)
     return (acc > 0) - (acc < 0)
 
 
@@ -693,14 +697,27 @@ def _variations(signs):
     return out
 
 
-def _variations_at(chain, x):
-    return _variations(_int_sign_at(a, x) for a in chain)
+def _variations_at(chain, n, k):
+    return _variations(_sign_at(a, n, k) for a in chain)
 
 
 def _variations_at_infinity(chain, sign):
     """Sign variations of the chain at +inf (sign=1) or -inf (sign=-1)."""
     return _variations((1 if a[-1] > 0 else -1) * sign ** (len(a) - 1)
                        for a in chain)
+
+
+def _divide_root(a, p, q):
+    """The integer list a divided by q t - p, or None when p/q is not a
+    root of a.  With gcd(p, q) = 1 the quotient of a root is integral
+    (Gauss's lemma), so an inexact step means p/q is no root."""
+    out, b = [0] * (len(a) - 1), 0
+    for j in range(len(a) - 1, 0, -1):
+        b, r = divmod(a[j] + p * b, q)
+        if r:
+            return None
+        out[j - 1] = b
+    return out if a[0] + p * b == 0 else None
 
 
 def _strip_t_power(p: Poly):
@@ -722,56 +739,58 @@ def real_root_count(p: Poly, positive_only=True) -> int:
     if work.degree < 1:
         return 0
     chain = _sturm_chain(work.int_coeffs())
-    lo = _variations_at(chain, Fraction(0)) if positive_only else \
+    lo = _variations_at(chain, 0, 0) if positive_only else \
         _variations_at_infinity(chain, -1)
     return lo - _variations_at_infinity(chain, 1)
 
 
 def _isolating_intervals(f, chain, bound):
-    """Intervals (lo, hi], one per distinct real root of f, f(lo)f(hi) != 0.
+    """Intervals (lo/2^k, hi/2^k] as int triples (lo, hi, k), one per
+    distinct real root of f, f(lo)f(hi) != 0.
 
     Bisection of (-bound, 0] and (0, bound] on Sturm counts; a split point
     that is itself a root is moved towards lo, so no endpoint is a root.
     """
-    zero, b = Fraction(0), Fraction(bound)
-    v = [_variations_at(chain, x) for x in (-b, zero, b)]
-    todo = [(-b, zero, v[0], v[1]), (zero, b, v[1], v[2])]
+    v = [_variations_at(chain, x, 0) for x in (-bound, 0, bound)]
+    todo = [(-bound, 0, 0, v[0], v[1]), (0, bound, 0, v[1], v[2])]
     out = []
     while todo:
-        lo, hi, vlo, vhi = todo.pop()
+        lo, hi, k, vlo, vhi = todo.pop()
         if vlo - vhi == 1:
-            out.append((lo, hi))
+            out.append((lo, hi, k))
         elif vlo - vhi > 1:
-            mid = (lo + hi) / 2
-            while _int_sign_at(f, mid) == 0:
-                mid = (lo + mid) / 2
-            vmid = _variations_at(chain, mid)
-            todo.append((lo, mid, vlo, vmid))
-            todo.append((mid, hi, vmid, vhi))
+            lo, hi, k = lo << 1, hi << 1, k + 1
+            mid = (lo + hi) >> 1
+            while _sign_at(f, mid, k) == 0:
+                lo, mid, hi, k = lo << 1, lo + mid, hi << 1, k + 1
+            vmid = _variations_at(chain, mid, k)
+            todo.append((lo, mid, k, vlo, vmid))
+            todo.append((mid, hi, k, vmid, vhi))
     return out
 
 
-def _rational_in(f, lo, hi, lead):
-    """The rational root of f in (lo, hi], or None when that root is irrational.
+def _rational_in(f, lo, hi, k, lead):
+    """The rational root of f in (lo/2^k, hi/2^k], or None if irrational.
 
-    f is squarefree with exactly one root r in (lo, hi].  A rational root
-    has a denominator dividing lead, and two such fractions lie at least
-    1/lead^2 apart: once the interval is narrower than 1/(2 lead^2), r is
-    the fraction nearest its midpoint with denominator at most lead.
+    f is squarefree with exactly one root r in the interval.  A rational
+    root has a denominator dividing lead, and two such fractions lie at
+    least 1/lead^2 apart: once (hi - lo) 2 lead^2 < 2^k, r is the fraction
+    nearest the midpoint with denominator at most lead.  A halving
+    doubles lo and 2^k, so the numerator width hi - lo stays fixed.
     """
-    slo = _int_sign_at(f, lo)
-    width = Fraction(1, 2 * lead * lead)
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        s = _int_sign_at(f, mid)
+    slo, width = _sign_at(f, lo, k), hi - lo
+    spread = width * 2 * lead * lead
+    while spread >= 1 << k:
+        lo, k = lo << 1, k + 1
+        s = _sign_at(f, lo + width, k)
         if s == 0:
-            return mid
+            return Fraction(lo + width, 1 << k)
         if s == slo:
-            lo = mid
-        else:
-            hi = mid
-    c = ((lo + hi) / 2).limit_denominator(lead)
-    if lo < c <= hi and _int_sign_at(f, c) == 0:
+            lo += width
+    c = Fraction(2 * lo + width, 2 << k).limit_denominator(lead)
+    p, q = c.numerator, c.denominator
+    if lo * q < p << k <= (lo + width) * q and \
+            _divide_root(f, p, q) is not None:
         return c
     return None
 
@@ -780,10 +799,10 @@ def rational_roots(p: Poly) -> dict:
     """All rational roots of p with multiplicities.
 
     The squarefree part's real roots are isolated with a Sturm chain on
-    the Cauchy bound, each isolating interval is narrowed until at most one
-    fraction with a denominator dividing the leading coefficient fits, and
-    that candidate is confirmed exactly.  Multiplicities come from exact
-    deflation.  Raises IdenticallyZero on the zero polynomial; callers
+    the Cauchy bound and each interval is narrowed until at most one
+    fraction with a denominator dividing the leading coefficient fits.
+    Exact division by q t - p confirms that candidate p/q and gives its
+    multiplicity.  Raises IdenticallyZero on the zero polynomial; callers
     translate that into a 'holds for all t' verdict.
     """
     if p.is_zero:
@@ -800,13 +819,13 @@ def rational_roots(p: Poly) -> dict:
     # Cauchy: every root has |t| < 1 + max|f_i| / lead <= bound
     bound = 2 + max(abs(c) for c in f[:-1]) // lead
     chain = _sturm_chain(f)
-    found = (_rational_in(f, lo, hi, lead)
-             for lo, hi in _isolating_intervals(f, chain, bound))
+    found = (_rational_in(f, *interval, lead)
+             for interval in _isolating_intervals(f, chain, bound))
+    rest = work.int_coeffs()
     for r in sorted(r for r in found if r is not None):
-        mult = 0
-        while work.eval(r) == 0:
-            work = work.exact_div(Poly((-r, 1)))
-            mult += 1
+        mult, n, d = 0, r.numerator, r.denominator
+        while (quotient := _divide_root(rest, n, d)) is not None:
+            rest, mult = quotient, mult + 1
         roots[r] = mult
     return roots
 

@@ -253,6 +253,21 @@ def test_report_mistyped_field_exit2(tmp_path, capsys, flat6_dict, field,
             assert "spinor entry 5" in err
 
 
+@pytest.mark.parametrize("coeff", [["t", "+", "u"], {"t": 1}, None, 5])
+def test_report_non_string_coefficient_exit2(tmp_path, capsys, flat6_dict,
+                                             coeff):
+    # a JSON list used to tokenize like the string "t+u" and load as 2u
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(flat6_dict))
+    for command in ("report", "dump"):
+        code, _ = run_cli(command, str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: slot 1: bad entry") and \
+            "Traceback" not in err
+
+
 def test_report_token_limit_exit2(tmp_path, capsys, flat6_dict):
     chain = "+".join(["t"] * (MAX_TOKENS // 2 + 1))
     flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": chain}]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinharm.scalars import (
-    IdenticallyZero, NotExpressibleInT, ONE_POLY, Poly, PoleError, Scalar,
-    Substitution, ZERO_POLY, as_polynomial_in_t, eval_numeric, format_scalar,
-    poly_gcd, rational_roots, vanishes_at, zero_at,
+    IdenticallyZero, IrrationalRoots, NotExpressibleInT, ONE_POLY, Poly,
+    PoleError, Scalar, Substitution, ZERO_POLY, as_polynomial_in_t,
+    eval_numeric, format_scalar, poly_gcd, rational_roots, real_root_count,
+    vanishes_at, zero_at,
 )
 
 U = Scalar.u()
@@ -181,6 +182,55 @@ def test_roots_repeated_root_next_to_large_one():
     assert rational_roots(poly) == {Fraction(7, 3): 2, Fraction(p, q): 1}
 
 
+def test_roots_eleven_digit_neighbours():
+    # p/q and p/q + 1/q^2: the closest pair the reconstruction must part
+    p, q = 50000000021, 50000001041
+    near = Fraction(p * q + 1, q * q)
+    poly = Poly((-p, q)) * _linear(near)
+    assert rational_roots(poly) == {Fraction(p, q): 1, near: 1}
+
+
+def test_roots_irrational_pair_around_an_eleven_digit_root():
+    # q^2 (q t - p)^2 - 2 has the roots p/q +- sqrt(2)/q^2; the fraction
+    # nearest each of their intervals is p/q, which lies outside both
+    p, q = 170000000033, 600000012431
+    line = Poly((-p, q))
+    poly = line * (Poly((q * q,)) * line * line - Poly((2,)))
+    assert poly.int_coeffs()[-1] == q ** 5
+    assert rational_roots(poly) == {Fraction(p, q): 1}
+    assert real_root_count(poly) == 3
+
+
+@pytest.mark.parametrize("roots,quadratic,split", [
+    # (B/2, B] or (0, B] holds one root: the narrowing hits it
+    ((Fraction(3, 2),), None, Fraction(1, 2)),             # B = 3
+    ((Fraction(1, 2),), None, Fraction(1, 4)),             # B = 2
+    ((Fraction(15, 4),), None, Fraction(3, 4)),            # B = 5
+    ((Fraction(-3),), (1, 1, 1), Fraction(-1, 2)),         # B = 6
+    # two roots share the half: the isolating bisection hits it
+    ((Fraction(9, 2), Fraction(-7, 8)), (-2, 0, 1), Fraction(1, 2)),  # B = 9
+    ((Fraction(1),), (-2, 0, 1), Fraction(1, 4)),          # B = 4
+    ((Fraction(-16), Fraction(-15, 8)), None, Fraction(-1, 2)),       # B = 32
+])
+def test_roots_on_dyadic_split_points_of_the_cauchy_bound(roots, quadratic,
+                                                          split):
+    from spinharm.homogeneous import ROOT_SET, Verdict, vanishing_verdict
+    poly = Poly(quadratic or (1,))
+    for r in roots:
+        poly = poly * _linear(r)
+    f = poly.int_coeffs()
+    assert split * (2 + max(abs(c) for c in f[:-1]) // f[-1]) in roots
+    assert rational_roots(poly) == {r: 1 for r in roots}
+    irrational = 2 if quadratic == (-2, 0, 1) else 0
+    assert real_root_count(poly, positive_only=False) == \
+        len(roots) + irrational
+    assert real_root_count(poly) == \
+        sum(1 for r in roots if r > 0) + irrational // 2
+    if not irrational:
+        verdict = vanishing_verdict([Scalar(poly)], T_ID, positive_only=False)
+        assert verdict == Verdict(ROOT_SET, {r: 1 for r in roots})
+
+
 def test_roots_large_coefficient_model_file():
     """A model-file coefficient (t-10000000019) reaches the root finder."""
     import copy
@@ -234,6 +284,38 @@ def test_roots_against_sympy_oracle():
                 r = -sympy.Rational(b) / a
                 expect[Fraction(int(r.p), int(r.q))] = mult
         assert rational_roots(poly) == expect, poly
+
+
+def _real_irrational_quadratic(rng):
+    """a t^2 + b t + c with two real irrational roots."""
+    while True:
+        a, b, c = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)
+        disc = b * b - 4 * a * c
+        if disc > 0 and math.isqrt(disc) ** 2 != disc:
+            return Poly((c, b, a))
+
+
+def test_irrational_refusal_against_sympy_oracle():
+    """real_root_count is Sturm's count of sympy's real roots in the
+    domain, and vanishing_verdict refuses exactly when one is irrational."""
+    from spinharm.homogeneous import vanishing_verdict
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(23)
+    for k, poly in enumerate(_seeded_polys(60, seed=19)):
+        if k % 3:
+            poly = poly * _real_irrational_quadratic(rng)
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**j
+                   for j, c in enumerate(poly.coeffs))
+        real = set(sympy.Poly(expr, t).real_roots())
+        for positive_only in (True, False):
+            domain = [r for r in real if r > 0 or not positive_only and r]
+            assert real_root_count(poly, positive_only) == len(domain), poly
+            if any(not r.is_rational for r in domain):
+                with pytest.raises(IrrationalRoots):
+                    vanishing_verdict([Scalar(poly)], T_ID, positive_only)
+            else:
+                vanishing_verdict([Scalar(poly)], T_ID, positive_only)
 
 
 # ---------------------------------------------------------------------------
