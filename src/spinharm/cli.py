@@ -21,11 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .scalars import format_scalar, IrrationalRoots, vanishes_at
-from .coeffexpr import ParseError
+from .coeffexpr import ParseError, parse_fraction
 from .gstruct import InternalInvariantError
 from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
                           load_model)
@@ -33,9 +32,9 @@ from .homogeneous import (BUILTIN_MODELS, ModelAnalysis, ModelError,
 
 def _fraction(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return parse_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_fraction(text):
@@ -69,7 +68,7 @@ def build_parser():
     vp.add_argument("--format", choices=("text", "structured"),
                     default="text")
     vp.add_argument("--trials", type=int, default=100,
-                    help="random instances per property check")
+                    help="random instances per property check (positive)")
 
     sp = sub.add_parser("scan", help="numeric residual scan over a t range")
     sp.add_argument("model")

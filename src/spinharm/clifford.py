@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 
 from .scalars import Scalar, ZERO, ONE, _coerce
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 
 # the unique factor making the so(n) -> spin(n) transport a Lie algebra
 # homomorphism; tests mutate it to demonstrate the verification suite trips
@@ -324,7 +324,7 @@ class SpinRep:
             neg = -c
             for j, (r, s) in enumerate(zip(rows, signs)):
                 data[r][j] = data[r][j] + (c if s > 0 else neg)
-        return Matrix(data)
+        return _matrix(data, 8)
 
     def act(self, m: MultiVector, spinor):
         """The spinor m.spinor, with no matrix built."""

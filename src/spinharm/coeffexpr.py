@@ -23,6 +23,8 @@ its work again, so the file limit trips at the same entry and column.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import Scalar, Substitution
 
 
@@ -294,6 +296,23 @@ def fold(node, sub: Substitution, budget=None) -> Scalar:
         return acc, degree
 
     return walk(node)[0]
+
+
+def parse_fraction(text: str) -> Fraction:
+    """A rational literal in Fraction's syntax ("3/4", "-0.25", "1e-3");
+    ValueError unless it is one with numerator and denominator within
+    MAX_COEFF_BITS.  Its digits and exponent are counted first (a decimal
+    digit carries over 3 bits), so "1e100000000" is refused unbuilt."""
+    mantissa, _, exp = text.lower().partition("e")
+    try:
+        size = sum(c.isdigit() for c in mantissa) + abs(int(exp or 0))
+        f = Fraction(text) if 3 * size <= MAX_COEFF_BITS else None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {text!r}") from None
+    if f is None or max(f.numerator.bit_length(),
+                        f.denominator.bit_length()) > MAX_COEFF_BITS:
+        raise ValueError(f"rational above {MAX_COEFF_BITS} bits: {text!r}")
+    return f
 
 
 def parse_scalar(text, sub: Substitution, budget=None) -> Scalar:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from functools import cached_property
 
 from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, ZERO_POLY, U_POLY,
@@ -53,6 +52,7 @@ from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, ZERO_POLY, U_POLY,
 from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
                      vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep
+from .coeffexpr import parse_fraction
 from .gstruct import SpinorStructure, InternalInvariantError
 
 
@@ -265,10 +265,9 @@ def _fraction_str(c: Scalar) -> str:
 def _parse_fraction(k, text) -> Scalar:
     """Spinor entry k (counted from 1) as a rational Scalar."""
     try:
-        return Scalar.rational(Fraction(str(text)))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"spinor entry {k}: not a rational: {text!r}") \
-            from None
+        return Scalar.rational(parse_fraction(str(text)))
+    except ValueError as exc:
+        raise ValueError(f"spinor entry {k}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

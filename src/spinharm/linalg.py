@@ -6,6 +6,10 @@ in the fraction field (no floating point anywhere), subspaces are stored in
 reduced row-echelon form so that equality is a syntactic check, and the
 inner product on coordinates is the plain dot product, which on 2-form
 coefficient vectors agrees with the trace form up to a fixed positive scale.
+Products are row-sparse (Gustavson): row i of A B sums a * (row k of B)
+over the nonzero a = A[i][k], on B's nonzeros read once.  `Matrix(data)`
+coerces its entries; results built here from Scalars are taken as they
+stand (`_matrix`).
 """
 
 from __future__ import annotations
@@ -61,10 +65,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        m = object.__new__(cls)   # rows of ZERO need no coercion
-        m.data = [[ZERO] * cols for _ in range(rows)]
-        m.rows, m.cols = rows, cols
-        return m
+        return _matrix([[ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
@@ -87,14 +88,14 @@ class Matrix:
 
     def __add__(self, other):
         self._shape_check(other)
-        return Matrix([vec_add(a, b) for a, b in zip(self.data, other.data)])
+        return _matrix(list(map(vec_add, self.data, other.data)), self.cols)
 
     def __sub__(self, other):
         self._shape_check(other)
-        return Matrix([vec_sub(a, b) for a, b in zip(self.data, other.data)])
+        return _matrix(list(map(vec_sub, self.data, other.data)), self.cols)
 
     def __neg__(self):
-        return Matrix([[-e for e in row] for row in self.data])
+        return _matrix([[-e for e in row] for row in self.data], self.cols)
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -102,15 +103,24 @@ class Matrix:
 
     def scale(self, c):
         c = c if isinstance(c, Scalar) else _coerce(c)
-        return Matrix([[c * e for e in row] for row in self.data])
+        return _matrix([[c * e for e in row] for row in self.data], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            cols = [self.apply(other.column(j)) for j in range(other.cols)]
-            return Matrix([[col[i] for col in cols]
-                           for i in range(self.rows)])
+            n = other.cols
+            nonzeros = [[(j, b) for j, b in enumerate(row) if b]
+                        for row in other.data]
+            data = []
+            for row in self.data:
+                out = [ZERO] * n
+                for a, terms in zip(row, nonzeros):
+                    if a:
+                        for j, b in terms:
+                            out[j] = out[j] + a * b
+                data.append(out)
+            return _matrix(data, n)
         if isinstance(other, list):
             return self.apply(other)
         c = _coerce(other)
@@ -225,6 +235,14 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def _matrix(data, cols):
+    """Matrix of fresh rows of Scalars of length cols, taken as they stand."""
+    m = object.__new__(Matrix)
+    m.data = data
+    m.rows, m.cols = len(data), cols
+    return m
 
 
 class Subspace:

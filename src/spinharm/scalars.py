@@ -20,7 +20,10 @@ object itself, so `den is ONE_POLY` is the polynomial test on hot paths.
 Results already in this normal form (a sum of polynomials, a polynomial
 plus a fraction, a negation, a product of polynomials or with a rational
 constant) are built raw by `_scalar`; only the other cases run the
-reducing constructor.  A point question ("is s zero at t0?") is answered by
+reducing constructor.  Two rational constants (as in the Clifford
+matrices) combine on their ints n/dd, as fmpq does, with one gcd per
+result and no Poly arithmetic; a sum that cancels is the shared ZERO.
+A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
 Root finding runs on ints: a Sturm chain isolates each real root by
@@ -386,8 +389,10 @@ class Scalar:
 
     @classmethod
     def rational(cls, p, q=1):
+        if type(p) is int and type(q) is int and q > 0:
+            return _rational(p, q)
         f = Fraction(p, q)
-        return _scalar(_poly((f.numerator,), f.denominator), ONE_POLY)
+        return _rational(f.numerator, f.denominator)
 
     @classmethod
     def u(cls, power=1):
@@ -438,7 +443,11 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         if self.den is ONE_POLY and other.den is ONE_POLY:
-            return _scalar(self.num - other.num, ONE_POLY)
+            a, b = self.num, other.num
+            if len(a.ints) == 1 and len(b.ints) == 1:
+                return _rational(a.ints[0] * b.dd - b.ints[0] * a.dd,
+                                 a.dd * b.dd)
+            return _scalar(a - b, ONE_POLY)
         return _add(self, _scalar(-other.num, other.den))
 
     def __rsub__(self, other):
@@ -455,7 +464,11 @@ class Scalar:
         da, db = self.den, other.den
         # c * n/d is reduced for a rational constant c: no gcd needed
         if da is ONE_POLY:
-            if db is ONE_POLY or len(a.ints) == 1:
+            if len(a.ints) == 1:
+                if db is ONE_POLY and len(b.ints) == 1:
+                    return _rational(a.ints[0] * b.ints[0], a.dd * b.dd)
+                return _scalar(a * b, db)
+            if db is ONE_POLY:
                 return _scalar(a * b, db)
         elif db is ONE_POLY and len(b.ints) == 1:
             return _scalar(a * b, da)
@@ -520,13 +533,26 @@ def _add(x, y):
         return x
     dx, dy = x.den, y.den
     if dx is ONE_POLY:
+        if dy is ONE_POLY:
+            if len(a.ints) == 1 and len(b.ints) == 1:
+                return _rational(a.ints[0] * b.dd + b.ints[0] * a.dd,
+                                 a.dd * b.dd)
+            return _scalar(a + b, ONE_POLY)
         # gcd(a dy + b, dy) = gcd(b, dy) = 1
-        return _scalar(a + b if dy is ONE_POLY else a * dy + b, dy)
+        return _scalar(a * dy + b, dy)
     if dy is ONE_POLY:
         return _scalar(a + b * dx, dx)
     if dx == dy:
         return Scalar(a + b, dx)
     return Scalar(a * dy + b * dx, dx * dy)
+
+
+def _rational(n, d):
+    """The rational constant n/d for ints n and d > 0, reduced by one gcd."""
+    if not n:
+        return ZERO
+    g = math.gcd(n, d)
+    return _scalar(_raw((n // g,), d // g), ONE_POLY)
 
 
 def _coerce(x):
@@ -537,7 +563,7 @@ def _coerce(x):
     return NotImplemented
 
 
-ZERO = Scalar.rational(0)
+ZERO = _scalar(ZERO_POLY, ONE_POLY)
 ONE = Scalar.rational(1)
 
 

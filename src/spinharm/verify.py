@@ -431,6 +431,8 @@ def _property_c_sigma(rng, trials):
 
 
 def check_property_suite(trials=100, seed=20240811):
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(seed)
     named = [
         ("property-clifford-multiplication", _property_clifford_mult),
@@ -528,7 +530,10 @@ ALL_CHECKS = (
 
 
 def run_all(trials=100):
-    """Run every acceptance check; an exception inside a check is a failure."""
+    """Run every acceptance check; an exception inside a check is a failure.
+    A trials count below 1 is refused before any check runs."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     results = []
     for fn in ALL_CHECKS:
         try:

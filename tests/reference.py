@@ -6,6 +6,9 @@ and scalings of S and its transpose.  The library reads the same classes
 off coordinates (scalars, upper triangles and pair coordinates); these
 functions use only the structure's J, stabilizer, Kahler coordinates and W4
 solve, never its classifier.
+
+`matrix_product` is the column-by-column product that the row-sparse
+`Matrix.__mul__` is compared against.
 """
 
 from spinharm.clifford import MultiVector
@@ -54,3 +57,9 @@ def classify_g2(structure, s):
         "W4": MultiVector.from_pair_coeffs(7, m_coords).to_skew_matrix(),
     }
     return components, lam, structure._solve_w4_vector(m_coords)
+
+
+def matrix_product(a, b):
+    """a b built column by column: column j is a.apply(column j of b)."""
+    cols = [a.apply(b.column(j)) for j in range(b.cols)]
+    return Matrix([[col[i] for col in cols] for i in range(a.rows)])

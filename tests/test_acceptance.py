@@ -81,6 +81,15 @@ def test_criterion_7_property_suite():
     _assert_all(verify.check_property_suite(trials=100))
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_property_suite_refuses_nonpositive_trials(trials):
+    # zero trials used to pass every property without testing one instance
+    with pytest.raises(ValueError, match="trials must be positive"):
+        verify.check_property_suite(trials=trials)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        verify.run_all(trials=trials)
+
+
 def test_criterion_8_laplacian_cross_check():
     _assert_all(verify.check_cross_check())
 

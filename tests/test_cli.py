@@ -124,6 +124,32 @@ def test_report_at_outside_domain_exit2(capsys, model, t):
     assert "t must be positive" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("report", "cp3", "--at", "1e100000000"), "--at"),
+    (("report", "cp3", "--at", "3e-100000000"), "--at"),
+    (("report", "cp3", "--at", "1" * 2000), "--at"),
+    (("scan", "cp3", "--min", "1e100000000", "--max", "2"), "--min"),
+    (("scan", "cp3", "--min", "1", "--max", "1E100000000"), "--max")])
+def test_oversized_rational_argument_exit2_at_once(capsys, argv, option):
+    # Fraction would build 10^100000000 first: these used to hang
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: rational above 4096 bits" in err
+
+
+def test_rational_argument_within_the_bit_limit_is_read_exactly():
+    # 2^4095 written out has 1233 digits; a decimal exponent is exact too
+    assert cli._fraction(str(2 ** 4095)) == 2 ** 4095
+    assert cli._fraction("125e-3") == Fraction(1, 8)
+    with pytest.raises(cli.argparse.ArgumentTypeError,
+                       match="above 4096 bits"):
+        cli._fraction(str(2 ** 4096))
+
+
 def test_report_at_pole_exit2(tmp_path, capsys, flat6_dict):
     flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "1/(t-1)"}]
     path = tmp_path / "pole.json"
@@ -251,6 +277,23 @@ def test_report_mistyped_field_exit2(tmp_path, capsys, flat6_dict, field,
             "Traceback" not in err
         if field == "spinor":
             assert "spinor entry 5" in err
+
+
+@pytest.mark.parametrize("entry", ["1e100000000", "-1e-100000000",
+                                   "7" * 5000, "1/" + "9" * 1300])
+def test_report_oversized_spinor_entry_exit2_at_once(tmp_path, capsys,
+                                                     flat6_dict, entry):
+    # Fraction would build 10^100000000 first: this used to hang
+    flat6_dict["spinor"][4] = entry
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(flat6_dict))
+    start = time.perf_counter()
+    code, _ = run_cli("report", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad model record: spinor entry 5: "
+                          "rational above 4096 bits")
 
 
 @pytest.mark.parametrize("coeff", [["t", "+", "u"], {"t": 1}, None, 5])
@@ -413,6 +456,15 @@ def test_verify_reports_known_failures():
                if line.startswith("[FAIL]")}
     assert failing == {"spin4-eta-exact", "spin4-root-set",
                        "spin4-class-flags"}
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_verify_nonpositive_trials_exit2(capsys, trials):
+    # these used to print "[PASS] property-... -- -5 random instances exact"
+    code, text = run_cli("verify", "--trials", trials)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        f"error: trials must be positive, got {trials}\n"
 
 
 def test_verify_structured():

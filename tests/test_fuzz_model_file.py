@@ -54,7 +54,8 @@ _BAD_VALUES = {
     "substitution": ["t=2u", None, [], 3],
     "spinor": [None, "spinor", 5, _S5[:7], _S5 + ["0"],
                ["1/2"] * 8, ["1/0"] + _S5[1:], ["x"] + _S5[1:],
-               [None] + _S5[1:], ["nan"] + _S5[1:], ["0"] * 8],
+               [None] + _S5[1:], ["nan"] + _S5[1:], ["0"] * 8,
+               _S5[:4] + ["1e100000000"] + _S5[5:]],
     "lambda": [None, 5, "lambda", {}, [None] * 6, [3] * 6, [[]] * 5,
                [[]] * 8],
     "notes": [None, 3],

@@ -11,6 +11,8 @@ from spinharm.scalars import Scalar
 from spinharm.verify import (S5, SU3_COMPLEMENT, SU3_GENERATORS,
                              _forms_subspace)
 
+import reference
+
 U = Scalar.u()
 
 
@@ -234,6 +236,54 @@ def test_product_with_zero_entries_matches_vec_dot(pair):
     assert (a * b).data == expected
     assert a.apply(list(cols[0])) == [vec_dot(row, cols[0])
                                       for row in a.data]
+
+
+# ---------------------------------------------------------------------------
+# row-sparse product against the column-by-column reference
+
+
+_POLY_ENTRIES = [sc(0), sc(0), U, sc(1) - U, U * U - sc(3, 2)]
+
+
+@st.composite
+def _product_operands(draw):
+    """Rectangular a, b with rational, polynomial or fractional entries,
+    and perhaps a zero row of a and a zero column of b."""
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.sampled_from(draw(st.sampled_from(
+        (_RATIONAL_ENTRIES, _POLY_ENTRIES, _ENTRIES))))
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = [sc(0)] * inner
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in b:
+            row[j] = sc(0)
+    return Matrix(a), Matrix(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_operands())
+def test_row_sparse_product_matches_column_product(pair):
+    a, b = pair
+    got = a * b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.data == reference.matrix_product(a, b).data
+
+
+@settings(max_examples=30, deadline=None)
+@given(_product_operands())
+def test_matrix_results_share_no_rows_with_operands(pair):
+    a, b = pair
+    c = Matrix([row[::-1] for row in a.data])   # a's shape
+    before = [[row[:] for row in m.data] for m in (a, b, c)]
+    results = [a * b, a + c, a - c, -a, a.scale(sc(2)), a * 3,
+               a * Matrix.identity(a.cols), Matrix.identity(a.rows) * a]
+    for m in results:
+        for row in m.data:
+            row[0] = U
+    assert [m.data for m in (a, b, c)] == before
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinharm.scalars import (
     IdenticallyZero, IrrationalRoots, NotExpressibleInT, ONE_POLY, Poly,
-    PoleError, Scalar, Substitution, ZERO_POLY, as_polynomial_in_t,
+    PoleError, Scalar, Substitution, ZERO, ZERO_POLY, as_polynomial_in_t,
     eval_numeric, format_scalar, poly_gcd, rational_roots, real_root_count,
     vanishes_at, zero_at,
 )
@@ -515,6 +515,25 @@ def test_constant_times_fraction_skips_gcd(monkeypatch):
         _gcd_reduced(Poly((0, Fraction(-3, 2))), Poly((1, 1)))
 
 
+def test_constant_arithmetic_makes_no_poly_call(monkeypatch):
+    # two rational constants combine on their ints, reduced by one gcd
+    from spinharm import scalars
+    a, b = sc(3, 4), sc(-5, 6)
+    calls = [0]
+    poly = scalars._poly
+
+    def counted(ints, dd):
+        calls[0] += 1
+        return poly(ints, dd)
+
+    monkeypatch.setattr(scalars, "_poly", counted)
+    got = [a * b, a + b, a - b, b - b, b * b, sc(6, 4), sc(Fraction(-2, 6))]
+    assert calls[0] == 0
+    assert [s.as_fraction() for s in got] == [
+        Fraction(-5, 8), Fraction(-1, 12), Fraction(19, 12), 0,
+        Fraction(25, 36), Fraction(3, 2), Fraction(-1, 3)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_coeffs, _coeffs)
 def test_polynomial_sum_and_product_stay_reduced(xs, ys):
@@ -554,8 +573,9 @@ def _assert_reduced_as(got, num, den):
 
 @settings(max_examples=300, deadline=None)
 @given(_fast_path_scalars(), _fast_path_scalars(),
-       st.one_of(st.integers(-3, 3), _nonzero_consts))
-def test_fast_paths_match_the_reducing_constructor(a, b, q):
+       st.one_of(st.integers(-3, 3), _nonzero_consts),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_fast_paths_match_the_reducing_constructor(a, b, q, r):
     _assert_reduced_as(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
     _assert_reduced_as(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
     _assert_reduced_as(-a, -a.num, a.den)
@@ -575,9 +595,24 @@ def test_fast_paths_match_the_reducing_constructor(a, b, q):
     for x, y in ((a, b), (b, a), (a, c), (c, a), (a, a)):
         diff, ref = x - y, x + (-y)
         assert (diff.num, diff.den) == (ref.num, ref.den)
-        for p, r in ((x.num - y.num, x.num + (-y.num)),
-                     (x.den - y.num, x.den + (-y.num))):
-            assert (p.ints, p.dd) == (r.ints, r.dd)
+        for p, ref in ((x.num - y.num, x.num + (-y.num)),
+                       (x.den - y.num, x.den + (-y.num))):
+            assert (p.ints, p.dd) == (ref.ints, ref.dd)
+    # the rational-constant lane: constants over equal and different
+    # denominators, of either sign, and sums that cancel
+    d, e = Scalar.rational(r), Scalar.rational(r + 1)   # e has d's dd
+    for x, y in ((c, d), (d, c), (d, e), (e, d), (d, d), (d, -d), (-c, c)):
+        _assert_reduced_as(x + y, x.num + y.num, ONE_POLY)
+        _assert_reduced_as(x - y, x.num - y.num, ONE_POLY)
+        _assert_reduced_as(x * y, x.num * y.num, ONE_POLY)
+    for zero in (d - d, d + (-d), -c + c, c - c):
+        assert zero.num.ints == () and zero.den is ONE_POLY
+        assert zero == ZERO and hash(zero) == hash(ZERO)
+    for got in (Scalar.rational(r), Scalar.rational(r.numerator,
+                                                    r.denominator),
+                Scalar.rational(-r.numerator, -r.denominator)):
+        _assert_reduced_as(got, Poly((r,)), ONE_POLY)
+    _assert_reduced_as(Scalar.rational(r.numerator), r.numerator, ONE_POLY)
 
 
 def test_reduction_to_a_unit_denominator_interns_it():
