@@ -1,4 +1,4 @@
-"""Recursive-descent parser for model-file coefficient expressions.
+"""One-pass reader for model-file coefficient expressions.
 
 Grammar (standard precedence, ^ binds tightest, then unary minus, then * /,
 then + -):
@@ -11,14 +11,18 @@ then + -):
 
 Expressions may mention both t and u; t is rewritten through the model's
 substitution before any arithmetic, so model files can quote coefficients
-like (1-t)/(2*u) verbatim.  Folding happens in exact Scalar arithmetic;
-division by a subexpression that folds to zero is rejected with a position,
-and so is any step whose result outgrows MAX_DEGREE or MAX_COEFF_BITS, any
-token past the first MAX_TOKENS, and any step that takes the cumulative
-folding work past MAX_FOLD_WORK, or past MAX_FILE_FOLD_WORK for all the
-coefficients of one model file.  Those share one FoldBudget, which folds
-each distinct string once per file: a repeat reuses the Scalar and charges
-its work again, so the file limit trips at the same entry and column.
+like (1-t)/(2*u) verbatim.  The tokenizer runs first and refuses any token
+past the first MAX_TOKENS and any integer literal of more than
+MAX_COEFF_BITS // 3 significant digits.  One recursive descent then folds
+each rule to its exact Scalar value as it reads it, with no syntax tree in
+between, so the first fault met is reported.  Division by a subexpression
+that folds to zero is rejected with a position, and so is any step whose
+result outgrows MAX_DEGREE or MAX_COEFF_BITS, and any step that takes the
+cumulative folding work past MAX_FOLD_WORK, or past MAX_FILE_FOLD_WORK for
+all the coefficients of one model file.  Those share one FoldBudget, which
+folds each distinct string once per file: a repeat reuses the Scalar and
+charges its work again, so the file limit trips at the same entry and
+column.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .scalars import Scalar, Substitution
 
 
 # parentheses and unary minuses open at once; each '(' costs five frames of
-# recursion, so this stays well inside Python's default recursion limit
+# recursion (expr, term, unary, power, atom) and each '-' one, so this stays
+# well inside Python's default recursion limit
 MAX_NESTING = 100
 
 # size of every folded value: the u-degree of its numerator and denominator,
@@ -117,7 +122,12 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i + 1))
+            # over MAX_COEFF_BITS // 3 significant digits is over 2^4096
+            digits = text[i:j].lstrip("0")
+            if len(digits) > MAX_COEFF_BITS // 3:
+                raise ParseError(
+                    f"coefficient above {MAX_COEFF_BITS} bits", i + 1)
+            tokens.append(("int", int(digits or "0"), i + 1))
             i = j
             continue
         if ch in ("t", "u"):
@@ -128,98 +138,6 @@ def _tokenize(text):
     # EOF reports at the last column so truncated input points at the culprit
     tokens.append(("end", None, max(len(text), 1)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}", tok[2])
-        return tok
-
-    def nest(self, pos, parse):
-        """Run parse one nesting level deeper, refusing past MAX_NESTING."""
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
-        self.depth += 1
-        node = parse()
-        self.depth -= 1
-        return node
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError("trailing input", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
-            rhs = self.term()
-            node = (op, node, rhs, pos)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
-            rhs = self.unary()
-            node = (op, node, rhs, pos)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            _, _, pos = self.advance()
-            return ("neg", self.nest(pos, self.unary), pos)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.advance()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.advance()
-                sign = -1
-            tok = self.expect("int")
-            node = ("pow", node, sign * tok[1], pos)
-        return node
-
-    def atom(self):
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "int":
-            return ("int", value, pos)
-        if kind == "sym":
-            return ("sym", value, pos)
-        if kind == "(":
-            node = self.nest(pos, self.expr)
-            closing = self.advance()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
-            return node
-        raise ParseError("expected a number, symbol, or '('", pos)
-
-
-def parse_coeff(text):
-    """Parse a coefficient expression into an AST."""
-    return _Parser(text).parse()
 
 
 _BINARY = {"+": Scalar.__add__, "-": Scalar.__sub__,
@@ -241,61 +159,112 @@ def _check_size(degree, bits, pos):
         raise ParseError(f"coefficient above {MAX_COEFF_BITS} bits", pos)
 
 
-def fold(node, sub: Substitution, budget=None) -> Scalar:
-    """Evaluate an AST to a Scalar, binding t through the substitution.
+class _Fold:
+    """The recursive descent over a coefficient's tokens: each rule returns
+    (value, u-degree) of what it has read.  expr and term fold their chains
+    left to right in a loop; only brackets and unary minus recurse."""
 
-    A chain like t+t+...+t parses into a left-nested tree as deep as it is
-    long, so the left spine of binary operators is walked in a loop; only
-    right operands and bracketed or negated subexpressions recurse, and
-    MAX_NESTING bounds those.  Every step's result is checked against
-    MAX_DEGREE and MAX_COEFF_BITS, and every binary step is charged to
-    MAX_FOLD_WORK, and to the file's budget when one is given, before it is
-    computed; a breach is reported at its operator.
-    """
-    work = 0
+    __slots__ = ("tokens", "i", "depth", "work", "sub", "budget")
 
-    def walk(node):
-        """(value, u-degree) of a subtree."""
-        nonlocal work
-        spine = []
-        while node[0] in _BINARY:
-            spine.append(node)
-            node = node[1]
-        kind = node[0]
-        if kind == "int":
-            acc = Scalar.rational(node[1])
-        elif kind == "sym":
-            acc = Scalar.u() if node[1] == "u" else sub.t_as_scalar()
-        elif kind == "neg":
-            acc = -walk(node[1])[0]
-        elif kind == "pow":
-            base = walk(node[1])[0]
-            exp = node[2]
-            if exp < 0 and base.is_zero:
-                raise ParseError("division by zero", node[3])
-            degree, bits = _size(base)
-            _check_size(abs(exp) * degree, abs(exp) * bits, node[3])
-            acc = base ** exp
-        else:
-            raise ParseError(f"unknown operator {kind!r}", node[-1])
-        degree, bits = _size(acc)
-        _check_size(degree, bits, node[-1])
-        for op, _, rhs, pos in reversed(spine):
-            b, b_degree = walk(rhs)
-            if op == "/" and b.is_zero:
-                raise ParseError("division by zero", pos)
-            cost = (degree + 1) * (b_degree + 1)
-            work += cost
-            if work > MAX_FOLD_WORK:
-                raise ParseError(f"folding work above {MAX_FOLD_WORK}", pos)
-            if budget is not None:
-                budget.charge(cost, pos)
-            acc = _BINARY[op](acc, b)
-            degree, bits = _size(acc)
-            _check_size(degree, bits, pos)
+    def __init__(self, text, sub: Substitution, budget):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.depth = 0
+        self.work = 0
+        self.sub = sub
+        self.budget = budget
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def deeper(self, pos):
+        """Open one nesting level, refusing past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+
+    def checked(self, value, pos):
+        """(value, u-degree), its size checked at pos."""
+        degree, bits = _size(value)
+        _check_size(degree, bits, pos)
+        return value, degree
+
+    def step(self, op, a, a_degree, b, b_degree, pos):
+        """a op b, its work charged before it is computed."""
+        if op == "/" and b.is_zero:
+            raise ParseError("division by zero", pos)
+        cost = (a_degree + 1) * (b_degree + 1)
+        self.work += cost
+        if self.work > MAX_FOLD_WORK:
+            raise ParseError(f"folding work above {MAX_FOLD_WORK}", pos)
+        if self.budget is not None:
+            self.budget.charge(cost, pos)
+        return self.checked(_BINARY[op](a, b), pos)
+
+    def expr(self):
+        acc, degree = self.term()
+        while self.tokens[self.i][0] in ("+", "-"):
+            op, _, pos = self.advance()
+            b, b_degree = self.term()
+            acc, degree = self.step(op, acc, degree, b, b_degree, pos)
         return acc, degree
 
-    return walk(node)[0]
+    def term(self):
+        acc, degree = self.unary()
+        while self.tokens[self.i][0] in ("*", "/"):
+            op, _, pos = self.advance()
+            b, b_degree = self.unary()
+            acc, degree = self.step(op, acc, degree, b, b_degree, pos)
+        return acc, degree
+
+    def unary(self):
+        kind, _, pos = self.tokens[self.i]
+        if kind != "-":
+            return self.power()
+        self.i += 1
+        self.deeper(pos)
+        value = -self.unary()[0]
+        self.depth -= 1
+        return self.checked(value, pos)
+
+    def power(self):
+        base, degree = self.atom()
+        kind, _, pos = self.tokens[self.i]
+        if kind != "^":
+            return base, degree
+        self.i += 1
+        sign = 1
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
+            sign = -1
+        kind, exp, at = self.advance()
+        if kind != "int":
+            raise ParseError("expected 'int'", at)
+        exp *= sign
+        if exp < 0 and base.is_zero:
+            raise ParseError("division by zero", pos)
+        bits = _size(base)[1]
+        _check_size(abs(exp) * degree, abs(exp) * bits, pos)
+        return self.checked(base ** exp, pos)
+
+    def atom(self):
+        kind, value, pos = self.advance()
+        if kind == "int":
+            return self.checked(Scalar.rational(value), pos)
+        if kind == "sym":
+            return self.checked(
+                Scalar.u() if value == "u" else self.sub.t_as_scalar(), pos)
+        if kind != "(":
+            raise ParseError("expected a number, symbol, or '('", pos)
+        self.deeper(pos)
+        inner = self.expr()
+        self.depth -= 1
+        kind, _, at = self.advance()
+        if kind != ")":
+            raise ParseError("expected ')'", at)
+        return inner
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -316,6 +285,11 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_scalar(text, sub: Substitution, budget=None) -> Scalar:
-    """Parse and fold a coefficient string in one step, charging the
+    """Fold a coefficient string to a Scalar in one pass, charging the
     folding work to budget (a FoldBudget) when one is given."""
-    return fold(parse_coeff(text), sub, budget)
+    fold = _Fold(text, sub, budget)
+    value = fold.expr()[0]
+    kind, _, pos = fold.tokens[fold.i]
+    if kind != "end":
+        raise ParseError("trailing input", pos)
+    return value

@@ -13,7 +13,7 @@ import spinharm.cli as cli
 import spinharm.clifford as clifford
 import spinharm.verify as verify
 from spinharm.cli import main
-from spinharm.coeffexpr import MAX_FILE_FOLD_WORK, MAX_TOKENS
+from spinharm.coeffexpr import MAX_FILE_FOLD_WORK, MAX_NESTING, MAX_TOKENS
 from spinharm.gstruct import InternalInvariantError
 from spinharm.homogeneous import ModelAnalysis
 
@@ -89,6 +89,44 @@ def test_report_deep_nesting_exit2(tmp_path, capsys, flat6_dict, coeff):
     err = capsys.readouterr().err
     assert err.startswith("error: slot 1") and "nesting deeper" in err
     assert "Traceback" not in err
+
+
+def test_report_nesting_at_the_limit_exit0(tmp_path, capsys, flat6_dict):
+    # the whole call path, not the parser alone, has stack for MAX_NESTING
+    coeff = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("coeff, message", [
+    # past Python's int-string limit: refused from its digit count
+    ("1" * 5000, "coefficient above 4096 bits at column 1"),
+    # coefficients take integer literals; a rational is a quotient
+    ("0.5*t", "unexpected character '.' at column 2")],
+    ids=["huge-integer", "decimal-point"])
+def test_report_bad_coefficient_literal_exit2(tmp_path, capsys, flat6_dict,
+                                              coeff, message):
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, _ = run_cli("report", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: slot 1 (1,2): {message}\n"
+    assert len(err) < 100
+
+
+def test_leading_zeros_of_a_coefficient_load(tmp_path, flat6_dict):
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "0" * 5000 + "1"}]
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(flat6_dict))
+    code, text = run_cli("dump", str(path))
+    assert code == 0
+    assert json.loads(text)["lambda"][0] == [{"i": 1, "j": 2, "coeff": "1"}]
 
 
 def test_report_irrational_roots_exit2(tmp_path, capsys, g2_toy_dict):

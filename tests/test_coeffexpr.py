@@ -7,7 +7,7 @@ import pytest
 from spinharm import coeffexpr
 from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_FOLD_WORK,
                                 MAX_NESTING, MAX_TOKENS, FoldBudget,
-                                ParseError, fold, parse_coeff, parse_scalar)
+                                ParseError, parse_scalar)
 from spinharm.homogeneous import _BUILTIN_DATA, HomogeneousModel, ModelError
 from spinharm.scalars import Scalar, Substitution
 
@@ -33,22 +33,51 @@ def test_linear_in_t():
 
 def test_truncated_input_position():
     with pytest.raises(ParseError) as err:
-        parse_coeff("1/(2*")
+        parse_scalar("1/(2*", T_ID)
     assert "column 5" in str(err.value)
 
 
 def test_unclosed_paren():
     with pytest.raises(ParseError, match="expected '\\)'"):
-        parse_coeff("(1-t")
+        parse_scalar("(1-t", T_ID)
 
 
 def test_unknown_character_position():
     with pytest.raises(ParseError) as err:
-        parse_coeff("1 + x")
+        parse_scalar("1 + x", T_ID)
     assert "column 5" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/0 +", "division by zero at column 2"),
+    ("u^200 + (", f"degree above {MAX_DEGREE} at column 2"),
+    # the tokenizer runs first: a stray character is met before any folding
+    ("t/0 x", "unexpected character 'x' at column 5")])
+def test_first_fault_met_is_reported(text, message):
+    # the string is folded as it is read, so a fault at an operator is
+    # reported before a syntax fault further right
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, T_ID)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("digits", [MAX_COEFF_BITS // 3,       # built
+                                    MAX_COEFF_BITS // 3 + 1,   # not built
+                                    5000])   # past Python's int-string limit
+def test_huge_integer_refused_at_its_column(digits):
+    with pytest.raises(ParseError) as err:
+        parse_scalar("t+" + "9" * digits, T_ID)
+    assert str(err.value) == \
+        f"coefficient above {MAX_COEFF_BITS} bits at column 3"
+
+
+def test_leading_zeros_are_not_counted():
+    assert parse_scalar("0" * 5000 + "1", T_ID) == sc(1)
+    assert parse_scalar("0" * 5000, T_ID) == sc(0)
+
+
 def test_precedence_power_over_product():
+    assert parse_scalar("1+2*3", T_ID) == sc(7)
     assert parse_scalar("2^3*2", T_ID) == sc(16)
     assert parse_scalar("2*3+4*5", T_ID) == sc(26)
 
@@ -95,12 +124,6 @@ def test_fold_spin4_coefficient():
     assert s == (sc(2) - U * U) / (sc(2) * U)
 
 
-def test_ast_shape():
-    node = parse_coeff("1+2*3")
-    assert node[0] == "+"
-    assert fold(node, T_ID) == sc(7)
-
-
 @pytest.mark.parametrize("text", ["(" * 5000 + "t" + ")" * 5000,
                                   "-" * 5000 + "t"])
 def test_deep_nesting_rejected_with_position(text):
@@ -128,11 +151,11 @@ def test_token_limit_boundary():
     assert parse_scalar("-" + " + ".join(["1"] * ones), T_ID) == sc(ones - 2)
     with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens") \
             as err:
-        parse_coeff("+".join(["1"] * (ones + 1)))
+        parse_scalar("+".join(["1"] * (ones + 1)), T_ID)
     # the first excess token, one column per token
     assert err.value.position == MAX_TOKENS + 1
     with pytest.raises(ParseError) as err:
-        parse_coeff("t  " * (MAX_TOKENS + 1))
+        parse_scalar("t  " * (MAX_TOKENS + 1), T_ID)
     assert err.value.position == 3 * MAX_TOKENS + 1
 
 
