@@ -5,17 +5,17 @@ algebras of unit spinors, intrinsic torsion, Gray-Hervella classification,
 and exact harmonicity verdicts on parametrized homogeneous models.
 """
 
-from .scalars import Scalar, Poly, Substitution, Rational
+from .scalars import Scalar, Poly, Substitution
 from .linalg import Matrix, Subspace
 from .clifford import MultiVector, SpinRep, FrameTensor
-from .gstruct import SpinorStructure, UnitSpinor
+from .gstruct import SpinorStructure
 from .homogeneous import HomogeneousModel, ModelAnalysis, load_model
 
 __all__ = [
-    "Scalar", "Poly", "Substitution", "Rational",
+    "Scalar", "Poly", "Substitution",
     "Matrix", "Subspace",
     "MultiVector", "SpinRep", "FrameTensor",
-    "SpinorStructure", "UnitSpinor",
+    "SpinorStructure",
     "HomogeneousModel", "ModelAnalysis", "load_model",
 ]
 

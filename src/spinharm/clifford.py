@@ -21,11 +21,12 @@ so the lift is a Lie algebra homomorphism so(n) -> spin(n)).
 
 Each e_I is a signed permutation of the basis spinors, so the action on one
 spinor (`act`, `act_vector`, and `lift_act` for the lift) moves the
-spinor's nonzero entries into place with their signs and builds no matrix.
-A 2-form acts on frame vectors the same way, term by term
-(`MultiVector.apply`).  The dense matrices (`endo`, `spin_lift`, `gens`,
-`j_matrix`, `to_skew_matrix`) serve the checks that compare operators, such
-as the Clifford relations, and the class component matrices.
+spinor's nonzero entries into place with their signs and builds no matrix;
+it is the one way the package acts on a spinor.  A 2-form acts on frame
+vectors the same way, term by term (`MultiVector.apply`).  The dense spinor
+matrices (`gens`, `endo`, `spin_lift`, `j_matrix`) are built only by the
+checks that compare operators, such as the Clifford relations and c_T;
+`to_skew_matrix` builds the printed class component matrices.
 
 For a frame tensor T (one 2-form per frame direction) the module builds
 c_T = 1/2 sum_i T_i . T_i and sigma_T = 1/2 sum_i T_i ^ T_i together with
@@ -39,7 +40,7 @@ normalization three times ours.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .scalars import Scalar, ZERO, ONE, _coerce
 from .linalg import Matrix, _matrix
@@ -96,10 +97,6 @@ class MultiVector:
     @classmethod
     def zero(cls, n):
         return cls(n, {})
-
-    @classmethod
-    def scalar(cls, n, c):
-        return cls(n, {(): c})
 
     @classmethod
     def vector(cls, n, coords):
@@ -270,8 +267,8 @@ class SpinRep:
     row rows[j].  The generators' permutations are read off _GEN_TABLE,
     composed once per index tuple and kept in `_perms`.  `act` applies them
     to a spinor directly; the dense generator matrices `gens` are built
-    from them, and `endo` places +-c into 8 cells per term.  `build`
-    returns one representation per n for the process.
+    from them on first use, and `endo` places +-c into 8 cells per term.
+    `build` returns one representation per n for the process.
     """
 
     def __init__(self, n):
@@ -287,7 +284,11 @@ class SpinRep:
                 rows[a - 1], signs[a - 1] = b - 1, s
                 rows[b - 1], signs[b - 1] = a - 1, -s
             self._perms[(i,)] = (tuple(rows), tuple(signs))
-        self.gens = [self._tuple_endo((i,)) for i in range(1, n + 1)]
+
+    @cached_property
+    def gens(self):
+        """The dense generator matrices e_1, ..., e_n."""
+        return [self._tuple_endo((i,)) for i in range(1, self.n + 1)]
 
     @classmethod
     @cache
@@ -443,9 +444,7 @@ def c_sigma(rep: SpinRep, t: FrameTensor) -> CSigma:
     diff = c - rep.endo(sigma)
     kappa = None
     diag = diff.data[0][0]
-    scalar_matrix = all(
-        (diff.data[i][j] == diag if i == j else diff.data[i][j].is_zero)
-        for i in range(8) for j in range(8))
+    scalar_matrix = diff == Matrix.identity(8).scale(diag)
     if scalar_matrix and not norm2.is_zero:
         kappa = -diag / norm2
     elif scalar_matrix and norm2.is_zero:

@@ -8,6 +8,7 @@ then + -):
     unary  := '-' unary | power
     power  := atom ['^' ['-'] INTEGER]
     atom   := INTEGER | 't' | 'u' | '(' expr ')'
+    INTEGER := a run of the ASCII digits 0-9 (no other Unicode digit)
 
 Expressions may mention both t and u; t is rewritten through the model's
 substitution before any arithmetic, so model files can quote coefficients
@@ -118,9 +119,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             # over MAX_COEFF_BITS // 3 significant digits is over 2^4096
             digits = text[i:j].lstrip("0")
@@ -274,6 +275,8 @@ def parse_fraction(text: str) -> Fraction:
     digit carries over 3 bits), so "1e100000000" is refused unbuilt."""
     mantissa, _, exp = text.lower().partition("e")
     try:
+        if not text.isascii():   # Fraction reads any Unicode digit
+            raise ValueError
         size = sum(c.isdigit() for c in mantissa) + abs(int(exp or 0))
         f = Fraction(text) if 3 * size <= MAX_COEFF_BITS else None
     except (ValueError, ZeroDivisionError):

@@ -20,6 +20,9 @@ the stabilizer inside SO(n).  This module computes, exactly over Q(u):
 
 All splits are orthogonal projections in exact arithmetic, so components
 recombine to the input on the nose and each component re-classifies pure.
+Each of them is read off the spinors e_I.phi, and every e_I reaches phi (or
+another single spinor) through `SpinRep.act`: a signed permutation of its
+entries, with no 8x8 matrix built.
 
 These depend on (n, phi) alone, not on a model's Wang map or on t:
 `SpinorStructure.shared` keeps one structure per (n, phi) for the process,
@@ -54,20 +57,16 @@ class SpinorParts:
         self.vector = vector
 
 
-class UnitSpinor:
-    __slots__ = ("coords", "n")
-
-    def __init__(self, coords, n):
-        coords = [c if isinstance(c, Scalar) else Scalar.rational(c)
-                  for c in coords]
-        if len(coords) != 8:
-            raise ValueError("spinor coordinates must have length 8")
-        if vec_is_zero(coords):
-            raise ValueError("zero spinor rejected")
-        if vec_dot(coords, coords) != ONE:
-            raise ValueError("unit spinor required")
-        self.coords = coords
-        self.n = n
+def unit_spinor(coords):
+    """The coordinates as Scalars, checked to be a unit spinor; a ValueError
+    names the fault."""
+    coords = [c if isinstance(c, Scalar) else Scalar.rational(c)
+              for c in coords]
+    if len(coords) != 8:
+        raise ValueError("spinor must have 8 coordinates")
+    if vec_dot(coords, coords) != ONE:
+        raise ValueError("spinor must be a unit spinor")
+    return coords
 
 
 class SpinorStructure:
@@ -76,12 +75,7 @@ class SpinorStructure:
     def __init__(self, rep: SpinRep, phi):
         self.rep = rep
         self.n = rep.n
-        if isinstance(phi, UnitSpinor):
-            if phi.n != rep.n:
-                raise ValueError("dimension mismatch")
-            self.phi = phi.coords
-        else:
-            self.phi = UnitSpinor(phi, rep.n).coords
+        self.phi = unit_spinor(phi)
 
     @staticmethod
     def shared(n, phi0) -> SpinorStructure:
@@ -89,15 +83,22 @@ class SpinorStructure:
         per (n, phi0) in a process; the result must not be mutated."""
         return _shared_structure(n, tuple(phi0))
 
+    def _basis_act(self, key, spinor):
+        """e_key.spinor for one strictly increasing index tuple."""
+        return self.rep._act(((key, ONE),), spinor)
+
+    @cached_property
+    def jphi(self):
+        """j.phi for n = 6 (None for n = 7)."""
+        return (self.rep.act(self.rep.volume_element(), self.phi)
+                if self.n == 6 else None)
+
     # -- spinor decomposition ------------------------------------------------
 
     @cached_property
     def _decomp_matrix(self):
-        cols = [self.phi]
-        if self.n == 6:
-            cols.append(self.rep.act(self.rep.volume_element(), self.phi))
-        for g in self.rep.gens:
-            cols.append(g.apply(self.phi))
+        cols = [self.phi] + ([self.jphi] if self.n == 6 else [])
+        cols += [self._basis_act((i,), self.phi) for i in range(1, self.n + 1)]
         return Matrix.from_columns(cols)
 
     @cached_property
@@ -127,7 +128,7 @@ class SpinorStructure:
 
     def action_matrix(self) -> Matrix:
         """Matrix of omega -> omega.phi from 2-form coefficients to Delta."""
-        return Matrix.from_columns([self.rep._tuple_endo(p).apply(self.phi)
+        return Matrix.from_columns([self._basis_act(p, self.phi)
                                     for p in index_pairs(self.n)])
 
     @cached_property
@@ -152,8 +153,9 @@ class SpinorStructure:
     def _almost_complex(self):
         vol = self.rep.volume_element()
         cols = []
-        for g in self.rep.gens:
-            parts = self.decompose(self.rep.act(vol, g.apply(self.phi)))
+        for i in range(1, 7):
+            x_phi = self._basis_act((i,), self.phi)
+            parts = self.decompose(self.rep.act(vol, x_phi))
             if not (parts.a.is_zero and parts.b.is_zero):
                 raise InternalInvariantError(
                     "j.X.phi has a phi or j.phi component")
@@ -178,11 +180,9 @@ class SpinorStructure:
 
     @cached_property
     def _psi_plus(self):
-        terms = {}
-        for key in combinations(range(1, self.n + 1), 3):
-            m = self.rep._tuple_endo(key)
-            terms[key] = vec_dot(m.apply(self.phi), self.phi)
-        return MultiVector(self.n, terms)
+        return MultiVector(self.n, {
+            key: vec_dot(self._basis_act(key, self.phi), self.phi)
+            for key in combinations(range(1, self.n + 1), 3)})
 
     def psi_form(self, sign=None) -> MultiVector:
         """The cubic form psi(X,Y,Z) = sign * <X.Y.Z.phi, phi> as a 3-form.
@@ -221,22 +221,13 @@ class SpinorStructure:
     def dirac(self, s: Matrix, eta=None):
         """sum_i e_i.(S(e_i).phi + eta(e_i) j.phi), the pointwise Dirac term."""
         out = zero_vec(8)
-        jphi = (self.rep.act(self.rep.volume_element(), self.phi)
-                if self.n == 6 else None)
+        jphi = self.jphi
         for i in range(self.n):
             term = self.rep.act_vector(s.column(i), self.phi)
             if eta is not None and jphi is not None and not eta[i].is_zero:
                 term = vec_add(term, vec_scale(eta[i], jphi))
-            out = vec_add(out, self.rep.gens[i].apply(term))
+            out = vec_add(out, self._basis_act((i + 1,), term))
         return out
-
-    def lee_vector(self, s: Matrix):
-        """Solve S.phi = Z.phi for skew S of u(3)-perp type (n = 6)."""
-        omega = MultiVector.from_skew_matrix(s)
-        parts = self.decompose(self.rep.act(omega, self.phi))
-        if not (parts.a.is_zero and parts.b.is_zero):
-            raise ValueError("S.phi is not of the form Z.phi")
-        return parts.vector
 
     # -- Gray-Hervella classification ------------------------------------------
 

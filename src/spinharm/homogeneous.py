@@ -46,14 +46,14 @@ import json
 import os
 from functools import cached_property
 
-from .scalars import (Scalar, Poly, ZERO, ONE, ONE_POLY, ZERO_POLY, U_POLY,
+from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
                       Substitution, rational_roots, real_root_count, poly_gcd,
                       IrrationalRoots, vanishes_at, format_scalar)
 from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
                      vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep
 from .coeffexpr import parse_fraction
-from .gstruct import SpinorStructure, InternalInvariantError
+from .gstruct import SpinorStructure, InternalInvariantError, unit_spinor
 
 
 class ModelError(ValueError):
@@ -175,12 +175,10 @@ class HomogeneousModel:
         for slot in lam:
             if slot.n != n or not (slot.is_zero or slot.is_pure_grade(2)):
                 raise ModelError("Wang-map slots must be grade-2 elements")
-        phi0 = [c if isinstance(c, Scalar) else Scalar.rational(c)
-                for c in phi0]
-        if len(phi0) != 8:
-            raise ModelError("spinor must have 8 coordinates")
-        if vec_dot(phi0, phi0) != ONE:
-            raise ModelError("spinor must be a unit spinor")
+        try:
+            phi0 = unit_spinor(phi0)
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
         self.name = name
         self.n = n
         self.substitution = substitution
@@ -213,7 +211,7 @@ class HomogeneousModel:
         from .coeffexpr import FoldBudget, ParseError
         try:
             name = data["name"]
-            n = int(data["n"])
+            n = _json_int(data, "n")
             sub = Substitution.from_label(data["substitution"])
             spinor = [_parse_fraction(k, c)
                       for k, c in enumerate(data["spinor"], 1)]
@@ -230,7 +228,7 @@ class HomogeneousModel:
             coeffs = {}
             for ent in entries:
                 try:
-                    i, j = int(ent["i"]), int(ent["j"])
+                    i, j = _json_int(ent, "i"), _json_int(ent, "j")
                     c = budget.parse(ent["coeff"], sub)
                 except ParseError as exc:
                     raise ModelError(
@@ -254,6 +252,14 @@ class HomogeneousModel:
         except json.JSONDecodeError as exc:
             raise ModelError(f"bad model file: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _json_int(record, key):
+    """record[key] if it is a JSON integer (true and false are not)."""
+    value = record[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _fraction_str(c: Scalar) -> str:
@@ -537,7 +543,7 @@ class ModelAnalysis:
         xi = self._cleared_torsion
         phi = self.structure.phi
         vol = self.rep.volume_element()
-        jphi = self.rep.act(vol, phi)
+        jphi = self.structure.jphi
 
         chi = self.structure.chi_vector(xi, s)
         residual = [-r for r in self.rep.act_vector(chi, phi)]

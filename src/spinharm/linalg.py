@@ -121,8 +121,6 @@ class Matrix:
                             out[j] = out[j] + a * b
                 data.append(out)
             return _matrix(data, n)
-        if isinstance(other, list):
-            return self.apply(other)
         c = _coerce(other)
         if c is NotImplemented:
             return NotImplemented
@@ -163,12 +161,6 @@ class Matrix:
         return all(self.data[i][j] == -self.data[j][i]
                    for i in range(self.rows) for j in range(i, self.cols))
 
-    def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(self.data[i][j] == self.data[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
-
     def rref(self):
         """Reduced row-echelon form with exact pivots; returns (R, pivots)."""
         m = [row[:] for row in self.data]
@@ -196,9 +188,6 @@ class Matrix:
                 break
         return Matrix(m), pivots
 
-    def rank(self):
-        return len(self.rref()[1])
-
     def kernel(self):
         """Null space {x : Ax = 0} as a Subspace of dimension cols - rank."""
         R, pivots = self.rref()
@@ -210,7 +199,7 @@ class Matrix:
             for r, pc in enumerate(pivots):
                 v[pc] = -R.data[r][fc]
             basis.append(v)
-        return Subspace.from_vectors(self.cols, basis)
+        return Subspace(self.cols, basis)
 
     def left_inverse(self):
         """(A^T A)^-1 A^T for A of full column rank, from one RREF of
@@ -246,21 +235,18 @@ def _matrix(data, cols):
 
 
 class Subspace:
-    """Linear subspace given by an RREF basis (canonical representative)."""
+    """Span of the given vectors, kept as an RREF basis (canonical
+    representative, so == decides equality of subspaces)."""
 
     __slots__ = ("ambient_dim", "basis", "_projector")
 
-    def __init__(self, ambient_dim, basis_rows):
+    def __init__(self, ambient_dim, vectors):
         self.ambient_dim = ambient_dim
         self._projector = None
         self.basis = []
-        if basis_rows:
-            R, pivots = Matrix(basis_rows).rref()
+        if vectors:
+            R, pivots = Matrix(vectors).rref()
             self.basis = [R.data[k] for k in range(len(pivots))]
-
-    @classmethod
-    def from_vectors(cls, ambient_dim, vectors):
-        return cls(ambient_dim, [v[:] for v in vectors])
 
     @property
     def dim(self):
@@ -271,18 +257,10 @@ class Subspace:
                 and self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
 
-    def contains(self, v):
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return vec_is_zero(vec_sub(v, self.project(v)))
-
     def orthogonal_complement(self):
         """Complement for the coordinate dot product; dims add to ambient."""
-        if not self.basis:
-            full = [basis_vec(self.ambient_dim, k)
-                    for k in range(self.ambient_dim)]
-            return Subspace.from_vectors(self.ambient_dim, full)
-        return Matrix(self.basis).kernel()
+        # the kernel of one zero row is the whole space
+        return Matrix(self.basis or [zero_vec(self.ambient_dim)]).kernel()
 
     def project(self, v):
         """Orthogonal projection onto the subspace (exact)."""
@@ -302,9 +280,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in R^{self.ambient_dim})"
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("dimension mismatch")
-    return a == b

@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class ScalarDomainError(ArithmeticError):
     """Base for exact-arithmetic domain errors."""
@@ -83,10 +81,6 @@ class Poly:
             ints.pop()
         self.ints = tuple(ints)
         self.dd = dd
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
 
     @property
     def coeffs(self):
@@ -261,13 +255,7 @@ class Poly:
 
     def int_coeffs(self):
         """Scaled copy with coprime integer coefficients, positive leading."""
-        a = self.ints
-        if not a:
-            return []
-        g = math.gcd(*a)
-        if a[-1] < 0:
-            g = -g
-        return [c // g for c in a]
+        return _int_primitive(self.ints)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -331,11 +319,11 @@ def _int_content_div(a):
 
 
 def _int_primitive(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
+    """The integer coefficients a over their content, leading coefficient
+    positive ([] for the zero polynomial)."""
+    g = math.gcd(*a)
     if not g:
-        return a
+        return []
     if a[-1] < 0:
         g = -g
     return [c // g for c in a]
@@ -363,9 +351,9 @@ class Scalar:
 
     def __init__(self, num, den=ONE_POLY):
         if not isinstance(num, Poly):
-            num = Poly.const(num)
+            num = Poly((num,))
         if not isinstance(den, Poly):
-            den = Poly.const(den)
+            den = Poly((den,))
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:

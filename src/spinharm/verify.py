@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, zero_at
-from .linalg import Matrix, Subspace, subspace_equal, vec_is_zero
+from .linalg import Matrix, Subspace, vec_is_zero
 from .clifford import (MultiVector, SpinRep, FrameTensor, bracket, c_sigma,
                        index_pairs)
 from .gstruct import SpinorStructure
@@ -86,7 +86,7 @@ def _forms_subspace(generators, n):
     rows = []
     for g in generators:
         rows.append([Scalar.rational(g.get(p, 0)) for p in pairs])
-    return Subspace.from_vectors(len(pairs), rows)
+    return Subspace(len(pairs), rows)
 
 
 def _rand_fraction(rng, span=2):
@@ -171,12 +171,12 @@ def check_stabilizer_algebras():
         ann = st.annihilator()
         if ann.dim != dim:
             fails.append(f"n={n}: annihilator dim {ann.dim} != {dim}")
-        if not subspace_equal(ann, _forms_subspace(gen_list, n)):
+        if ann != _forms_subspace(gen_list, n):
             fails.append(f"n={n}: annihilator != published generator list")
         comp = st.complement_m()
         if comp.dim != 7:
             fails.append(f"n={n}: complement dim {comp.dim} != 7")
-        if not subspace_equal(comp, _forms_subspace(comp_list, n)):
+        if comp != _forms_subspace(comp_list, n):
             fails.append(f"n={n}: complement != published list")
     return [CheckResult("stabilizer-algebras", not fails,
                         "; ".join(fails) or

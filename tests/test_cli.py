@@ -106,8 +106,12 @@ def test_report_nesting_at_the_limit_exit0(tmp_path, capsys, flat6_dict):
     # past Python's int-string limit: refused from its digit count
     ("1" * 5000, "coefficient above 4096 bits at column 1"),
     # coefficients take integer literals; a rational is a quotient
-    ("0.5*t", "unexpected character '.' at column 2")],
-    ids=["huge-integer", "decimal-point"])
+    ("0.5*t", "unexpected character '.' at column 2"),
+    # a digit is one of the ASCII digits 0-9: no other Unicode digit
+    ("t\u00b2", "unexpected character '\u00b2' at column 2"),
+    ("\u0663*t", "unexpected character '\u0663' at column 1")],
+    ids=["huge-integer", "decimal-point", "superscript-two",
+         "arabic-indic-three"])
 def test_report_bad_coefficient_literal_exit2(tmp_path, capsys, flat6_dict,
                                               coeff, message):
     flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": coeff}]
@@ -177,6 +181,15 @@ def test_oversized_rational_argument_exit2_at_once(capsys, argv, option):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {option}: rational above 4096 bits" in err
+
+
+def test_non_ascii_rational_argument_exit2(capsys):
+    # Fraction reads the Arabic-Indic three as 3: this printed "at t = 3"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("report", "cp3", "--at", "\u0663")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --at: not a rational: '\u0663'" in err
 
 
 def test_rational_argument_within_the_bit_limit_is_read_exactly():
@@ -300,7 +313,9 @@ def test_report_long_operator_chain(tmp_path, capsys, flat6_dict):
 @pytest.mark.parametrize("field,value", [
     ("lambda", None), ("lambda", 5), ("lambda", [3] * 6),
     ("spinor", ["0"] * 4 + ["1/0"] + ["0"] * 3),
-    ("spinor", ["0"] * 4 + ["x"] + ["0"] * 3)])
+    ("spinor", ["0"] * 4 + ["x"] + ["0"] * 3),
+    # an Arabic-Indic one, which Fraction would read as 1
+    ("spinor", ["0"] * 4 + ["\u0661"] + ["0"] * 3)])
 def test_report_mistyped_field_exit2(tmp_path, capsys, flat6_dict, field,
                                      value):
     # found by tests/test_fuzz_model_file.py: these exited 3
@@ -385,6 +400,14 @@ def test_unexpected_exception_exit3(monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from spinharm import *", namespace)
+    assert spinharm.__all__
+    for name in spinharm.__all__:
+        assert namespace[name] is getattr(spinharm, name)
 
 
 def test_report_does_not_import_numpy():

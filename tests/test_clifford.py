@@ -120,7 +120,7 @@ def test_annihilator_element_kills_s5():
 
 def test_grade_zero_scales():
     rep = SpinRep.build(6)
-    three = MultiVector.scalar(6, sc(3))
+    three = MultiVector(6, {(): sc(3)})
     psi = [sc(k) for k in range(8)]
     assert rep.act(three, psi) == [sc(3) * c for c in psi]
 

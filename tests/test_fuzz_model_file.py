@@ -14,6 +14,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spinharm.cli import main
@@ -157,3 +158,26 @@ def test_fuzzed_model_file_exits_0_or_2(record, command, raw):
     assert "Traceback" not in err
     assert code == 0 or err, "exit 2 without a message"
     assert elapsed < SECONDS_PER_EXAMPLE
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 6.5), ("n", "6"), ("i", 1.5), ("i", True), ("j", "5")])
+def test_non_integer_index_field_exit2(field, value):
+    # int() used to truncate or convert these: 6.5 loaded as 6, "6" as 6,
+    # 1.5 as 1, true as 1 and "5" as 5
+    record = {"name": "typed", "n": 6, "substitution": "t=u",
+              "spinor": _S5, "lambda": [[] for _ in range(6)], "notes": ""}
+    entry = {"i": 1, "j": 5, "coeff": "t"}
+    if field == "n":
+        record["n"] = value
+        message = f"error: bad model record: n must be an integer, " \
+            f"got {value!r}\n"
+    else:
+        entry[field] = value
+        message = f"error: slot 1: bad entry {entry!r}\n"
+    record["lambda"][0].append(entry)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        for command in ("report", "dump"):
+            assert _run([command, str(path)]) == (2, message)

@@ -12,12 +12,13 @@ nonzero entries per column.
 import io
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinharm import clifford, cli, coeffexpr
+from spinharm import clifford, cli, coeffexpr, gstruct
 from spinharm.clifford import MultiVector, SpinRep
 from spinharm.gstruct import InternalInvariantError, SpinorStructure
 from spinharm.homogeneous import (BUILTIN_MODELS, _BUILTIN_DATA,
@@ -167,7 +168,7 @@ def test_non_unit_phi_breaks_the_frame_check():
 
 def test_broken_generator_breaks_the_frame_check():
     rep = SpinRep(7)             # not the shared representation
-    rep.gens[0] = rep.gens[1]
+    rep._perms[(1,)] = rep._perms[(2,)]
     structure = SpinorStructure(rep, _SPINORS[3])
     with pytest.raises(InternalInvariantError, match="orthonormal"):
         structure.decompose(_SPINORS[2])
@@ -181,7 +182,32 @@ def test_m_part_outside_the_image_raises():
 
 
 # ---------------------------------------------------------------------------
-# no dense path on a warm report
+# no dense path on a report
+
+
+def test_cold_reports_build_no_dense_clifford_operator(monkeypatch):
+    # fresh caches, so the reports build both representations and both
+    # shared structures: the stabilizer, m, J, psi and the frame
+    monkeypatch.setattr(SpinRep, "build",
+                        classmethod(cache(SpinRep.build.__wrapped__)))
+    monkeypatch.setattr(gstruct, "_shared_structure",
+                        cache(gstruct._shared_structure.__wrapped__))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("_tuple_endo", "endo"):
+        monkeypatch.setattr(SpinRep, attr,
+                            counted(attr, getattr(SpinRep, attr)))
+    for name in ("cp3", "spin4", "aw11"):
+        assert cli.main(["report", name, "--format", "structured"],
+                        out=io.StringIO()) == 0
+    assert gstruct._shared_structure.cache_info().misses == 2
+    assert calls == Counter()
 
 
 def test_warm_reports_build_no_dense_operator_and_solve_nothing(monkeypatch):
