@@ -23,10 +23,16 @@ Each e_I is a signed permutation of the basis spinors, so the action on one
 spinor (`act`, `act_vector`, and `lift_act` for the lift) moves the
 spinor's nonzero entries into place with their signs and builds no matrix;
 it is the one way the package acts on a spinor.  A 2-form acts on frame
-vectors the same way, term by term (`MultiVector.apply`).  The dense spinor
-matrices (`gens`, `endo`, `spin_lift`, `j_matrix`) are built only by the
-checks that compare operators, such as the Clifford relations and c_T;
-`to_skew_matrix` builds the printed class component matrices.
+vectors the same way, term by term (`MultiVector.apply`).  The checks that
+compare operators (the Clifford relations, the volume element, the
+commutator identities, c_T) keep them as SpinOps, sums c_W e_W over words
+W: a product concatenates words, and equality collects the terms by their
+signed permutation, so an identity's words cancel with no matrix built.
+A dense spinor matrix (`gens`, `endo`, `spin_lift`, `j_matrix`) is a
+SpinOp's `dense()`, built only where a matrix is returned: the pinned
+generator entries, c_T itself, and the W3-energy check, which applies
+each torsion slot twice.  `to_skew_matrix` builds the printed class
+component matrices.
 
 For a frame tensor T (one 2-form per frame direction) the module builds
 c_T = 1/2 sum_i T_i . T_i and sigma_T = 1/2 sum_i T_i ^ T_i together with
@@ -165,8 +171,7 @@ class MultiVector:
                 prev = out.get(merged, ZERO)
                 val = prev + c1 * c2 if sign > 0 else prev - c1 * c2
                 out[merged] = val
-        return MultiVector(self.n, {k: v for k, v in out.items()
-                                    if not v.is_zero})
+        return _multivector(self.n, {k: v for k, v in out.items() if v})
 
     def interior(self, other):
         """Left contraction X -| m for a grade-1 self."""
@@ -185,8 +190,7 @@ class MultiVector:
                     val = -val
                 s = out.get(rest, ZERO) + val
                 out[rest] = s
-        return MultiVector(other.n, {k: v for k, v in out.items()
-                                     if not v.is_zero})
+        return _multivector(other.n, {k: v for k, v in out.items() if v})
 
     def vector_coords(self):
         if not self.is_pure_grade(1):
@@ -259,16 +263,24 @@ def _multivector(n, terms):
     return m
 
 
+# words up to this length keep their signed permutation (and its normalized
+# form) once composed; longer ones are composed on each use.  The operator
+# products of the checks reach length 4, so the caches stay bounded per n,
+# and equal values are stored once (a valid table gives 2^(n+1) of them).
+_CACHED_WORD = 4
+
+
 class SpinRep:
     """The real spin representation for n = 6 or 7.
 
-    Every product e_I of generators is a signed permutation of the basis
-    spinors: column j of e_I has its one nonzero entry, signs[j] = +-1, in
-    row rows[j].  The generators' permutations are read off _GEN_TABLE,
-    composed once per index tuple and kept in `_perms`.  `act` applies them
-    to a spinor directly; the dense generator matrices `gens` are built
-    from them on first use, and `endo` places +-c into 8 cells per term.
-    `build` returns one representation per n for the process.
+    Every product e_W of generators over a word W (an ordered index tuple)
+    is a signed permutation of the basis spinors: column j of e_W has its
+    one nonzero entry, signs[j] = +-1, in row rows[j].  The generators'
+    permutations are read off _GEN_TABLE and composed letter by letter in
+    `_signed_perm`.  `act` applies them to a spinor directly; `op` turns a
+    multivector into a SpinOp, and every dense matrix (`gens`, `endo`,
+    `spin_lift`, `j_matrix`) is a SpinOp's `dense()`.  `build` returns one
+    representation per n for the process.
     """
 
     def __init__(self, n):
@@ -276,6 +288,8 @@ class SpinRep:
             raise ValueError("unsupported dimension (need 6 or 7)")
         self.n = n
         self._perms = {(): (tuple(range(8)), (1,) * 8)}
+        self._normals = {}
+        self._shared = {}
         for i in range(1, n + 1):
             rows, signs = [0] * 8, [0] * 8
             for (a, b, s) in _GEN_TABLE[i]:
@@ -304,28 +318,42 @@ class SpinRep:
             # (A B) e_j = signs_b[j] A e_{rows_b[j]}
             perm = (tuple(rows_a[r] for r in rows_b),
                     tuple(s * signs_a[r] for r, s in zip(rows_b, signs_b)))
-            self._perms[key] = perm
+            perm = self._keep(self._perms, key, perm)
         return perm
+
+    def _normal(self, word):
+        """(perm, sign) with e_word = sign * perm, where the signed
+        permutation perm = (rows, signs) has signs[0] = +1."""
+        got = self._normals.get(word)
+        if got is None:
+            perm = self._signed_perm(word)
+            rows, signs = perm
+            sign = signs[0]
+            if sign < 0:
+                perm = (rows, tuple(-s for s in signs))
+            got = self._keep(self._normals, word, (perm, sign))
+        return got
+
+    def _keep(self, cache, word, value):
+        """value, cached for a short word as the one shared copy."""
+        if len(word) > _CACHED_WORD:
+            return value
+        value = cache[word] = self._shared.setdefault(value, value)
+        return value
+
+    def op(self, m: MultiVector) -> SpinOp:
+        """The spinor operator of a multivector (ordered products), unbuilt."""
+        if m.n != self.n:
+            raise ValueError("dimension mismatch")
+        return SpinOp(self, tuple(m.terms.items()))
 
     def _tuple_endo(self, key):
         """Dense matrix of the ordered product e_{key[0]}...e_{key[-1]}."""
-        rows, signs = self._signed_perm(key)
-        data = [[ZERO] * 8 for _ in range(8)]
-        for j, (r, s) in enumerate(zip(rows, signs)):
-            data[r][j] = ONE if s > 0 else -ONE
-        return Matrix(data)
+        return SpinOp(self, ((key, ONE),)).dense()
 
     def endo(self, m: MultiVector) -> Matrix:
         """Spinor endomorphism of a multivector (ordered products)."""
-        if m.n != self.n:
-            raise ValueError("dimension mismatch")
-        data = [[ZERO] * 8 for _ in range(8)]
-        for key, c in m.terms.items():
-            rows, signs = self._signed_perm(key)
-            neg = -c
-            for j, (r, s) in enumerate(zip(rows, signs)):
-                data[r][j] = data[r][j] + (c if s > 0 else neg)
-        return _matrix(data, 8)
+        return self.op(m).dense()
 
     def act(self, m: MultiVector, spinor):
         """The spinor m.spinor, with no matrix built."""
@@ -379,7 +407,76 @@ class SpinRep:
                 raise ValueError("grade-2 element required")
         else:
             omega = MultiVector.from_skew_matrix(a)
-        return self.endo(omega).scale(Scalar.rational(LIFT_FACTOR))
+        return self.op(omega).scale(Scalar.rational(LIFT_FACTOR)).dense()
+
+
+class SpinOp:
+    """The spinor operator sum_W c_W e_W over words W of one SpinRep.
+
+    Terms are (word, Scalar) pairs, kept as they come: a sum joins the two
+    term lists, and a product concatenates words, one Scalar product per
+    pair of terms.  Terms are collected only by `dense()` and `==`, by the
+    normalized signed permutation of their word, so the words of a
+    commutator cancel before any matrix cell is touched.
+    """
+
+    __slots__ = ("rep", "terms")
+
+    def __init__(self, rep, terms):
+        self.rep = rep
+        self.terms = terms
+
+    def _check(self, other):
+        if not isinstance(other, SpinOp) or other.rep is not self.rep:
+            raise ValueError("mismatched spin representations")
+
+    def __add__(self, other):
+        self._check(other)
+        return SpinOp(self.rep, self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = c if isinstance(c, Scalar) else _coerce(c)
+        return SpinOp(self.rep, tuple((w, c * v) for w, v in self.terms))
+
+    def __mul__(self, other):
+        self._check(other)
+        return SpinOp(self.rep, tuple((w1 + w2, c1 * c2)
+                                      for w1, c1 in self.terms
+                                      for w2, c2 in other.terms))
+
+    def _collected(self):
+        """{normalized signed permutation: coefficient}, zeros dropped."""
+        out = {}
+        normal = self.rep._normal
+        for word, c in self.terms:
+            perm, sign = normal(word)
+            prev = out.get(perm, ZERO)
+            out[perm] = prev + c if sign > 0 else prev - c
+        return {perm: c for perm, c in out.items() if c}
+
+    def dense(self) -> Matrix:
+        return _dense(self._collected())
+
+    def __eq__(self, other):
+        if not isinstance(other, SpinOp):
+            return NotImplemented
+        rest = (self - other)._collected()
+        # distinct signed permutations can still be linearly dependent (as
+        # under a broken generator table), so what survives is expanded
+        return not rest or _dense(rest).is_zero
+
+
+def _dense(collected):
+    """The 8x8 matrix of sum c perm over a {signed permutation: c} map."""
+    data = [[ZERO] * 8 for _ in range(8)]
+    for (rows, signs), c in collected.items():
+        neg = -c
+        for j, (r, s) in enumerate(zip(rows, signs)):
+            data[r][j] = data[r][j] + (c if s > 0 else neg)
+    return _matrix(data, 8)
 
 
 def bracket(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -393,7 +490,7 @@ def bracket(a: MultiVector, b: MultiVector) -> MultiVector:
         raise ValueError("dimension mismatch")
     out = MultiVector.zero(a.n)
     for i in range(1, a.n + 1):
-        ei = MultiVector(a.n, {(i,): ONE})
+        ei = _multivector(a.n, {(i,): ONE})
         out = out + ei.interior(a).wedge(ei.interior(b))
     return out
 
@@ -433,14 +530,15 @@ def c_sigma(rep: SpinRep, t: FrameTensor) -> CSigma:
     if t.n != rep.n:
         raise ValueError("dimension mismatch")
     half = Scalar.rational(1, 2)
-    c = Matrix.zeros(8, 8)
+    squares = SpinOp(rep, ())
     sigma = MultiVector.zero(t.n)
     norm2 = ZERO
     for slot in t.slots:
-        e = rep.endo(slot)
-        c = c + (e * e).scale(half)
+        e = rep.op(slot)
+        squares = squares + e * e
         sigma = sigma + slot.wedge(slot).scale(half)
         norm2 = norm2 + slot.norm2()
+    c = squares.dense().scale(half)
     diff = c - rep.endo(sigma)
     kappa = None
     diag = diff.data[0][0]

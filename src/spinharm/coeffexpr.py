@@ -28,6 +28,7 @@ column.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .scalars import Scalar, Substitution
@@ -268,14 +269,21 @@ class _Fold:
         return inner
 
 
+# a sign, then digits/digits or a decimal with an optional exponent, in
+# ASCII digits: Fraction alone would also read any Unicode digit, '_'
+# digit grouping and surrounding whitespace
+_RATIONAL = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """A rational literal in Fraction's syntax ("3/4", "-0.25", "1e-3");
+    """A rational literal ("3/4", "-0.25", "1e-3", see _RATIONAL);
     ValueError unless it is one with numerator and denominator within
     MAX_COEFF_BITS.  Its digits and exponent are counted first (a decimal
     digit carries over 3 bits), so "1e100000000" is refused unbuilt."""
     mantissa, _, exp = text.lower().partition("e")
     try:
-        if not text.isascii():   # Fraction reads any Unicode digit
+        if not _RATIONAL.fullmatch(text):
             raise ValueError
         size = sum(c.isdigit() for c in mantissa) + abs(int(exp or 0))
         f = Fraction(text) if 3 * size <= MAX_COEFF_BITS else None

@@ -210,7 +210,8 @@ class HomogeneousModel:
     def from_dict(cls, data):
         from .coeffexpr import FoldBudget, ParseError
         try:
-            name = data["name"]
+            name = _json_str(data, "name")
+            notes = _json_str(data, "notes") if "notes" in data else ""
             n = _json_int(data, "n")
             sub = Substitution.from_label(data["substitution"])
             spinor = [_parse_fraction(k, c)
@@ -243,7 +244,7 @@ class HomogeneousModel:
                 lam.append(MultiVector.two_form(n, coeffs))
             except ValueError as exc:
                 raise ModelError(f"slot {k + 1}: {exc}") from exc
-        return cls(name, n, sub, lam, spinor, data.get("notes", ""))
+        return cls(name, n, sub, lam, spinor, notes)
 
     @classmethod
     def loads(cls, text):
@@ -259,6 +260,14 @@ def _json_int(record, key):
     value = record[key]
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_str(record, key):
+    """record[key] if it is a JSON string."""
+    value = record[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 

@@ -117,11 +117,13 @@ def check_clifford_relations():
     fails = []
     for n in (6, 7):
         rep = SpinRep.build(n)
-        minus2 = Matrix.identity(8).scale(Scalar.rational(-2))
+        gens = [rep.op(MultiVector(n, {(i,): ONE})) for i in range(1, n + 1)]
+        minus2 = rep.op(MultiVector(n, {(): -2}))
+        zero = rep.op(MultiVector.zero(n))
         for i in range(n):
             for j in range(n):
-                anti = rep.gens[i] * rep.gens[j] + rep.gens[j] * rep.gens[i]
-                want = minus2 if i == j else Matrix.zeros(8, 8)
+                anti = gens[i] * gens[j] + gens[j] * gens[i]
+                want = minus2 if i == j else zero
                 if anti != want:
                     fails.append(f"n={n} pair ({i + 1},{j + 1})")
     for (n, idx), pins in GEN_ENTRY_PINS.items():
@@ -145,15 +147,18 @@ def check_clifford_relations():
 
 def check_volume_element():
     rep = SpinRep.build(6)
-    jm = rep.j_matrix()
+    vol = rep.volume_element()
+    jm = rep.op(vol)
+    zero = rep.op(MultiVector.zero(6))
     fails = []
-    if jm.apply(S5) != S6:
+    if rep.act(vol, S5) != S6:
         fails.append("j.s5 != s6")
-    if not (jm * jm + Matrix.identity(8)).is_zero:
+    if jm * jm != rep.op(MultiVector(6, {(): -1})):
         fails.append("j^2 != -Id")
-    for i in range(6):
-        if not (jm * rep.gens[i] + rep.gens[i] * jm).is_zero:
-            fails.append(f"j does not anticommute with e{i + 1}")
+    for i in range(1, 7):
+        ei = rep.op(MultiVector(6, {(i,): ONE}))
+        if jm * ei + ei * jm != zero:
+            fails.append(f"j does not anticommute with e{i}")
     return [CheckResult("volume-element", not fails,
                         "; ".join(fails) or
                         "j.s5 = s6, j^2 = -Id, j anticommutes with e1..e6")]
@@ -346,8 +351,9 @@ def _property_clifford_mult(rng, trials):
         rep = SpinRep.build(n)
         x = MultiVector.vector(n, _rand_vector(rng, n))
         omega = _rand_two_form(rng, n)
-        lhs = rep.endo(x) * rep.endo(omega) - rep.endo(omega) * rep.endo(x)
-        rhs = rep.endo(x.interior(omega)).scale(Scalar.rational(-2))
+        xo, oo = rep.op(x), rep.op(omega)
+        lhs = xo * oo - oo * xo
+        rhs = rep.op(x.interior(omega)).scale(Scalar.rational(-2))
         if lhs != rhs:
             return f"X.w - w.X != -2(X -| w) at trial {k}"
     return None
@@ -359,8 +365,9 @@ def _property_bracket(rng, trials):
         rep = SpinRep.build(n)
         a = _rand_two_form(rng, n)
         b = _rand_two_form(rng, n)
-        lhs = rep.endo(a) * rep.endo(b) - rep.endo(b) * rep.endo(a)
-        rhs = rep.endo(bracket(a, b)).scale(Scalar.rational(2))
+        ao, bo = rep.op(a), rep.op(b)
+        lhs = ao * bo - bo * ao
+        rhs = rep.op(bracket(a, b)).scale(Scalar.rational(2))
         if lhs != rhs:
             return f"w.t - t.w != 2[w,t] at trial {k}"
     return None

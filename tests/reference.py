@@ -8,12 +8,14 @@ functions use only the structure's J, stabilizer, Kahler coordinates and W4
 solve, never its classifier.
 
 `matrix_product` is the column-by-column product that the row-sparse
-`Matrix.__mul__` is compared against.
+`Matrix.__mul__` is compared against.  `dense_endo` is the entrywise spinor
+matrix of a multivector that `SpinRep.op(m).dense()` is compared against;
+with `matrix_product` it gives the dense products and sums of operators.
 """
 
 from spinharm.clifford import MultiVector
 from spinharm.linalg import Matrix, vec_dot, vec_scale, vec_sub
-from spinharm.scalars import Scalar
+from spinharm.scalars import ZERO, Scalar
 
 
 def classify_su3(structure, s, eta):
@@ -63,3 +65,14 @@ def matrix_product(a, b):
     """a b built column by column: column j is a.apply(column j of b)."""
     cols = [a.apply(b.column(j)) for j in range(b.cols)]
     return Matrix([[col[i] for col in cols] for i in range(a.rows)])
+
+
+def dense_endo(rep, m):
+    """The spinor matrix of m, term by term: each term adds +-c to the 8
+    cells of its key's signed permutation."""
+    data = [[ZERO] * 8 for _ in range(8)]
+    for key, c in m.terms.items():
+        rows, signs = rep._signed_perm(key)
+        for j, (r, s) in enumerate(zip(rows, signs)):
+            data[r][j] = data[r][j] + (c if s > 0 else -c)
+    return Matrix(data)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +191,29 @@ def test_non_ascii_rational_argument_exit2(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --at: not a rational: '\u0663'" in err
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "1e1_0", "3/-4"])
+def test_rational_argument_outside_the_literal_grammar_exit2(capsys, text):
+    # Fraction reads '_' digit grouping and surrounding whitespace: "1_0"
+    # printed "at t = 10"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("report", "cp3", "--at", text)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --at: not a rational: {text!r}\n")
+
+
+def test_spinor_entry_with_whitespace_exit2(tmp_path, capsys, flat6_dict):
+    # this loaded as 1 and reported with exit 0
+    flat6_dict["spinor"][4] = " 1 "
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(flat6_dict))
+    for command in ("report", "dump"):
+        code, text = run_cli(command, str(path))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: bad model record: spinor entry 5: not a rational: ' 1 '\n"
 
 
 def test_rational_argument_within_the_bit_limit_is_read_exactly():
@@ -517,6 +541,19 @@ def test_verify_reports_known_failures():
                if line.startswith("[FAIL]")}
     assert failing == {"spin4-eta-exact", "spin4-root-set",
                        "spin4-class-flags"}
+
+
+def test_verify_output_bytes_at_twenty_trials():
+    # recorded from `spinharm verify --trials 20` before the operator checks
+    # moved from dense matrices to SpinOp
+    want = (Path(__file__).parent / "data" / "verify-trials20.txt").read_text(
+        encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(spinharm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "spinharm.cli", "verify", "--trials", "20"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (1, want, "")
 
 
 @pytest.mark.parametrize("trials", ["-5", "0"])

@@ -181,3 +181,21 @@ def test_non_integer_index_field_exit2(field, value):
         path.write_text(json.dumps(record), encoding="utf-8")
         for command in ("report", "dump"):
             assert _run([command, str(path)]) == (2, message)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", []), ("name", None), ("name", 7), ("notes", 3),
+    ("notes", None), ("notes", ["a"])])
+def test_non_string_name_or_notes_exit2(field, value):
+    # these loaded: "name": [] reported as "model []", and dump wrote
+    # "notes": 3 back as a number
+    record = {"name": "typed", "n": 6, "substitution": "t=u",
+              "spinor": _S5, "lambda": [[] for _ in range(6)], "notes": ""}
+    record[field] = value
+    message = f"error: bad model record: {field} must be a string, " \
+        f"got {value!r}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        for command in ("report", "dump"):
+            assert _run([command, str(path)]) == (2, message)
