@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from functools import cached_property
 
 from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
@@ -252,7 +253,36 @@ class HomogeneousModel:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"bad model file: {exc}") from exc
+        except RecursionError:
+            where = _deep_bracket(text)
+            if where is None:
+                raise
+            raise ModelError(
+                f"bad model file: JSON nested deeper than {MAX_JSON_DEPTH} "
+                f"at line {where[0]} column {where[1]}") from None
         return cls.from_dict(data)
+
+
+MAX_JSON_DEPTH = 32   # a model file needs 4
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+
+
+def _deep_bracket(text):
+    """(line, column) of the first bracket nested deeper than
+    MAX_JSON_DEPTH, skipping strings, or None.  Only a file that the JSON
+    decoder refused for its depth is scanned."""
+    depth = 0
+    for m in _JSON_TOKEN.finditer(text):
+        token = m.group()
+        if token in "[{":
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                pos = m.start()
+                return (text.count("\n", 0, pos) + 1,
+                        pos - text.rfind("\n", 0, pos))
+        elif token in "]}":
+            depth -= 1
+    return None
 
 
 def _json_int(record, key):
@@ -371,8 +401,13 @@ def load_model(name_or_path) -> HomogeneousModel:
     if key in _BUILTIN_DATA:
         return HomogeneousModel.from_dict(_BUILTIN_DATA[key])
     if os.path.exists(key):
-        with open(key, "r", encoding="utf-8") as fh:
-            return HomogeneousModel.loads(fh.read())
+        try:
+            with open(key, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ModelError(
+                f"cannot read model file {key!r}: {exc.strerror}") from None
+        return HomogeneousModel.loads(text)
     raise ModelError(f"unknown model {key!r} (no such built-in or file)")
 
 

@@ -29,6 +29,7 @@ from .clifford import _GEN_TABLE, index_pairs
 from .scalars import vanishes_at
 
 _NULL_TOL = 1e-9
+MAX_STEPS = 100_000   # scan grid intervals, refused before any is built
 
 
 def _nullspace(a):
@@ -231,6 +232,8 @@ def scan(model, t_min: Fraction, t_max: Fraction, steps: int):
     """(t, residual-norm) rows over an inclusive grid with `steps` intervals."""
     if steps < 1:
         raise ValueError("steps must be positive")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most {MAX_STEPS}")
     t_min, t_max = Fraction(t_min), Fraction(t_max)
     if t_min <= 0 or t_max <= t_min:
         raise ValueError("need 0 < t_min < t_max")

@@ -23,6 +23,11 @@ constant) are built raw by `_scalar`; only the other cases run the
 reducing constructor.  Two rational constants (as in the Clifford
 matrices) combine on their ints n/dd, as fmpq does, with one gcd per
 result and no Poly arithmetic; a sum that cancels is the shared ZERO.
+Small reduced constants are shared, as CPython shares small ints: n/d
+with |n| < 64 and d <= 64 is one object (`_SMALL`), found by the pair as
+passed before any gcd, so `Scalar.rational(1) is ONE`.  This is safe
+because `Scalar` and `Poly` have no code path that assigns `num`, `den`,
+`ints` or `dd` after construction.
 A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
@@ -379,6 +384,8 @@ class Scalar:
     def rational(cls, p, q=1):
         if type(p) is int and type(q) is int and q > 0:
             return _rational(p, q)
+        if type(p) is Fraction and q == 1:
+            return _rational(p.numerator, p.denominator)
         f = Fraction(p, q)
         return _rational(f.numerator, f.denominator)
 
@@ -423,6 +430,9 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        a = self.num.ints
+        if self.den is ONE_POLY and len(a) <= 1:
+            return _rational(-a[0], self.num.dd) if a else ZERO
         return _scalar(-self.num, self.den)
 
     def __sub__(self, other):
@@ -435,6 +445,10 @@ class Scalar:
             if len(a.ints) == 1 and len(b.ints) == 1:
                 return _rational(a.ints[0] * b.dd - b.ints[0] * a.dd,
                                  a.dd * b.dd)
+            if not b.ints:
+                return self
+            if not a.ints:
+                return -other
             return _scalar(a - b, ONE_POLY)
         return _add(self, _scalar(-other.num, other.den))
 
@@ -475,8 +489,12 @@ class Scalar:
         if other.den is ONE_POLY and len(b) == 1:
             # division by the rational constant b0/dd scales the numerator
             n, d = other.num.dd, b[0]
-            return _scalar(self.num._scale(n if d > 0 else -n, abs(d)),
-                           self.den)
+            if d < 0:
+                n, d = -n, -d
+            a = self.num.ints
+            if self.den is ONE_POLY and len(a) <= 1:
+                return _rational(a[0] * n, self.num.dd * d) if a else ZERO
+            return _scalar(self.num._scale(n, d), self.den)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -535,12 +553,27 @@ def _add(x, y):
     return Scalar(a * dy + b * dx, dx * dy)
 
 
+# the shared small constants: (n, d) as passed and as reduced -> Scalar,
+# for -SMALL_BOUND < n < SMALL_BOUND and 0 < d <= SMALL_BOUND (8,128 keys)
+SMALL_BOUND = 64
+_SMALL = {}
+
+
 def _rational(n, d):
-    """The rational constant n/d for ints n and d > 0, reduced by one gcd."""
-    if not n:
-        return ZERO
-    g = math.gcd(n, d)
-    return _scalar(_raw((n // g,), d // g), ONE_POLY)
+    """The rational constant n/d for ints n and d > 0, reduced by one gcd;
+    the shared object when the reduced pair is small."""
+    s = _SMALL.get((n, d))
+    if s is None:
+        g = math.gcd(n, d)
+        rn, rd = n // g, d // g
+        s = _SMALL.get((rn, rd))
+        if s is None:
+            s = _scalar(_raw((rn,), rd), ONE_POLY)
+            if -SMALL_BOUND < rn < SMALL_BOUND and rd <= SMALL_BOUND:
+                _SMALL[(rn, rd)] = s
+        if -SMALL_BOUND < n < SMALL_BOUND and d <= SMALL_BOUND:
+            _SMALL[(n, d)] = s
+    return s
 
 
 def _coerce(x):
@@ -552,6 +585,7 @@ def _coerce(x):
 
 
 ZERO = _scalar(ZERO_POLY, ONE_POLY)
+_SMALL[(0, 1)] = ZERO
 ONE = Scalar.rational(1)
 
 

@@ -89,24 +89,23 @@ def _forms_subspace(generators, n):
     return Subspace(len(pairs), rows)
 
 
-def _rand_fraction(rng, span=2):
-    return Fraction(rng.randint(-span, span), rng.choice((1, 1, 2)))
+def _rand_scalar(rng):
+    """A rational constant in [-2, 2]: randint, then choice."""
+    return Scalar.rational(rng.randint(-2, 2), rng.choice((1, 1, 2)))
 
 
 def _rand_two_form(rng, n, nterms=4):
     pairs = index_pairs(n)
     chosen = rng.sample(pairs, min(nterms, len(pairs)))
-    return MultiVector.two_form(
-        n, {p: Scalar.rational(_rand_fraction(rng)) for p in chosen})
+    return MultiVector.two_form(n, {p: _rand_scalar(rng) for p in chosen})
 
 
 def _rand_vector(rng, n):
-    return [Scalar.rational(_rand_fraction(rng)) for _ in range(n)]
+    return [_rand_scalar(rng) for _ in range(n)]
 
 
 def _rand_matrix(rng, n):
-    return Matrix([[Scalar.rational(_rand_fraction(rng)) for _ in range(n)]
-                   for _ in range(n)])
+    return Matrix([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)])
 
 
 # --------------------------------------------------------------------------

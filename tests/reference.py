@@ -11,7 +11,13 @@ solve, never its classifier.
 `Matrix.__mul__` is compared against.  `dense_endo` is the entrywise spinor
 matrix of a multivector that `SpinRep.op(m).dense()` is compared against;
 with `matrix_product` it gives the dense products and sums of operators.
+
+`rand_fraction_scalar` is the first draw of `verify`'s random rationals:
+a Fraction, then a Scalar.  Its instances and rng states are the ones the
+recorded `verify` output was made with.
 """
+
+from fractions import Fraction
 
 from spinharm.clifford import MultiVector
 from spinharm.linalg import Matrix, vec_dot, vec_scale, vec_sub
@@ -76,3 +82,9 @@ def dense_endo(rep, m):
         for j, (r, s) in enumerate(zip(rows, signs)):
             data[r][j] = data[r][j] + (c if s > 0 else -c)
     return Matrix(data)
+
+
+def rand_fraction_scalar(rng):
+    """A rational in [-2, 2] as Fraction(randint, choice), then a Scalar."""
+    return Scalar.rational(Fraction(rng.randint(-2, 2),
+                                    rng.choice((1, 1, 2))))

@@ -9,12 +9,14 @@ pinned by regression tests in test_homogeneous.py and test_gstruct.py,
 and the full analysis lives in the repository notes.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import reference
 from spinharm import verify
 
 MODELS_DIR = Path(__file__).parent / "data" / "models"
@@ -121,3 +123,27 @@ def test_numeric_scan_wrong_root_has_no_dip(g2toy_everywhere, monkeypatch):
     assert not result.ok
     # the check names the built-in whose slot the fixture took
     assert "cp3: no dip at root 1/3" in result.detail
+
+
+def _draw_instances(seed):
+    """The random instances of the property suite for one seed, with the rng
+    state after each draw."""
+    rng = random.Random(seed)
+    out = []
+    for draw in (lambda: verify._rand_vector(rng, 7),
+                 lambda: verify._rand_two_form(rng, 6),
+                 lambda: verify._rand_two_form(rng, 7, nterms=3),
+                 lambda: verify._rand_matrix(rng, 6),
+                 lambda: verify._rand_matrix(rng, 7)):
+        out.append((draw(), rng.getstate()))
+    return out
+
+
+def test_random_instances_match_the_fraction_draw(monkeypatch):
+    # _rand_scalar draws straight into shared constants; the instances and
+    # the rng states must be those of the Fraction-then-Scalar draw
+    seeds = range(20)
+    new = [_draw_instances(seed) for seed in seeds]
+    monkeypatch.setattr(verify, "_rand_scalar", reference.rand_fraction_scalar)
+    old = [_draw_instances(seed) for seed in seeds]
+    assert new == old

@@ -16,7 +16,7 @@ import spinharm.verify as verify
 from spinharm.cli import main
 from spinharm.coeffexpr import MAX_FILE_FOLD_WORK, MAX_NESTING, MAX_TOKENS
 from spinharm.gstruct import InternalInvariantError
-from spinharm.homogeneous import ModelAnalysis
+from spinharm.homogeneous import MAX_JSON_DEPTH, ModelAnalysis
 
 
 def run_cli(*argv):
@@ -77,6 +77,49 @@ def test_report_malformed_file_exit2(tmp_path, capsys, flat6_dict):
     code, _ = run_cli("report", str(path))
     assert code == 2
     assert "slot 1" in capsys.readouterr().err
+
+
+# scan needs a range; report and dump take the model alone
+_MODEL_ARGS = {"report": (), "dump": (), "scan": ("--min", "1", "--max", "2")}
+
+
+@pytest.mark.parametrize("command", sorted(_MODEL_ARGS))
+@pytest.mark.parametrize("text,line,column", [
+    ("[" * 100_000 + "]" * 100_000, 1, MAX_JSON_DEPTH + 1),
+    # brackets inside strings do not count; the outer object is depth 1
+    ('{"name": "[[[[{{{{\\"[[[[", "lambda":\n  '
+     + "[" * 100_000 + "]" * 100_000 + "}", 2, MAX_JSON_DEPTH + 2),
+], ids=["brackets", "brackets-after-strings"])
+def test_json_nested_too_deep_exit2(tmp_path, capsys, command, text, line,
+                                    column):
+    # the JSON decoder's RecursionError used to exit 3 as an internal error
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out = run_cli(command, str(path), *_MODEL_ARGS[command])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: bad model file: JSON nested deeper than {MAX_JSON_DEPTH} "
+        f"at line {line} column {column}\n")
+
+
+@pytest.mark.parametrize("command", sorted(_MODEL_ARGS))
+def test_directory_as_model_file_exit2(tmp_path, capsys, command):
+    # IsADirectoryError used to exit 3 as an internal error
+    code, out = run_cli(command, str(tmp_path), *_MODEL_ARGS[command])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: cannot read model file {str(tmp_path)!r}: Is a directory\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root can read any file")
+def test_unreadable_model_file_exit2(tmp_path, capsys, flat6_dict):
+    path = tmp_path / "locked.json"
+    path.write_text(json.dumps(flat6_dict))
+    path.chmod(0)
+    code, out = run_cli("report", str(path))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: cannot read model file {str(path)!r}: Permission denied\n"
 
 
 @pytest.mark.parametrize("coeff", ["(" * 5000 + "1" + ")" * 5000,
@@ -522,6 +565,20 @@ def test_scan_toy_brackets_root(tmp_path, g2_toy_dict):
     lo = max(t for t in by_t if t < root)
     hi = min(t for t in by_t if t > root)
     assert by_t[lo] > by_t[root] and by_t[hi] > by_t[root]
+
+
+def test_scan_steps_above_the_bound_exit2(capsys, monkeypatch):
+    from spinharm import numeric
+
+    def no_grid(model, ts):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(numeric, "residual_norms", no_grid)
+    code, out = run_cli("scan", "cp3", "--min", "1", "--max", "2",
+                        "--steps", str(numeric.MAX_STEPS + 1))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: steps must be at most {numeric.MAX_STEPS}\n"
 
 
 def test_scan_bad_range_exit2(capsys):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinharm import scalars as scalars_module, verify
 from spinharm.scalars import (
-    IdenticallyZero, IrrationalRoots, NotExpressibleInT, ONE_POLY, Poly,
-    PoleError, Scalar, Substitution, ZERO, ZERO_POLY, as_polynomial_in_t,
-    eval_numeric, format_scalar, poly_gcd, rational_roots, real_root_count,
-    vanishes_at, zero_at,
+    IdenticallyZero, IrrationalRoots, NotExpressibleInT, ONE, ONE_POLY, Poly,
+    PoleError, SMALL_BOUND, Scalar, Substitution, ZERO, ZERO_POLY,
+    as_polynomial_in_t, eval_numeric, format_scalar, poly_gcd, rational_roots,
+    real_root_count, vanishes_at, zero_at,
 )
 
 U = Scalar.u()
@@ -769,3 +770,76 @@ def test_scalar_results_keep_normal_form(a, b):
 def test_poly_rejects_float_coefficients():
     with pytest.raises(TypeError, match="rational coefficient expected"):
         Poly((1, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# shared small constants
+
+
+def _is_small(f):
+    return -SMALL_BOUND < f.numerator < SMALL_BOUND and \
+        f.denominator <= SMALL_BOUND
+
+
+_wide_rationals = st.fractions(min_value=-300, max_value=300,
+                               max_denominator=150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_rationals, _wide_rationals)
+def test_rational_arithmetic_matches_fraction_and_shares_small_results(x, y):
+    a, b = Scalar.rational(x), Scalar.rational(y)
+    cases = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)]
+    if y:
+        cases.append((a / b, x / y))
+    shared = {id(s) for s in scalars_module._SMALL.values()}
+    for got, want in cases:
+        assert got.as_fraction() == want
+        assert got.den is ONE_POLY
+        _assert_normal(got.num)
+        pair = (want.numerator, want.denominator)
+        if _is_small(want):
+            assert got is scalars_module._rational(*pair)
+        else:
+            assert pair not in scalars_module._SMALL
+            assert id(got) not in shared
+
+
+def test_equal_small_constants_are_one_object():
+    _rational = scalars_module._rational
+    half = Scalar.rational(1, 2)
+    assert Scalar.rational(1) is ONE and Scalar.rational(0) is ZERO
+    assert _rational(2, 4) is half and _rational(-64, 128) is -half
+    for same in (Scalar.rational(Fraction(1, 2)), Scalar.rational(-1, -2),
+                 Scalar.rational(32, 64), Scalar.rational(Fraction(3, 6)),
+                 _rational(3 * 64, 6 * 64), sc(1, 4) + sc(1, 4),
+                 sc(3, 2) - ONE, sc(3, 4) * sc(2, 3), sc(1, 4) / sc(1, 2),
+                 -sc(-1, 2)):
+        assert same is half
+    assert sc(3, 4) * sc(4, 3) is ONE and sc(5, 7) - sc(5, 7) is ZERO
+    assert -ZERO is ZERO and ZERO / sc(3) is ZERO and ZERO - ZERO is ZERO
+    assert half - ZERO is half and ZERO - half is -half
+
+
+def test_constants_outside_the_bound_are_not_stored():
+    _rational, table = scalars_module._rational, scalars_module._SMALL
+    for n, d in ((SMALL_BOUND, 1), (-SMALL_BOUND, 1), (1, SMALL_BOUND + 1),
+                 (2 * SMALL_BOUND + 2, 2), (10 ** 30, 7)):
+        s, f = _rational(n, d), Fraction(n, d)
+        assert s.as_fraction() == f
+        assert (n, d) not in table
+        assert (f.numerator, f.denominator) not in table
+        assert _rational(n, d) is not s
+    edge = _rational(SMALL_BOUND - 1, SMALL_BOUND)
+    assert table[(SMALL_BOUND - 1, SMALL_BOUND)] is edge
+    assert _rational(1 - SMALL_BOUND, SMALL_BOUND) is -edge
+
+
+def test_shared_constants_stay_within_the_bound_after_verify():
+    verify.run_all(trials=20)
+    table = scalars_module._SMALL
+    assert (2 * SMALL_BOUND - 1) * SMALL_BOUND == 8128
+    assert 0 < len(table) <= 8128
+    for (n, d), s in table.items():
+        assert -SMALL_BOUND < n < SMALL_BOUND and 0 < d <= SMALL_BOUND
+        assert s.as_fraction() == Fraction(n, d)
