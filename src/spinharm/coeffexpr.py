@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import Scalar, Substitution
+from .scalars import Scalar, Substitution, quote
 
 
 # parentheses and unary minuses open at once; each '(' costs five frames of
@@ -288,10 +288,11 @@ def parse_fraction(text: str) -> Fraction:
         size = sum(c.isdigit() for c in mantissa) + abs(int(exp or 0))
         f = Fraction(text) if 3 * size <= MAX_COEFF_BITS else None
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational: {text!r}") from None
+        raise ValueError(f"not a rational: {quote(text)}") from None
     if f is None or max(f.numerator.bit_length(),
                         f.denominator.bit_length()) > MAX_COEFF_BITS:
-        raise ValueError(f"rational above {MAX_COEFF_BITS} bits: {text!r}")
+        raise ValueError(
+            f"rational above {MAX_COEFF_BITS} bits: {quote(text)}")
     return f
 
 

@@ -6,9 +6,8 @@ defining unit spinor phi0, and a substitution binding the deformation
 parameter t to the formal variable u.  Everything downstream is exact,
 and runs on the cleared Wang map: ModelAnalysis multiplies every slot by
 the model's common denominator D(u), the monic lcm of the denominators of
-all Lambda coefficients, so each stage computes with polynomials in u, and
-reduces an output once, dividing it by D when it is linear in Lambda and
-by D^2 when it is quadratic:
+all Lambda coefficients, so each stage computes with polynomials in u; an
+output is D^k times its value, k its degree in Lambda, until it is read:
 
   * extract_S_eta decomposes lift(Lambda(X_i)).phi0 into S(X_i) and
     eta(X_i) (the phi-component must vanish; its survival is a hard error);
@@ -28,8 +27,9 @@ by D^2 when it is quadratic:
     exactly where the structure is harmonic.
 
 Canonical parameters, harmonicity and the cross-check share one verdict
-engine, vanishing_verdict, on the gcd of their values' u-numerators; a
-refusal (a real root in the domain that is not rational) names the stage.
+engine, vanishing_verdict, on the gcd of their cleared values with D^k's
+factors divided out, in one place; a refusal (a real root in the domain
+that is not rational) names the stage.
 
 Built-in models: cp3 (SO(5)/U(2), t = u^2), spin4 (the Lie group
 Spin(4) = S^3 x S^3, t = u^2/2), aw11 (the Aloff-Wallach space
@@ -48,8 +48,8 @@ import re
 from functools import cached_property
 
 from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
-                      Substitution, rational_roots, real_root_count, poly_gcd,
-                      IrrationalRoots, vanishes_at, format_scalar)
+                      Substitution, rational_roots, poly_gcd,
+                      IrrationalRoots, vanishes_at, format_scalar, quote)
 from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
                      vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep
@@ -91,18 +91,21 @@ class Verdict:
                 "roots": {str(r): m for r, m in sorted(self.roots.items())}}
 
 
-def vanishing_verdict(values, sub, positive_only=True) -> Verdict:
-    """Joint vanishing t-set of u-domain Scalars under the substitution.
+def vanishing_verdict(values, sub, positive_only=True,
+                      denominator=ONE_POLY) -> Verdict:
+    """Joint vanishing t-set of the u-domain Scalars value/denominator,
+    under the substitution.
 
-    g is the gcd of the u-numerators, its multiplicities the least over the
-    numerators.  An even g is E(m t) (g itself when t = u), whose rational
-    roots are the answer on t > 0, or on t != 0 and t = 0 when positive_only
-    is off.  A g = E(u^2) + u O(u^2) with odd terms vanishes at
-    u = sqrt(v0) > 0 only where the norm E(v)^2 - v O(v)^2 does: each
-    rational root v0 > 0 of the norm is kept if g vanishes at sqrt(v0),
-    with the multiplicity of sqrt(v0)'s minimal polynomial in g.  Raises
-    IrrationalRoots when a Sturm count finds more real roots of g in the
-    domain than were kept.
+    g is the gcd of the u-numerators, its multiplicities m_i the least over
+    them, with its common factors with the denominator divided out once:
+    the least of max(0, m_i - c) is max(0, min m_i - c).  An even g is
+    E(m t) (g itself when t = u), whose rational roots are the answer on
+    t > 0, or on t != 0 and t = 0 when positive_only is off.  A g = E(u^2)
+    + u O(u^2) with odd terms vanishes at u = sqrt(v0) > 0 only where the
+    norm E(v)^2 - v O(v)^2 does: each rational root v0 > 0 of the norm is
+    kept if g vanishes at sqrt(v0), with the multiplicity of sqrt(v0)'s
+    minimal polynomial in g.  Raises IrrationalRoots when the isolation of
+    g's real roots leaves more in the domain than were kept.
     """
     g = ZERO_POLY
     for v in values:
@@ -112,18 +115,18 @@ def vanishing_verdict(values, sub, positive_only=True) -> Verdict:
                 return Verdict(NEVER)
     if not g:
         return Verdict(ALL_T)
+    g = g.exact_div(poly_gcd(g, denominator))
     m = sub.u_squared_per_t
     e, o = g.even_odd_parts()
     if m is None or not o:
         p = g if m is None else e.scale_argument(m)
-        roots = {r: k for r, k in rational_roots(p).items()
-                 if r > 0 or not positive_only}
-        irrational = real_root_count(p, positive_only) > \
-            sum(1 for r in roots if r)
+        found, others = rational_roots(p)
+        roots = {r: k for r, k in found.items() if r > 0 or not positive_only}
+        irrational = any(lo >= 0 or not positive_only for lo, _, _ in others)
         shown, var = p, "t"
     else:
         roots = {}
-        for v0 in rational_roots(e * e - U_POLY * (o * o)):
+        for v0 in rational_roots(e * e - U_POLY * (o * o))[0]:
             if v0 <= 0:
                 continue
             _, root = sub.u_value(v0 / m)
@@ -133,7 +136,9 @@ def vanishing_verdict(values, sub, positive_only=True) -> Verdict:
                 work, k = work.exact_div(minimal), k + 1
             if k:
                 roots[v0 / m] = k
-        irrational = real_root_count(g) > len(roots)
+        found, others = rational_roots(g)
+        irrational = sum(1 for r in found if r > 0) + \
+            sum(1 for lo, _, _ in others if lo >= 0) > len(roots)
         shown, var = g, "u"
     if irrational:
         raise IrrationalRoots(
@@ -144,23 +149,29 @@ def vanishing_verdict(values, sub, positive_only=True) -> Verdict:
 
 
 class HarmonicityVerdict:
-    """Residual (spinor for n = 6, frame vector for n = 7) plus verdict."""
+    """Residual (spinor for n = 6, frame vector for n = 7) plus verdict;
+    it is held cleared, D^2 times, and reduced by `inverse` on each read."""
 
-    __slots__ = ("residual", "verdict")
+    __slots__ = ("cleared", "inverse", "verdict")
 
-    def __init__(self, residual, verdict):
-        self.residual = residual
-        self.verdict = verdict
+    def __init__(self, cleared, inverse, verdict):
+        self.cleared, self.inverse, self.verdict = cleared, inverse, verdict
+
+    residual = property(lambda self: vec_scale(self.inverse, self.cleared))
 
 
 class CrossCheck:
-    __slots__ = ("delta_phi", "c_xi_phi", "residual", "verdict")
+    """Delta phi, c_xi.phi and the residual, held cleared as a triple and
+    reduced on read like HarmonicityVerdict's residual, plus the verdict."""
 
-    def __init__(self, delta_phi, c_xi_phi, residual, verdict):
-        self.delta_phi = delta_phi
-        self.c_xi_phi = c_xi_phi
-        self.residual = residual
-        self.verdict = verdict
+    __slots__ = ("cleared", "inverse", "verdict")
+
+    def __init__(self, cleared, inverse, verdict):
+        self.cleared, self.inverse, self.verdict = cleared, inverse, verdict
+
+    delta_phi = property(lambda self: vec_scale(self.inverse, self.cleared[0]))
+    c_xi_phi = property(lambda self: vec_scale(self.inverse, self.cleared[1]))
+    residual = property(lambda self: vec_scale(self.inverse, self.cleared[2]))
 
 
 class HomogeneousModel:
@@ -237,7 +248,8 @@ class HomogeneousModel:
                         f"slot {k + 1} ({ent.get('i')},{ent.get('j')}): {exc}"
                     ) from exc
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ModelError(f"slot {k + 1}: bad entry {ent!r}") from exc
+                    raise ModelError(
+                        f"slot {k + 1}: bad entry {quote(ent)}") from exc
                 if (i, j) in coeffs:
                     raise ModelError(f"slot {k + 1}: duplicate entry ({i},{j})")
                 coeffs[(i, j)] = c
@@ -289,7 +301,7 @@ def _json_int(record, key):
     """record[key] if it is a JSON integer (true and false are not)."""
     value = record[key]
     if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {quote(value)}")
     return value
 
 
@@ -297,7 +309,7 @@ def _json_str(record, key):
     """record[key] if it is a JSON string."""
     value = record[key]
     if type(value) is not str:
-        raise ValueError(f"{key} must be a string, got {value!r}")
+        raise ValueError(f"{key} must be a string, got {quote(value)}")
     return value
 
 
@@ -421,15 +433,17 @@ class ModelAnalysis:
     D(u), the monic lcm of the denominators of every Lambda coefficient
     (1 for a polynomial model), is computed once; its zeros are the model's
     poles.  Every stage runs on the cleared slots D*Lambda_i, whose entries
-    are polynomials, so no Scalar in its inner loops needs a gcd.  Each
-    output is reduced once, at the end: an output linear in Lambda (S, eta,
-    the torsion, the canonical-parameter coordinates, the classes) is
-    divided by D, and a quadratic one (the harmonicity residual, Delta phi,
-    c_xi.phi and the cross-check residual) by D^2.  S, eta, the torsion
-    xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi) are
-    kept once computed; the stabilizer part of a slot is D Lambda_i - xi_i,
-    m being its orthogonal complement.  The stabilizer, m, J and psi come
-    from the structure shared by every model with the same n and phi0.
+    are polynomials, so no Scalar in its inner loops needs a gcd.  An
+    output linear in Lambda (S, eta, the torsion, the canonical-parameter
+    coordinates, the classes) is D times its value, and a quadratic one
+    (the harmonicity residual, Delta phi, c_xi.phi and the cross-check
+    residual) D^2 times.  Verdicts are decided on these cleared values, and
+    an output is divided by D or D^2 only where it is read.  S, eta, the
+    torsion xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi)
+    are kept once computed; the stabilizer part of a slot is
+    D Lambda_i - xi_i, m being its orthogonal complement.  The stabilizer,
+    m, J and psi come from the structure shared by every model with the
+    same n and phi0.
     """
 
     def __init__(self, model: HomogeneousModel):
@@ -520,21 +534,24 @@ class ModelAnalysis:
         """The stabilizer components of every Lambda slot, slot after slot
         in pair coordinates, as D Lambda_i - xi_i over D; they vanish
         exactly where Lambda is the canonical connection."""
+        return vec_scale(self._inverse[1], self._cleared_canonical())
+
+    def _cleared_canonical(self):
         coords = []
         for slot, xi in zip(self.cleared, self._cleared_torsion):
             coords.extend(vec_sub(slot.pair_coeffs(), xi.pair_coeffs()))
-        return vec_scale(self._inverse[1], coords)
+        return coords
 
     def canonical_parameters(self, positive_only=True) -> Verdict:
         return self._verdict("canonical parameters",
-                             self.canonical_coordinates(), positive_only)
+                             self._cleared_canonical(), 1, positive_only)
 
-    def _verdict(self, stage, values, positive_only):
-        """vanishing_verdict under the model's substitution; a refusal
-        names the stage."""
+    def _verdict(self, stage, cleared, power, positive_only):
+        """vanishing_verdict of cleared values over D^power under the
+        model's substitution; a refusal names the stage."""
         try:
-            return vanishing_verdict(values, self.model.substitution,
-                                     positive_only)
+            return vanishing_verdict(cleared, self.model.substitution,
+                                     positive_only, self._inverse[power].den)
         except IrrationalRoots as exc:
             raise IrrationalRoots(f"{stage}: {exc}") from None
 
@@ -613,19 +630,19 @@ class ModelAnalysis:
         eta2 = vec_dot(eta, eta)
         residual = vec_add(residual, vec_scale(-eta2, phi))
 
-        residual = vec_scale(self._inverse[2], residual)
         return HarmonicityVerdict(
-            residual, self._verdict("harmonicity", residual, positive_only))
+            residual, self._inverse[2],
+            self._verdict("harmonicity", residual, 2, positive_only))
 
     def harmonicity_g2(self, positive_only=True) -> HarmonicityVerdict:
         """Residual div S; the structure is harmonic iff it vanishes."""
         if self.model.n != 7:
             raise ValueError("G2 harmonicity needs n = 7")
         s, _ = self._cleared_s_eta
-        residual = vec_scale(self._inverse[2],
-                             self.divergence_endo(s, self.cleared))
+        residual = self.divergence_endo(s, self.cleared)
         return HarmonicityVerdict(
-            residual, self._verdict("harmonicity", residual, positive_only))
+            residual, self._inverse[2],
+            self._verdict("harmonicity", residual, 2, positive_only))
 
     # -- spinor Laplacian cross-check ------------------------------------------------
 
@@ -649,11 +666,9 @@ class ModelAnalysis:
             c_xi_phi = vec_add(c_xi_phi, rep.act(slot, rep.act(slot, phi)))
         c_xi_phi = vec_scale(half, c_xi_phi)
         residual = [d + half * c for d, c in zip(delta, c_xi_phi)]
-        inv2 = self._inverse[2]
-        residual = vec_scale(inv2, residual)
-        verdict = self._verdict("cross-check", residual, positive_only)
-        return CrossCheck(vec_scale(inv2, delta), vec_scale(inv2, c_xi_phi),
-                          residual, verdict)
+        return CrossCheck(
+            (delta, c_xi_phi, residual), self._inverse[2],
+            self._verdict("cross-check", residual, 2, positive_only))
 
     # -- classification ---------------------------------------------------------------
 

@@ -82,14 +82,6 @@ def frame(n, phi0) -> Frame:
     return Frame(n, phi0)
 
 
-def _horner(p, u):
-    """Float values of the Poly p at every entry of the array u."""
-    acc = np.zeros_like(u)
-    for c in reversed(p.ints):
-        acc = acc * u + c / p.dd
-    return acc
-
-
 def _pole_rows(dens, sub, ts):
     """Rows of the grid where one of the Polys dens vanishes exactly."""
     rows = np.zeros(len(ts), dtype=bool)
@@ -124,10 +116,10 @@ class Grid:
         for k, slot in enumerate(model.lam):
             for key, c in slot.terms.items():
                 if c not in values:
-                    den = _horner(c.den, u)
+                    den = c.den.eval(u)
                     zero_den |= den == 0.0
-                    values[c] = _horner(c.num, u) / np.where(den == 0.0,
-                                                             1.0, den)
+                    values[c] = c.num.eval(u) / np.where(den == 0.0,
+                                                         1.0, den)
                 x[:, k, col[key]] = values[c]
         dens = {c.den for c in values if c.den.degree > 0}
         self.poles = zero_den | _pole_rows(dens, sub, ts)

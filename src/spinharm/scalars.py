@@ -34,7 +34,9 @@ parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
 Root finding runs on ints: a Sturm chain isolates each real root by
 bisection from the Cauchy bound, on dyadic endpoints a/2^k signed by a
 homogeneous Horner with shifts.  A Fraction is built only for the final
-candidate p/q, which exact division by q t - p confirms and deflates.
+candidate p/q, which exact division by q t - p confirms and deflates; an
+isolating interval with no such candidate is returned as it is, so the
+one isolation gives the rational roots and the irrational ones' count.
 Verdicts are always decided exactly; floating point appears only in
 eval_numeric, the one-value reference the float oracle (numeric.py) is
 tested against.
@@ -44,6 +46,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+MAX_QUOTE = 200   # characters of a user value quoted in a message
+
+
+def quote(value):
+    """repr(value), cut after MAX_QUOTE characters with the cut marked."""
+    text = repr(value)
+    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "…"
 
 
 class ScalarDomainError(ArithmeticError):
@@ -224,10 +235,10 @@ class Poly:
         return _poly(a, a[-1])
 
     def eval(self, x):
-        """Horner evaluation: a Fraction at an int or Fraction x, a float at
-        a float x."""
+        """Horner evaluation: a Fraction at an int or Fraction x, else in
+        float arithmetic (a float x, or a numpy array entry by entry)."""
         a = self.ints
-        if isinstance(x, float):
+        if not isinstance(x, (int, Fraction)):
             dd = self.dd
             acc = x * 0
             for c in reversed(a):
@@ -618,7 +629,7 @@ class Substitution:
         try:
             return cls._BY_LABEL[label]
         except KeyError:
-            raise ValueError(f"unknown substitution {label!r}") from None
+            raise ValueError(f"unknown substitution {quote(label)}") from None
 
     def t_as_scalar(self):
         """The image of t in Q(u), built once per substitution."""
@@ -735,24 +746,16 @@ def _sign_at(a, n, k):
     return (acc > 0) - (acc < 0)
 
 
-def _variations(signs):
+def _variations_at(chain, n, k):
+    """Sign variations of the chain at the dyadic n/2^k."""
     out, last = 0, 0
-    for s in signs:
+    for a in chain:
+        s = _sign_at(a, n, k)
         if s:
             if last and s != last:
                 out += 1
             last = s
     return out
-
-
-def _variations_at(chain, n, k):
-    return _variations(_sign_at(a, n, k) for a in chain)
-
-
-def _variations_at_infinity(chain, sign):
-    """Sign variations of the chain at +inf (sign=1) or -inf (sign=-1)."""
-    return _variations((1 if a[-1] > 0 else -1) * sign ** (len(a) - 1)
-                       for a in chain)
 
 
 def _divide_root(a, p, q):
@@ -766,30 +769,6 @@ def _divide_root(a, p, q):
             return None
         out[j - 1] = b
     return out if a[0] + p * b == 0 else None
-
-
-def _strip_t_power(p: Poly):
-    k = 0
-    while p.ints[k] == 0:
-        k += 1
-    return k, _poly(p.ints[k:], p.dd)
-
-
-def real_root_count(p: Poly, positive_only=True) -> int:
-    """Distinct real roots of p in t > 0, or in t != 0 (Sturm's theorem).
-
-    The chain of a non-squarefree p ends in gcd(p, p'), which does not
-    vanish at 0 once t^k is stripped, so the count is still exact.
-    """
-    if p.is_zero:
-        raise IdenticallyZero("identically zero")
-    _, work = _strip_t_power(p)
-    if work.degree < 1:
-        return 0
-    chain = _sturm_chain(work.int_coeffs())
-    lo = _variations_at(chain, 0, 0) if positive_only else \
-        _variations_at_infinity(chain, -1)
-    return lo - _variations_at_infinity(chain, 1)
 
 
 def _isolating_intervals(f, chain, bound):
@@ -843,39 +822,51 @@ def _rational_in(f, lo, hi, k, lead):
     return None
 
 
-def rational_roots(p: Poly) -> dict:
-    """All rational roots of p with multiplicities.
+def rational_roots(p: Poly):
+    """(roots, others): the rational roots of p with multiplicities, and
+    an isolating interval for each distinct irrational real root.
 
     The squarefree part's real roots are isolated with a Sturm chain on
     the Cauchy bound and each interval is narrowed until at most one
     fraction with a denominator dividing the leading coefficient fits.
     Exact division by q t - p confirms that candidate p/q and gives its
-    multiplicity.  Raises IdenticallyZero on the zero polynomial; callers
-    translate that into a 'holds for all t' verdict.
+    multiplicity.  An interval that holds no such fraction holds an
+    irrational root; it is returned as the int triple (lo, hi, k) of
+    (lo/2^k, hi/2^k] from the isolation, on the negative side when hi <= 0
+    and on the positive side when lo >= 0.  Raises IdenticallyZero on the
+    zero polynomial; callers translate that into a 'holds for all t'
+    verdict.
     """
     if p.is_zero:
         raise IdenticallyZero("identically zero")
-    roots = {}
-    k, work = _strip_t_power(p)
+    roots, others = {}, []
+    k = 0
+    while p.ints[k] == 0:
+        k += 1
     if k:
         roots[Fraction(0)] = k
+    work = _poly(p.ints[k:], p.dd)
     if work.degree < 1:
-        return roots
+        return roots, others
     derivative = _poly([j * c for j, c in enumerate(work.ints)][1:], work.dd)
     f = work.exact_div(poly_gcd(work, derivative)).int_coeffs()
     lead = f[-1]
     # Cauchy: every root has |t| < 1 + max|f_i| / lead <= bound
     bound = 2 + max(abs(c) for c in f[:-1]) // lead
-    chain = _sturm_chain(f)
-    found = (_rational_in(f, *interval, lead)
-             for interval in _isolating_intervals(f, chain, bound))
+    found = []
+    for interval in _isolating_intervals(f, _sturm_chain(f), bound):
+        r = _rational_in(f, *interval, lead)
+        if r is None:
+            others.append(interval)
+        else:
+            found.append(r)
     rest = work.int_coeffs()
-    for r in sorted(r for r in found if r is not None):
+    for r in sorted(found):
         mult, n, d = 0, r.numerator, r.denominator
         while (quotient := _divide_root(rest, n, d)) is not None:
             rest, mult = quotient, mult + 1
         roots[r] = mult
-    return roots
+    return roots, others
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,17 @@ these bytes.  The models divide some Lambda entries of the built-ins by
 (t + 3), (t^2 + 1) or (2t - 1), so that their coefficients carry
 denominators beyond u; cp3-mixed adds to cp3's slot 5 the entries of its
 slot 1 times (t - 2)(1 + u), so that its Lambda mixes even and odd powers
-of u = sqrt(t); the others are the test fixtures with a pole at t = 1
-(tests/test_cli.py), g2_toy_dict and eta_toy_dict (tests/conftest.py).
+of u = sqrt(t); aw11-family multiplies entry m of aw11 by
+(t + a_m)^4/(t^2 + b_m)^2, so that the common denominator has degree 37;
+the others are the test fixtures with a pole at t = 1 (tests/test_cli.py),
+g2_toy_dict and eta_toy_dict (tests/conftest.py).
 Re-record only when an output is meant to change.
 """
 
 import copy
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -37,6 +40,21 @@ def _divided(base, name, picks):
     d["name"] = name
     d["notes"] = f"{base} with entries divided by " + ", ".join(
         f"slot {k + 1} entry {e + 1} by {f}" for k, e, f in picks)
+    return d
+
+
+def aw11_family(k):
+    """aw11 with entry m times (t + a_m)^k/(t^2 + b_m)^(k/2), a_m and b_m
+    drawn in 1..9 from random.Random(5), entry after entry."""
+    d = load_model("aw11").to_dict()
+    rng = random.Random(5)
+    for entries in d["lambda"]:
+        for ent in entries:
+            a, b = rng.randint(1, 9), rng.randint(1, 9)
+            ent["coeff"] = f"({ent['coeff']})*(t+{a})^{k}/(t^2+{b})^{k // 2}"
+    d["name"] = "aw11-family"
+    d["notes"] = (f"aw11 with entry m times (t+a_m)^{k}/(t^2+b_m)^{k // 2}, "
+                  "a_m, b_m in 1..9 from random.Random(5)")
     return d
 
 
@@ -92,6 +110,7 @@ MODELS = {
     "aw11-divided": (_divided("aw11", "aw11-divided", [
         (0, 1, "t+3"), (2, 1, "t^2+1"), (6, 0, "2*t-1")]), "3/2"),
     "cp3-mixed": (_cp3_mixed(), "2"),
+    "aw11-family": (aw11_family(4), "3/2"),
     "pole": (_pole(), "2"),
     "g2toy": (_g2_toy(), "1/2"),
     "etatoy": (_eta_toy(), "3/2"),

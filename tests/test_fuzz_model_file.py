@@ -199,3 +199,30 @@ def test_non_string_name_or_notes_exit2(field, value):
         path.write_text(json.dumps(record), encoding="utf-8")
         for command in ("report", "dump"):
             assert _run([command, str(path)]) == (2, message)
+
+
+@pytest.mark.parametrize("field", ["entry", "name", "substitution",
+                                   "spinor"])
+def test_huge_values_are_quoted_within_a_bound(field):
+    # a 100,000-element list came back whole in the message (688,957
+    # bytes); it quotes at most MAX_QUOTE characters of the value now
+    record = {"name": "typed", "n": 6, "substitution": "t=u",
+              "spinor": list(_S5), "lambda": [[] for _ in range(6)],
+              "notes": ""}
+    if field == "entry":
+        record["lambda"][0].append({"i": 1.5, "j": 2, "coeff": "t",
+                                    "x": list(range(100_000))})
+    elif field == "name":
+        record["name"] = list(range(100_000))
+    elif field == "substitution":
+        record["substitution"] = "x" * 100_000
+    else:
+        record["spinor"][0] = "1" + "x" * 100_000
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        for command in ("report", "dump"):
+            code, err = _run([command, str(path)])
+            assert code == 2
+            assert len(err) < 400, err[:400]
+            assert err.endswith("…\n")

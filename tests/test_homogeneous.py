@@ -461,7 +461,7 @@ def _intersected_verdict(values, sub, positive_only):
         num = as_polynomial_in_t(v, sub).num
         if num.is_zero:
             continue
-        roots = {r: m for r, m in rational_roots(num).items()
+        roots = {r: m for r, m in rational_roots(num)[0].items()
                  if r > 0 or not positive_only}
         if common is None:
             common = roots
@@ -597,6 +597,61 @@ def test_vanishing_verdict_matches_sympy(family, positive_only):
     except IrrationalRoots:
         got = "refused"
     assert got == _sympy_verdict(sympy, sub, nums, positive_only)
+
+
+# factors of a model's common denominator D: u, u - 1 and u + 1 (the pole
+# t = 1/2 of spin4-divided under t = u^2/2), u^2 - 1, u^2 - 2, u^2 + 1
+_D_FACTORS = st.sampled_from([(0, 1), (-1, 1), (1, 1), (-1, 0, 1),
+                              (-2, 0, 1), (1, 0, 1)])
+
+
+def _power(factor, k):
+    out = Poly((1,))
+    for _ in range(k):
+        out = out * Poly(factor)
+    return out
+
+
+@st.composite
+def _cleared_families(draw):
+    """D, a power k in {1, 2}, and polynomial numerators N_i that share
+    D's factors at multiplicities below, at and above theirs in D^k."""
+    sub = draw(st.sampled_from(_SUBS))
+    k = draw(st.sampled_from((1, 2)))
+    factors = draw(st.lists(_D_FACTORS, min_size=1, max_size=3, unique=True))
+    d = Poly((1,))
+    for f in factors:
+        d = d * _power(f, draw(st.integers(1, 2)))
+    nums = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 5)) == 0:
+            nums.append(Poly())
+            continue
+        num = Poly((draw(st.sampled_from((1, -2, 3))),))
+        for f in factors + [draw(_u_factor)]:
+            num = num * _power(f, draw(st.integers(0, 5)))
+        nums.append(num)
+    return sub, k, d, nums
+
+
+def _verdict_or_refusal(values, sub, positive_only, *denominator):
+    try:
+        return vanishing_verdict(values, sub, positive_only, *denominator)
+    except IrrationalRoots as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cleared_families(), st.booleans())
+def test_cleared_verdict_matches_the_reduced_values(family, positive_only):
+    # dividing gcd(g, D^k) out of the cleared numerators' gcd once gives
+    # the verdict, or the refusal, on the reduced values N_i / D^k
+    sub, k, d, nums = family
+    dk = d if k == 1 else d * d
+    assert _verdict_or_refusal([Scalar(n) for n in nums], sub,
+                               positive_only, dk) == \
+        _verdict_or_refusal([Scalar(n, dk) for n in nums], sub,
+                            positive_only)
 
 
 def test_extraction_invariant_no_phi_component():

@@ -2,11 +2,14 @@
 
 The models under tests/data/models divide built-in Lambda entries by
 (t + 3), (t^2 + 1) or (2t - 1), mix parities of u = sqrt(t) (cp3-mixed),
-or are the fixtures with a pole at t = 1, g2_toy_dict and eta_toy_dict.
-Their structured reports (with and without --include-negative-roots) and
---at reports were recorded by tests/data/record_reports.py; all but
-cp3-mixed's before the pipeline cleared the model's common denominator, so
-they pin that every output kept its bytes.
+multiply aw11's entries so that the common denominator has degree 37
+(aw11-family), or are the fixtures with a pole at t = 1, g2_toy_dict and
+eta_toy_dict.  Their structured reports (with and without
+--include-negative-roots) and --at reports were recorded by
+tests/data/record_reports.py; all but cp3-mixed's before the pipeline
+cleared the model's common denominator, and aw11-family's before verdicts
+were decided on the cleared values, so they pin that every output kept
+its bytes.
 """
 
 import importlib.util
@@ -19,7 +22,9 @@ import pytest
 
 from spinharm import numeric
 from spinharm.cli import main
-from spinharm.homogeneous import HomogeneousModel
+from spinharm.homogeneous import (BUILTIN_MODELS, CrossCheck,
+                                  HarmonicityVerdict, HomogeneousModel,
+                                  ModelAnalysis)
 
 _SPEC = importlib.util.spec_from_file_location(
     "record_reports", Path(__file__).parent / "data" / "record_reports.py")
@@ -58,3 +63,39 @@ def test_cp3_mixed_harmonic_root_matches_float_oracle():
     model = HomogeneousModel.from_dict(record.MODELS["cp3-mixed"][0])
     assert numeric.residual_norm(model, Fraction(2)) < 1e-9
     assert numeric.residual_norm(model, Fraction(7, 4)) > 1e-9
+
+
+def _report(argv):
+    out = io.StringIO()
+    assert main(argv, out=out) == 0, argv
+    return out.getvalue()
+
+
+def test_report_reduces_no_residual_or_canonical_coordinate(monkeypatch):
+    # every verdict is decided on the cleared values, so report never
+    # divides a residual, a cross-check vector or a canonical coordinate
+    # by D or D^2
+    golden = Path(__file__).parents[1] / "perfbench" / "golden"
+    builtins = {(name, extra): ["report", name, "--format", "structured",
+                                *extra]
+                for name in BUILTIN_MODELS
+                for extra in ((), ("--include-negative-roots",))}
+    negative = {key: _report(argv) for key, argv in builtins.items()
+                if key[1]}
+
+    def refuse(*_):
+        raise AssertionError("report read a reduced output")
+
+    for owner, name in ((HarmonicityVerdict, "residual"),
+                        (CrossCheck, "delta_phi"), (CrossCheck, "c_xi_phi"),
+                        (CrossCheck, "residual")):
+        monkeypatch.setattr(owner, name, property(refuse))
+    monkeypatch.setattr(ModelAnalysis, "canonical_coordinates", refuse)
+    for (name, extra), argv in builtins.items():
+        expected = negative[name, extra] if extra else (
+            golden / f"report-{name}.json").read_text(encoding="utf-8")
+        assert _report(argv) == expected, argv
+    for name in record.MODELS:
+        for variant in record.VARIANTS:
+            assert _report(record.report_args(name, variant)) == \
+                record.report_path(name, variant).read_text(encoding="utf-8")

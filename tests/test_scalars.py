@@ -10,7 +10,7 @@ from spinharm.scalars import (
     IdenticallyZero, IrrationalRoots, NotExpressibleInT, ONE, ONE_POLY, Poly,
     PoleError, SMALL_BOUND, Scalar, Substitution, ZERO, ZERO_POLY,
     as_polynomial_in_t, eval_numeric, format_scalar, poly_gcd, rational_roots,
-    real_root_count, vanishes_at, zero_at,
+    vanishes_at, zero_at,
 )
 
 U = Scalar.u()
@@ -97,20 +97,28 @@ def test_as_t_rational_substitution_is_identity():
 
 def test_roots_double_root():
     p = Poly((Fraction(9, 4), -3, 1))   # (3/2 - t)^2
-    assert rational_roots(p) == {Fraction(3, 2): 2}
+    assert rational_roots(p)[0] == {Fraction(3, 2): 2}
 
 
 def test_roots_product():
     # t(t - 1/2)(t - 5/4)
     p = Poly((0, 1)) * Poly((Fraction(-1, 2), 1)) * Poly((Fraction(-5, 4), 1))
-    assert rational_roots(p) == {Fraction(0): 1, Fraction(1, 2): 1,
-                                 Fraction(5, 4): 1}
+    assert rational_roots(p)[0] == {Fraction(0): 1, Fraction(1, 2): 1,
+                                    Fraction(5, 4): 1}
 
 
 def test_roots_drop_irrational_roots_next_to_rational_ones():
     # the fraction nearest sqrt(2)'s interval is the root 1 outside it
     p = Poly((-1, 1)) * Poly((-2, 0, 1))   # (t - 1)(t^2 - 2)
-    assert rational_roots(p) == {Fraction(1): 1}
+    assert rational_roots(p)[0] == {Fraction(1): 1}
+
+
+def _real_root_count(poly, positive_only=True):
+    """Distinct real roots of poly in t > 0, or in t != 0, read off
+    rational_roots: its rational roots plus its irrational intervals."""
+    roots, others = rational_roots(poly)
+    return sum(1 for r in roots if r > 0 or not positive_only and r) + \
+        sum(1 for lo, _, _ in others if lo >= 0 or not positive_only)
 
 
 def test_roots_zero_polynomial_rejected():
@@ -124,7 +132,7 @@ def test_roots_random_degree5_against_bisection_oracle():
         coeffs = [rng.randint(-6, 6) for _ in range(6)]
         coeffs[5] = rng.choice([1, 2, 3, -1, -2])
         p = Poly(coeffs)
-        roots = rational_roots(p)
+        roots, _ = rational_roots(p)
         # every claimed root is an exact zero, with exact deflation
         work = p
         for r, mult in roots.items():
@@ -163,24 +171,25 @@ def _linear(r):
 
 
 def test_roots_large_integer_root():
-    assert rational_roots(_linear(10000000019)) == {Fraction(10000000019): 1}
+    assert rational_roots(_linear(10000000019))[0] == \
+        {Fraction(10000000019): 1}
 
 
 def test_roots_twenty_digit_root():
     r = 10**20 + 39
-    assert rational_roots(_linear(r)) == {Fraction(r): 1}
+    assert rational_roots(_linear(r))[0] == {Fraction(r): 1}
 
 
 def test_roots_eleven_digit_primes():
     p, q = 50000000021, 50000001041   # distinct primes near 5*10^10
     poly = Poly((-1, 2)) * Poly((-p, q))   # (2t - 1)(qt - p)
-    assert rational_roots(poly) == {Fraction(1, 2): 1, Fraction(p, q): 1}
+    assert rational_roots(poly)[0] == {Fraction(1, 2): 1, Fraction(p, q): 1}
 
 
 def test_roots_repeated_root_next_to_large_one():
     p, q = 170000000033, 600000012431
     poly = Poly((-7, 3)) * Poly((-7, 3)) * _linear(Fraction(p, q))
-    assert rational_roots(poly) == {Fraction(7, 3): 2, Fraction(p, q): 1}
+    assert rational_roots(poly)[0] == {Fraction(7, 3): 2, Fraction(p, q): 1}
 
 
 def test_roots_eleven_digit_neighbours():
@@ -188,7 +197,7 @@ def test_roots_eleven_digit_neighbours():
     p, q = 50000000021, 50000001041
     near = Fraction(p * q + 1, q * q)
     poly = Poly((-p, q)) * _linear(near)
-    assert rational_roots(poly) == {Fraction(p, q): 1, near: 1}
+    assert rational_roots(poly)[0] == {Fraction(p, q): 1, near: 1}
 
 
 def test_roots_irrational_pair_around_an_eleven_digit_root():
@@ -198,8 +207,8 @@ def test_roots_irrational_pair_around_an_eleven_digit_root():
     line = Poly((-p, q))
     poly = line * (Poly((q * q,)) * line * line - Poly((2,)))
     assert poly.int_coeffs()[-1] == q ** 5
-    assert rational_roots(poly) == {Fraction(p, q): 1}
-    assert real_root_count(poly) == 3
+    assert rational_roots(poly)[0] == {Fraction(p, q): 1}
+    assert _real_root_count(poly) == 3
 
 
 @pytest.mark.parametrize("roots,quadratic,split", [
@@ -221,11 +230,11 @@ def test_roots_on_dyadic_split_points_of_the_cauchy_bound(roots, quadratic,
         poly = poly * _linear(r)
     f = poly.int_coeffs()
     assert split * (2 + max(abs(c) for c in f[:-1]) // f[-1]) in roots
-    assert rational_roots(poly) == {r: 1 for r in roots}
+    assert rational_roots(poly)[0] == {r: 1 for r in roots}
     irrational = 2 if quadratic == (-2, 0, 1) else 0
-    assert real_root_count(poly, positive_only=False) == \
+    assert _real_root_count(poly, positive_only=False) == \
         len(roots) + irrational
-    assert real_root_count(poly) == \
+    assert _real_root_count(poly) == \
         sum(1 for r in roots if r > 0) + irrational // 2
     if not irrational:
         verdict = vanishing_verdict([Scalar(poly)], T_ID, positive_only=False)
@@ -284,7 +293,7 @@ def test_roots_against_sympy_oracle():
                 a, b = factor.all_coeffs()
                 r = -sympy.Rational(b) / a
                 expect[Fraction(int(r.p), int(r.q))] = mult
-        assert rational_roots(poly) == expect, poly
+        assert rational_roots(poly)[0] == expect, poly
 
 
 def _real_irrational_quadratic(rng):
@@ -297,7 +306,7 @@ def _real_irrational_quadratic(rng):
 
 
 def test_irrational_refusal_against_sympy_oracle():
-    """real_root_count is Sturm's count of sympy's real roots in the
+    """rational_roots' roots and intervals count sympy's real roots in the
     domain, and vanishing_verdict refuses exactly when one is irrational."""
     from spinharm.homogeneous import vanishing_verdict
     sympy = pytest.importorskip("sympy")
@@ -311,12 +320,37 @@ def test_irrational_refusal_against_sympy_oracle():
         real = set(sympy.Poly(expr, t).real_roots())
         for positive_only in (True, False):
             domain = [r for r in real if r > 0 or not positive_only and r]
-            assert real_root_count(poly, positive_only) == len(domain), poly
+            assert _real_root_count(poly, positive_only) == len(domain), poly
             if any(not r.is_rational for r in domain):
                 with pytest.raises(IrrationalRoots):
                     vanishing_verdict([Scalar(poly)], T_ID, positive_only)
             else:
                 vanishing_verdict([Scalar(poly)], T_ID, positive_only)
+
+
+def test_irrational_intervals_against_sympy_oracle():
+    """Each interval rational_roots returns holds exactly one real root, an
+    irrational one, and the rational roots plus the intervals count
+    sympy's distinct real roots."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(29)
+    p, q = 170000000033, 600000012431
+    line = Poly((-p, q))
+    polys = list(_seeded_polys(60, seed=31)) + [
+        line * (Poly((q * q,)) * line * line - Poly((2,)))]
+    for k, poly in enumerate(polys):
+        for _ in range(k % 3):
+            poly = poly * _real_irrational_quadratic(rng)
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**j
+                   for j, c in enumerate(poly.coeffs))
+        real = sympy.Poly(expr, t).real_roots(multiple=False)
+        roots, others = rational_roots(poly)
+        for lo, hi, bits in others:
+            a, b = sympy.Rational(lo, 2**bits), sympy.Rational(hi, 2**bits)
+            inside = [r for r, _ in real if a < r <= b]
+            assert len(inside) == 1 and not inside[0].is_rational, poly
+        assert len(roots) + len(others) == len(real), poly
 
 
 # ---------------------------------------------------------------------------
