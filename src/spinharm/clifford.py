@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 
 from .scalars import Scalar, ZERO, ONE, _coerce
 from .linalg import Matrix, _matrix
@@ -89,12 +90,15 @@ class MultiVector:
     def __init__(self, n, terms=None):
         self.n = n
         clean = {}
+        valid = _increasing_keys(n)
         for key, c in (terms or {}).items():
             key = tuple(key)
-            if any(not (1 <= i <= n) for i in key):
-                raise ValueError(f"index out of range in {key}")
-            if len(set(key)) != len(key) or list(key) != sorted(key):
-                raise ValueError(f"indices must be strictly increasing: {key}")
+            if key not in valid:
+                if any(not (1 <= i <= n) for i in key):
+                    raise ValueError(f"index out of range in {key}")
+                if len(set(key)) != len(key) or list(key) != sorted(key):
+                    raise ValueError(
+                        f"indices must be strictly increasing: {key}")
             c = c if isinstance(c, Scalar) else _coerce(c)
             if not c.is_zero:
                 clean[key] = c
@@ -217,9 +221,9 @@ class MultiVector:
         out = [ZERO] * self.n
         for (i, j), c in self.terms.items():
             x, y = v[j - 1], v[i - 1]
-            if x:
+            if x is not ZERO:
                 out[i - 1] = out[i - 1] - c * x
-            if y:
+            if y is not ZERO:
                 out[j - 1] = out[j - 1] + c * y
         return out
 
@@ -261,6 +265,16 @@ def _multivector(n, terms):
     m.n = n
     m.terms = terms
     return m
+
+
+@cache
+def _increasing_keys(n):
+    """Every strictly increasing index tuple over 1..n; empty past n = 8,
+    where the set grows as 2^n and every key takes the two checks."""
+    if n > 8:
+        return frozenset()
+    return frozenset(key for k in range(n + 1)
+                     for key in combinations(range(1, n + 1), k))
 
 
 # words up to this length keep their signed permutation (and its normalized
@@ -379,7 +393,7 @@ class SpinRep:
         of the spinor to row rows[j] with sign signs[j]."""
         if len(spinor) != 8:
             raise ValueError("dimension mismatch")
-        entries = [(j, x) for j, x in enumerate(spinor) if x]
+        entries = [(j, x) for j, x in enumerate(spinor) if x is not ZERO]
         out = [ZERO] * 8
         for key, c in terms:
             rows, signs = self._signed_perm(key)
@@ -542,7 +556,9 @@ def c_sigma(rep: SpinRep, t: FrameTensor) -> CSigma:
     diff = c - rep.endo(sigma)
     kappa = None
     diag = diff.data[0][0]
-    scalar_matrix = diff == Matrix.identity(8).scale(diag)
+    scalar_matrix = all(e == diag if i == j else e.is_zero
+                        for i, row in enumerate(diff.data)
+                        for j, e in enumerate(row))
     if scalar_matrix and not norm2.is_zero:
         kappa = -diag / norm2
     elif scalar_matrix and norm2.is_zero:

@@ -26,7 +26,10 @@ entries, with no 8x8 matrix built.
 
 These depend on (n, phi) alone, not on a model's Wang map or on t:
 `SpinorStructure.shared` keeps one structure per (n, phi) for the process,
-and computes each piece once, on first use.  Two of those pieces carry a
+and computes each piece once, on first use.  The fixed linear maps among
+them (the transposed frame, the m-projector, the W4 solve and the
+contractions e_l -| psi that give the torsion slots) are kept by their
+nonzero entries and applied by those alone.  Two of those pieces carry a
 check made once per structure: the decomposition frame must be orthonormal,
 and the W4 solve multiplies back through the (e_l -| psi) matrix.
 """
@@ -36,10 +39,11 @@ from __future__ import annotations
 from functools import cache, cached_property
 from itertools import combinations
 
-from .scalars import Scalar, ONE, zero_at
-from .linalg import (Matrix, Subspace, vec_add, vec_dot, vec_is_zero,
-                     vec_scale, vec_sub, zero_vec)
-from .clifford import MultiVector, SpinRep, index_pairs
+from .scalars import Scalar, ZERO, ONE, zero_at
+from .linalg import (Matrix, Subspace, apply_columns, sparse_columns,
+                     vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub,
+                     zero_vec)
+from .clifford import MultiVector, SpinRep, _multivector, index_pairs
 
 
 class InternalInvariantError(AssertionError):
@@ -102,8 +106,9 @@ class SpinorStructure:
         return Matrix.from_columns(cols)
 
     @cached_property
-    def _decomp_transpose(self):
-        """Q^T for the decomposition matrix Q, checked to be its inverse.
+    def _decomp_columns(self):
+        """Q^T for the decomposition matrix Q, checked to be its inverse,
+        by its nonzero columns.
 
         Every e_I with one, two or five generators is skew and e_i e_i = -1,
         so phi, j phi and the e_i.phi are orthonormal for any unit phi;
@@ -114,12 +119,12 @@ class SpinorStructure:
         if qt * q != Matrix.identity(8):
             raise InternalInvariantError(
                 "spinor decomposition frame is not orthonormal")
-        return qt
+        return sparse_columns(qt)
 
     def decompose(self, psi) -> SpinorParts:
         """Split psi = a phi (+ b j phi) + X.phi exactly: the coefficients
         are the inner products of psi with the orthonormal columns."""
-        sol = self._decomp_transpose.apply(psi)
+        sol = apply_columns(self._decomp_columns, psi, 8)
         if self.n == 6:
             return SpinorParts(sol[0], sol[1], sol[2:])
         return SpinorParts(sol[0], None, sol[1:])
@@ -205,11 +210,26 @@ class SpinorStructure:
         """
         if self.n == 6 and eta is not None and not vec_is_zero(eta):
             raise ValueError("use homogeneous model torsion")
+        slots = []
+        for i in range(self.n):
+            out = {}
+            for row, terms in zip(s.data, self._torsion_table):
+                x = row[i]
+                if x is not ZERO:
+                    for key, c in terms:
+                        out[key] = out.get(key, ZERO) + c * x
+            slots.append(_multivector(self.n,
+                                      {k: v for k, v in out.items() if v}))
+        return slots
+
+    @cached_property
+    def _torsion_table(self):
+        """The terms of e_l -| psi' for l = 1..n, where psi' is psi for
+        n = 6 and 2/3 psi for n = 7: xi_i sums S_li times them."""
         psi = self.psi_form()
         if self.n == 7:
             psi = psi.scale(Scalar.rational(2, 3))
-        return [MultiVector.vector(self.n, s.column(i)).interior(psi)
-                for i in range(self.n)]
+        return [tuple(c.terms.items()) for c in _contractions(psi)]
 
     def chi_vector(self, xi_slots, s: Matrix):
         """chi^S = sum_i xi_{e_i} S(e_i) as frame coordinates."""
@@ -263,11 +283,9 @@ class SpinorStructure:
     def _w4_frame(self):
         """(M, L): M has the columns e_l -| psi as 2-form coordinates, and
         L is its left inverse (M^T M)^-1 M^T."""
-        psi = self.psi_form()
         m = Matrix.from_columns(
-            [MultiVector(7, {(l,): ONE}).interior(psi).pair_coeffs()
-             for l in range(1, 8)])
-        return m, m.left_inverse()
+            [c.pair_coeffs() for c in _contractions(self.psi_form())])
+        return sparse_columns(m), sparse_columns(m.left_inverse())
 
     def _solve_w4_vector(self, m_coords):
         """Unique V with V -| psi equal to the given m-part 2-form.
@@ -275,8 +293,8 @@ class SpinorStructure:
         L m is the least-squares V; it is exact only when M V = m, which is
         checked, so an m-part outside the image raises."""
         m, left = self._w4_frame
-        v = left.apply(m_coords)
-        if m.apply(v) != m_coords:
+        v = apply_columns(left, m_coords, 7)
+        if apply_columns(m, v, len(m_coords)) != m_coords:
             raise InternalInvariantError(
                 "m-part not representable as V -| psi")
         return v
@@ -285,6 +303,12 @@ class SpinorStructure:
 @cache
 def _shared_structure(n, phi0):
     return SpinorStructure(SpinRep.build(n), list(phi0))
+
+
+def _contractions(psi):
+    """e_l -| psi for l = 1..n."""
+    return [_multivector(psi.n, {(l,): ONE}).interior(psi)
+            for l in range(1, psi.n + 1)]
 
 
 _HALF = Scalar.rational(1, 2)

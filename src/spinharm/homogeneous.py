@@ -49,7 +49,8 @@ from functools import cached_property
 
 from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
                       Substitution, rational_roots, poly_gcd,
-                      IrrationalRoots, vanishes_at, format_scalar, quote)
+                      IrrationalRoots, vanishes_at, format_scalar, clip,
+                      quote)
 from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
                      vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep
@@ -143,7 +144,7 @@ def vanishing_verdict(values, sub, positive_only=True,
     if irrational:
         raise IrrationalRoots(
             f"gcd of the numerators "
-            f"{format_scalar(Scalar(Poly(shown.int_coeffs())), var)} "
+            f"{clip(format_scalar(Scalar(Poly(shown.int_coeffs())), var))} "
             "has irrational real roots")
     return Verdict(ROOT_SET, roots) if roots else Verdict(NEVER)
 
@@ -227,7 +228,7 @@ class HomogeneousModel:
             n = _json_int(data, "n")
             sub = Substitution.from_label(data["substitution"])
             spinor = [_parse_fraction(k, c)
-                      for k, c in enumerate(data["spinor"], 1)]
+                      for k, c in enumerate(_json_spinor(data), 1)]
             lam_raw = data["lambda"]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad model record: {exc}") from exc
@@ -276,6 +277,10 @@ class HomogeneousModel:
 
 
 MAX_JSON_DEPTH = 32   # a model file needs 4
+# the common denominator D of a model's coefficients: the most u-degree and
+# integer-coefficient bits that `report` takes (see README, exit codes)
+MAX_DENOMINATOR_DEGREE = 80
+MAX_DENOMINATOR_BITS = 4096
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
@@ -310,6 +315,18 @@ def _json_str(record, key):
     value = record[key]
     if type(value) is not str:
         raise ValueError(f"{key} must be a string, got {quote(value)}")
+    return value
+
+
+def _json_spinor(record):
+    """record["spinor"] if it is a JSON list of 8 entries, checked before
+    any entry is parsed."""
+    value = record["spinor"]
+    if type(value) is not list:
+        raise ValueError(f"spinor must be a list of 8 entries, got "
+                         f"{quote(value)}")
+    if len(value) != 8:
+        raise ValueError(f"spinor must have 8 coordinates, got {len(value)}")
     return value
 
 
@@ -455,11 +472,30 @@ class ModelAnalysis:
 
     @cached_property
     def common_denominator(self) -> Poly:
-        """D(u): the monic lcm of the Lambda coefficients' denominators."""
-        d = ONE_POLY
-        for den in {c.den for slot in self.model.lam
-                    for c in slot.terms.values()}:
-            d = d * den.exact_div(poly_gcd(d, den))
+        """D(u): the monic lcm of the Lambda coefficients' denominators,
+        taken entry by entry in file order.  ModelError names the entry at
+        which its degree or the bits of its integer coefficients pass
+        MAX_DENOMINATOR_DEGREE or MAX_DENOMINATOR_BITS: every cleared slot
+        has about D's size, and the stages' cost grows steeply with it."""
+        d, seen = ONE_POLY, {ONE_POLY}
+        for k, slot in enumerate(self.model.lam, 1):
+            for (i, j), c in slot.terms.items():
+                if c.den in seen:
+                    continue
+                seen.add(c.den)
+                d = d * c.den.exact_div(poly_gcd(d, c.den))
+                bits = max(d.dd.bit_length(),
+                           *(abs(x).bit_length() for x in d.ints))
+                if d.degree > MAX_DENOMINATOR_DEGREE:
+                    size = f"of degree {d.degree} above " \
+                        f"{MAX_DENOMINATOR_DEGREE}"
+                elif bits > MAX_DENOMINATOR_BITS:
+                    size = f"with {bits}-bit coefficients above " \
+                        f"{MAX_DENOMINATOR_BITS} bits"
+                else:
+                    continue
+                raise ModelError(
+                    f"slot {k} ({i},{j}): common denominator {size}")
         return d
 
     @cached_property

@@ -7,7 +7,10 @@ reduced row-echelon form so that equality is a syntactic check, and the
 inner product on coordinates is the plain dot product, which on 2-form
 coefficient vectors agrees with the trace form up to a fixed positive scale.
 Products are row-sparse (Gustavson): row i of A B sums a * (row k of B)
-over the nonzero a = A[i][k], on B's nonzeros read once.  `Matrix(data)`
+over the nonzero a = A[i][k], on B's nonzeros read once.  A fixed map
+applied many times (a subspace's projector, the spinor structure's frames)
+is kept as the nonzero entries of each column (`sparse_columns`) and
+applied by them alone (`apply_columns`).  `Matrix(data)`
 coerces its entries; results built here from Scalars are taken as they
 stand (`_matrix`).
 """
@@ -131,19 +134,19 @@ class Matrix:
         (most entries of the projectors and Clifford matrices are zero)."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        terms = [(k, x) for k, x in enumerate(v) if x]
+        terms = [(k, x) for k, x in enumerate(v) if x is not ZERO]
         out = []
         for row in self.data:
             acc = ZERO
             for k, x in terms:
                 a = row[k]
-                if a:
+                if a is not ZERO:
                     acc = acc + a * x
             out.append(acc)
         return out
 
     def transpose(self):
-        return Matrix([list(col) for col in zip(*self.data)])
+        return _matrix([list(col) for col in zip(*self.data)], self.rows)
 
     def trace(self):
         acc = ZERO
@@ -234,15 +237,35 @@ def _matrix(data, cols):
     return m
 
 
+def sparse_columns(a: Matrix):
+    """A fixed map by its nonzeros: for each column j, the pairs (i, A_ij)
+    with A_ij != 0, to be applied by `apply_columns`."""
+    return [[(i, row[j]) for i, row in enumerate(a.data) if row[j]]
+            for j in range(a.cols)]
+
+
+def apply_columns(columns, v, rows):
+    """A v for the map with the given `sparse_columns`: a * x is added only
+    for the nonzero entries a of A and x of v."""
+    if len(v) != len(columns):
+        raise ValueError("dimension mismatch")
+    out = [ZERO] * rows
+    for x, column in zip(v, columns):
+        if x is not ZERO:
+            for i, a in column:
+                out[i] = out[i] + a * x
+    return out
+
+
 class Subspace:
     """Span of the given vectors, kept as an RREF basis (canonical
     representative, so == decides equality of subspaces)."""
 
-    __slots__ = ("ambient_dim", "basis", "_projector")
+    __slots__ = ("ambient_dim", "basis", "_columns")
 
     def __init__(self, ambient_dim, vectors):
         self.ambient_dim = ambient_dim
-        self._projector = None
+        self._columns = None
         self.basis = []
         if vectors:
             R, pivots = Matrix(vectors).rref()
@@ -263,16 +286,15 @@ class Subspace:
         return Matrix(self.basis or [zero_vec(self.ambient_dim)]).kernel()
 
     def project(self, v):
-        """Orthogonal projection onto the subspace (exact)."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        if self._projector is None:
-            self._projector = self._build_projector()
-        return self._projector.apply(v)
+        """Orthogonal projection onto the subspace (exact), applied by the
+        projector's nonzero entries, kept per column once built."""
+        if self._columns is None:
+            self._columns = sparse_columns(self._build_projector())
+        return apply_columns(self._columns, v, self.ambient_dim)
 
     def _build_projector(self):
         """P = B^T (B B^T)^-1 B for the basis rows B: B^T times its left
-        inverse."""
+        inverse; the dense reference for `project`."""
         if not self.basis:
             return Matrix.zeros(self.ambient_dim, self.ambient_dim)
         bt = Matrix(self.basis).transpose()

@@ -22,7 +22,11 @@ plus a fraction, a negation, a product of polynomials or with a rational
 constant) are built raw by `_scalar`; only the other cases run the
 reducing constructor.  Two rational constants (as in the Clifford
 matrices) combine on their ints n/dd, as fmpq does, with one gcd per
-result and no Poly arithmetic; a sum that cancels is the shared ZERO.
+result and no Poly arithmetic.  Every zero the kernel builds (a sum that
+cancels, x - x, x * 0, -ZERO) is the one shared ZERO, and `+ - *` return
+at once for an operand that is ZERO, or ONE in a product.  Identity is a
+fast path only: `Scalar(...)` still builds distinct zeros, which are equal
+to ZERO and take the general path, so no result depends on it.
 Small reduced constants are shared, as CPython shares small ints: n/d
 with |n| < 64 and d <= 64 is one object (`_SMALL`), found by the pair as
 passed before any gcd, so `Scalar.rational(1) is ONE`.  This is safe
@@ -48,13 +52,17 @@ import math
 from fractions import Fraction
 
 
-MAX_QUOTE = 200   # characters of a user value quoted in a message
+MAX_QUOTE = 200   # characters of a value quoted in a message
+
+
+def clip(text):
+    """text, cut after MAX_QUOTE characters with the cut marked."""
+    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "…"
 
 
 def quote(value):
-    """repr(value), cut after MAX_QUOTE characters with the cut marked."""
-    text = repr(value)
-    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "…"
+    """repr(value), clipped for a message."""
+    return clip(repr(value))
 
 
 class ScalarDomainError(ArithmeticError):
@@ -432,10 +440,14 @@ class Scalar:
         return hash((self.num, self.den))
 
     def __add__(self, other):
+        if other is ZERO:
+            return self
         if type(other) is not Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if self is ZERO:
+            return other
         return _add(self, other)
 
     __radd__ = __add__
@@ -447,10 +459,14 @@ class Scalar:
         return _scalar(-self.num, self.den)
 
     def __sub__(self, other):
+        if other is ZERO:
+            return self
         if type(other) is not Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if self is ZERO:
+            return -other
         if self.den is ONE_POLY and other.den is ONE_POLY:
             a, b = self.num, other.num
             if len(a.ints) == 1 and len(b.ints) == 1:
@@ -467,10 +483,18 @@ class Scalar:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if other is ZERO:
+            return ZERO
         if type(other) is not Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if self is ZERO:
+            return ZERO
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         a, b = self.num, other.num
         if not a.ints or not b.ints:
             return ZERO
@@ -506,6 +530,8 @@ class Scalar:
             if self.den is ONE_POLY and len(a) <= 1:
                 return _rational(a[0] * n, self.num.dd * d) if a else ZERO
             return _scalar(self.num._scale(n, d), self.den)
+        if not self.num.ints:
+            return ZERO
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -532,8 +558,16 @@ class Scalar:
         return format_scalar(self)
 
 
+# the one zero of the kernel: built before any arithmetic can run
+ZERO = object.__new__(Scalar)
+ZERO.num, ZERO.den = ZERO_POLY, ONE_POLY
+
+
 def _scalar(num, den):
-    """Scalar from fields already in normal form, ONE_POLY for den = 1."""
+    """Scalar from fields already in normal form, ONE_POLY for den = 1;
+    the shared ZERO for a zero numerator."""
+    if not num.ints:
+        return ZERO
     s = object.__new__(Scalar)
     s.num = num
     s.den = den
@@ -560,7 +594,8 @@ def _add(x, y):
     if dy is ONE_POLY:
         return _scalar(a + b * dx, dx)
     if dx == dy:
-        return Scalar(a + b, dx)
+        num = a + b
+        return Scalar(num, dx) if num.ints else ZERO
     return Scalar(a * dy + b * dx, dx * dy)
 
 
@@ -595,7 +630,6 @@ def _coerce(x):
     return NotImplemented
 
 
-ZERO = _scalar(ZERO_POLY, ONE_POLY)
 _SMALL[(0, 1)] = ZERO
 ONE = Scalar.rational(1)
 

@@ -12,6 +12,10 @@ solve, never its classifier.
 matrix of a multivector that `SpinRep.op(m).dense()` is compared against;
 with `matrix_product` it gives the dense products and sums of operators.
 
+`torsion_from_S` contracts each column of S with psi as a vector
+multivector, the way the structure did before it kept a table of the
+contractions e_l -| psi.
+
 `rand_fraction_scalar` is the first draw of `verify`'s random rationals:
 a Fraction, then a Scalar.  Its instances and rng states are the ones the
 recorded `verify` output was made with.
@@ -65,6 +69,16 @@ def classify_g2(structure, s):
         "W4": MultiVector.from_pair_coeffs(7, m_coords).to_skew_matrix(),
     }
     return components, lam, structure._solve_w4_vector(m_coords)
+
+
+def torsion_from_S(structure, s):
+    """xi_i = S(e_i) -| psi', psi' = psi for n = 6 and 2/3 psi for n = 7,
+    by one interior product per column."""
+    psi = structure.psi_form()
+    if structure.n == 7:
+        psi = psi.scale(Scalar.rational(2, 3))
+    return [MultiVector.vector(structure.n, s.column(i)).interior(psi)
+            for i in range(structure.n)]
 
 
 def matrix_product(a, b):

@@ -16,7 +16,8 @@ import spinharm.verify as verify
 from spinharm.cli import main
 from spinharm.coeffexpr import MAX_FILE_FOLD_WORK, MAX_NESTING, MAX_TOKENS
 from spinharm.gstruct import InternalInvariantError
-from spinharm.homogeneous import MAX_JSON_DEPTH, ModelAnalysis
+from spinharm.homogeneous import (MAX_DENOMINATOR_BITS, MAX_DENOMINATOR_DEGREE,
+                                  MAX_JSON_DEPTH, ModelAnalysis, load_model)
 
 
 def run_cli(*argv):
@@ -414,6 +415,99 @@ def test_report_oversized_spinor_entry_exit2_at_once(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: bad model record: spinor entry 5: "
                           "rational above 4096 bits")
+
+
+@pytest.mark.parametrize("spinor, message", [
+    ("00001000", "spinor must be a list of 8 entries, got '00001000'"),
+    ({"5": "1"}, "spinor must be a list of 8 entries, got {'5': '1'}"),
+    (["0"] * 4 + ["1"] + ["0"] * 4, "spinor must have 8 coordinates, got 9"),
+    (["0"] * 400_000, "spinor must have 8 coordinates, got 400000")])
+def test_malformed_spinor_field_exit2_at_once(tmp_path, capsys, flat6_dict,
+                                              spinor, message):
+    # a string loaded as the spinor e5, one character per entry, and an
+    # object as its keys; a 400,000-entry list was parsed entry by entry
+    # (1.8 s) before its length was checked
+    flat6_dict["spinor"] = spinor
+    path = tmp_path / "spinor.json"
+    path.write_text(json.dumps(flat6_dict))
+    for command in ("report", "dump"):
+        start = time.perf_counter()
+        code, _ = run_cli(command, str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: bad model record: {message}\n"
+        if len(spinor) > 8:
+            assert elapsed < 0.1
+
+
+def _aw11_over(entries):
+    """aw11 with the coefficient of entry e of slot k divided by f, for
+    (k, e, f) in entries."""
+    d = load_model("aw11").to_dict()
+    for k, e, f in entries:
+        ent = d["lambda"][k][e]
+        ent["coeff"] = f"({ent['coeff']})/({f})"
+    return d
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_common_denominator_degree_limit(tmp_path, capsys, extra):
+    # aw11's D is t; the first entry divided by (t+1)^(M-1+extra) makes
+    # deg D = M + extra once the second entry's t joins it
+    power = MAX_DENOMINATOR_DEGREE - 1 + extra
+    path = tmp_path / "deg.json"
+    path.write_text(json.dumps(_aw11_over([(0, 0, f"(t+1)^{power}")])))
+    code, text = run_cli("report", str(path))
+    err = capsys.readouterr().err
+    if extra:
+        assert code == 2 and text == ""
+        assert err == (f"error: slot 1 (3,5): common denominator of degree "
+                       f"{MAX_DENOMINATOR_DEGREE + 1} above "
+                       f"{MAX_DENOMINATOR_DEGREE}\n")
+    else:
+        assert code == 0 and err == ""
+        assert ModelAnalysis(load_model(str(path))).common_denominator \
+            .degree == MAX_DENOMINATOR_DEGREE
+        assert "harmonicity:" in text
+
+
+def test_common_denominator_probe_exit2_at_once(tmp_path, capsys):
+    # entry m divided by (t^2 + m)^20: a 1.3 KB file with deg D = 841
+    # loaded in 0.01 s, and report ran past 60 s
+    d = load_model("aw11").to_dict()
+    m = 0
+    for entries in d["lambda"]:
+        for ent in entries:
+            m += 1
+            ent["coeff"] = f"({ent['coeff']})/(t^2+{m})^20"
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(d))
+    start = time.perf_counter()
+    code, _ = run_cli("report", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: slot 1 (3,5): common denominator of degree 81 above 80\n"
+
+
+def test_common_denominator_bits_limit(tmp_path, capsys):
+    # distinct linear denominators t + (2^200 + m): each adds about 200
+    # bits to D's coefficients, and report time grows with them
+    big = 2 ** 200
+    picks = [(k, e, f"t+{big + 3 * k + e}") for k in range(7)
+             for e in range(3)]
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps(_aw11_over(picks)))
+    code, _ = run_cli("report", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: slot ")
+    assert err.endswith(f"-bit coefficients above {MAX_DENOMINATOR_BITS} "
+                        "bits\n")
+    # the same file with the first few entries loads and reports
+    path.write_text(json.dumps(_aw11_over(picks[:4])))
+    assert run_cli("report", str(path))[0] == 0
 
 
 @pytest.mark.parametrize("coeff", [["t", "+", "u"], {"t": 1}, None, 5])

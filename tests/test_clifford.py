@@ -136,6 +136,29 @@ def test_indices_must_increase(key):
         MultiVector(6, {key: sc(1)})
 
 
+@pytest.mark.parametrize("n, key, message", [
+    (6, (1, 7), "index out of range in (1, 7)"),
+    (7, (0, 2), "index out of range in (0, 2)"),
+    (7, (8,), "index out of range in (8,)"),
+    (6, (2, 1), "indices must be strictly increasing: (2, 1)"),
+    (7, (3, 3), "indices must be strictly increasing: (3, 3)"),
+    (9, (9, 10), "index out of range in (9, 10)"),
+    (9, (4, 2), "indices must be strictly increasing: (4, 2)")])
+def test_key_errors_name_the_key(n, key, message):
+    # a key outside the cached set of increasing tuples takes both checks,
+    # as does every key past n = 8, where no set is kept
+    with pytest.raises(ValueError) as info:
+        MultiVector(n, {key: sc(1)})
+    assert str(info.value) == message
+
+
+def test_valid_keys_keep_their_coefficients():
+    want = MultiVector(7, {(1, 2): sc(1), (): sc(2), (1, 3, 7): sc(3)})
+    got = MultiVector(7, {(1, 2): 1, (): 2, (1, 3, 7): 3})
+    assert got == want
+    assert MultiVector(9, {(8, 9): sc(1)}).terms == {(8, 9): sc(1)}
+
+
 def test_internal_results_equal_checked_construction():
     # sums, negation, scaling and the pair and skew-matrix constructors
     # build their terms unchecked; the checked constructor must agree

@@ -89,7 +89,7 @@ def _model_record(draw):
     }
     fault = draw(st.sampled_from(
         ["none"] * 6 + ["coeff", "coeff", "field", "entry", "duplicate",
-                        "missing", "record"]))
+                        "missing", "record", "powers", "powers"]))
     if fault == "coeff":
         slot = draw(st.integers(0, n - 1))
         lam[slot].append({"i": 1, "j": n,
@@ -106,6 +106,14 @@ def _model_record(draw):
         del record[draw(st.sampled_from(sorted(record)))]
     elif fault == "record":
         return draw(st.sampled_from([[], "model", 7, None, {}]))
+    elif fault == "powers":
+        # powers of distinct denominators: the common denominator's degree
+        # grows by 2e or 4e in u per entry, below and past
+        # MAX_DENOMINATOR_DEGREE
+        e = draw(st.integers(1, 12))
+        entries = [ent for slot in lam for ent in slot]
+        for m, ent in enumerate(entries, 1):
+            ent["coeff"] = f"({ent['coeff']})/(t^2+{m})^{e}"
     return record
 
 

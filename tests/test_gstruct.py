@@ -8,9 +8,11 @@ from spinharm.clifford import MultiVector, SpinRep, _perm_sign, index_pairs
 from spinharm.gstruct import SpinorStructure, unit_spinor
 from spinharm.linalg import (Matrix, Subspace, vec_add, vec_dot, vec_is_zero,
                              vec_scale, zero_vec)
-from spinharm.scalars import Scalar, Substitution
+from spinharm.scalars import Poly, Scalar, Substitution
 from spinharm.verify import (G2_COMPLEMENT, G2_GENERATORS, S5, S6,
                              SU3_COMPLEMENT, SU3_GENERATORS, _forms_subspace)
+
+import reference
 
 U = Scalar.u()
 
@@ -226,6 +228,23 @@ def test_torsion_from_S_contracts_psi(n):
                     want = f * sc(psi.get(tuple(sorted(key)), 0)
                                   * _perm_sign(key))
                 assert xi[i].coeff((b, c)) == want, (i, key)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_torsion_table_matches_the_column_contraction(n):
+    # random S with zeros, polynomial and fractional entries, and a zero
+    # built by the public constructor (equal to ZERO, not the shared one)
+    rng = random.Random(22 + n)
+    entries = [sc(0), sc(0), sc(0), sc(1), sc(-2, 3), U, sc(1) - U * U,
+               U / (sc(1) + U), Scalar(Poly(()))]
+    st = structure(n)
+    for _ in range(12):
+        s = Matrix([[rng.choice(entries) for _ in range(n)]
+                    for _ in range(n)])
+        got = st.torsion_from_S(s)
+        want = reference.torsion_from_S(st, s)
+        assert got == want
+        assert all(all(c for c in slot.terms.values()) for slot in got)
 
 
 def test_psi_repeated_argument_vanishes():

@@ -11,8 +11,8 @@ from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
                                   load_model, vanishing_verdict)
 from spinharm.linalg import Matrix, basis_vec, vec_is_zero, zero_vec
 from spinharm.numeric import Grid, scan
-from spinharm.scalars import (IrrationalRoots, Poly, Scalar, Substitution,
-                              as_polynomial_in_t, eval_numeric,
+from spinharm.scalars import (MAX_QUOTE, IrrationalRoots, Poly, Scalar,
+                              Substitution, as_polynomial_in_t, eval_numeric,
                               rational_roots, zero_at)
 
 U = Scalar.u()
@@ -438,6 +438,19 @@ def test_vanishing_verdict_refuses_irrational_common_roots():
     # ROOT_SET {1} would silently drop sqrt(2)
     with pytest.raises(IrrationalRoots):
         vanishing_verdict([(U - sc(1)) * t2m2], sub)
+
+
+def test_irrational_refusal_quotes_a_bounded_gcd():
+    # the gcd (t^2 - 2)(1 + 2t + ... + 79t^78) printed 833 characters
+    sub = Substitution.T_EQUALS_U
+    long = sum((sc(k + 1) * U ** k for k in range(79)), sc(0))
+    with pytest.raises(IrrationalRoots) as info:
+        vanishing_verdict([(U * U - sc(2)) * long], sub)
+    message = str(info.value)
+    head, tail = "gcd of the numerators ", " has irrational real roots"
+    assert message.startswith(head + "-2 - 4*t") and message.endswith(tail)
+    quoted = message[len(head):-len(tail)]
+    assert len(quoted) == MAX_QUOTE + 1 and quoted.endswith("…")
 
 
 def test_vanishing_verdict_complex_roots_do_not_count():

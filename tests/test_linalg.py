@@ -7,7 +7,7 @@ from spinharm.clifford import MultiVector, SpinRep
 from spinharm.gstruct import SpinorStructure
 from spinharm.linalg import (Matrix, Subspace, basis_vec, vec_dot,
                              vec_is_zero, vec_sub, zero_vec)
-from spinharm.scalars import Scalar
+from spinharm.scalars import Poly, Scalar
 from spinharm.verify import (S5, SU3_COMPLEMENT, SU3_GENERATORS,
                              _forms_subspace)
 
@@ -325,3 +325,28 @@ def test_project_matches_gram_solve(case):
         p = u.project(v)
         assert p == _gram_solve_projection(u, v)
         assert u.project(p) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subspace_and_vectors())
+def test_project_by_nonzeros_matches_the_dense_projector(case):
+    # project applies the projector by its nonzero entries; the dense
+    # P = B^T (B B^T)^-1 B is the reference, row by row, also on a vector
+    # holding zeros built by the public constructor (not the shared ZERO)
+    u, vs = case
+    dense = u._build_projector()
+    fresh = [Scalar(Poly(())) if x.is_zero else x for x in vs[0]]
+    for v in vs + [fresh]:
+        assert u.project(v) == [vec_dot(row, v) for row in dense.data]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_complement_projection_matches_the_dense_projector(n):
+    m = SpinorStructure.shared(n, S5).complement_m()
+    dense = m._build_projector()
+    rng = random.Random(n)
+    entries = [sc(0), sc(0), sc(0), Scalar(Poly(())), sc(1), sc(-3, 2), U,
+               sc(1) / (sc(1) + U)]
+    for _ in range(10):
+        v = [rng.choice(entries) for _ in range(m.ambient_dim)]
+        assert m.project(v) == [vec_dot(row, v) for row in dense.data]

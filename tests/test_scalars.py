@@ -877,3 +877,65 @@ def test_shared_constants_stay_within_the_bound_after_verify():
     for (n, d), s in table.items():
         assert -SMALL_BOUND < n < SMALL_BOUND and 0 < d <= SMALL_BOUND
         assert s.as_fraction() == Fraction(n, d)
+
+
+# ---------------------------------------------------------------------------
+# the shared ZERO and the identity short-circuits: a fast path only
+
+
+def _fresh_zero():
+    """A zero built by the public constructor: equal to ZERO, not it."""
+    return Scalar(Poly(()))
+
+
+def _fresh_one():
+    return Scalar(Poly((1,)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_fast_path_scalars(),
+                 _coeffs.map(lambda cs: Scalar(Poly(cs)))))
+def test_short_circuits_match_a_non_shared_zero_and_one(x):
+    zero, one = _fresh_zero(), _fresh_one()
+    assert zero is not ZERO and one is not ONE
+    assert zero == ZERO and one == ONE
+    for got, want in ((x + ZERO, x + zero), (ZERO + x, zero + x),
+                      (x - ZERO, x - zero), (ZERO - x, zero - x),
+                      (x * ZERO, x * zero), (ZERO * x, zero * x),
+                      (x * ONE, x * one), (ONE * x, one * x),
+                      (x + 0, x + zero), (0 - x, zero - x), (x * 1, x * one)):
+        assert got == want
+        _assert_reduced_as(got, want.num, want.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fast_path_scalars(), _fast_path_scalars())
+def test_kernel_built_zeros_are_the_shared_zero(x, y):
+    # a zero operand may come back as it stands, so x is drawn nonzero
+    if x.is_zero:
+        x = x + ONE
+    zero = _fresh_zero()
+    assert x - x is ZERO
+    assert x + (-x) is ZERO and (-x) + x is ZERO
+    assert x * 0 is ZERO and 0 * x is ZERO
+    assert -ZERO is ZERO and -zero is ZERO
+    assert (x + y) - (y + x) is ZERO
+    if not y.is_zero:
+        assert zero / y is ZERO
+    # a cancelling sum of polynomials and one over a shared denominator
+    p = Scalar(Poly((1, 2, 3)))
+    assert p + Scalar(Poly((-1, -2, -3))) is ZERO
+    q = Scalar(Poly((1,)), Poly((1, 1)))
+    assert q + Scalar(Poly((-1,)), Poly((1, 1))) is ZERO
+
+
+def test_short_circuits_keep_type_errors():
+    # ZERO and ONE still refuse what no Scalar accepts
+    for shared in (ZERO, ONE):
+        for other in (0.5, "x", None):
+            with pytest.raises(TypeError):
+                shared + other
+            with pytest.raises(TypeError):
+                shared - other
+            with pytest.raises(TypeError):
+                shared * other
