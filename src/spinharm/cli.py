@@ -90,7 +90,7 @@ def _matrix_strings(m, var="u"):
 
 def _report_data(args):
     model = load_model(args.model)
-    an = ModelAnalysis(model)
+    an = ModelAnalysis.of(model)
     positive = not args.include_negative_roots
     # rational-parameter models read better in t; u otherwise
     var = "t" if model.substitution.u_squared_per_t is None else "u"

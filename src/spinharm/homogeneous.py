@@ -37,7 +37,10 @@ SU(3)/S^1, rational t).  Each carries a Wang map of the deformed metric
 B_t; the acceptance checks compare the S and eta extracted from it with the
 published values, but no code checks it against the Koszul formula from
 the Lie brackets.  Model files are JSON per the documented schema;
-built-ins round-trip through dump/load bit-exactly.
+built-ins round-trip through dump/load bit-exactly.  A built-in is parsed
+once per process and carries one ModelAnalysis (`ModelAnalysis.of`), which
+keeps every stage and verdict; a model file is read and analysed afresh on
+every load.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from __future__ import annotations
 import json
 import os
 import re
-from functools import cached_property
+from functools import cache, cached_property, wraps
+from types import MappingProxyType
 
 from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
                       Substitution, rational_roots, poly_gcd,
@@ -68,13 +72,14 @@ NEVER = "NEVER"
 
 
 class Verdict:
-    """Exact t-set where a family of rational functions vanishes jointly."""
+    """Exact t-set where a family of rational functions vanishes jointly;
+    `roots` is a read-only mapping, since an analysis shares its verdicts."""
 
     __slots__ = ("kind", "roots")
 
     def __init__(self, kind, roots=None):
         self.kind = kind
-        self.roots = dict(roots or {})
+        self.roots = MappingProxyType(dict(roots or {}))
 
     def __eq__(self, other):
         return (isinstance(other, Verdict) and self.kind == other.kind
@@ -176,9 +181,11 @@ class CrossCheck:
 
 
 class HomogeneousModel:
-    """Immutable reductive-space description."""
+    """Immutable reductive-space description; a shared built-in carries
+    its one ModelAnalysis in the `_analysis` slot."""
 
-    __slots__ = ("name", "n", "substitution", "lam", "phi0", "notes")
+    __slots__ = ("name", "n", "substitution", "lam", "phi0", "notes",
+                 "_analysis")
 
     def __init__(self, name, n, substitution, lam, phi0, notes=""):
         if n not in (6, 7):
@@ -195,9 +202,10 @@ class HomogeneousModel:
         self.name = name
         self.n = n
         self.substitution = substitution
-        self.lam = list(lam)
+        self.lam = tuple(lam)
         self.phi0 = phi0
         self.notes = notes
+        self._analysis = None
 
     # -- serialization ---------------------------------------------------------
 
@@ -281,6 +289,8 @@ MAX_JSON_DEPTH = 32   # a model file needs 4
 # integer-coefficient bits that `report` takes (see README, exit codes)
 MAX_DENOMINATOR_DEGREE = 80
 MAX_DENOMINATOR_BITS = 4096
+# the most u-degree of a cleared coefficient D*c: deg num + deg D - deg den
+MAX_CLEARED_DEGREE = 80
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
@@ -425,10 +435,11 @@ BUILTIN_MODELS = tuple(sorted(_BUILTIN_DATA))
 
 
 def load_model(name_or_path) -> HomogeneousModel:
-    """Load a built-in model by name or a JSON model file by path."""
+    """Load a built-in model by name, the one shared model of that name, or
+    a JSON model file by path, read and parsed afresh on every call."""
     key = str(name_or_path)
     if key in _BUILTIN_DATA:
-        return HomogeneousModel.from_dict(_BUILTIN_DATA[key])
+        return _builtin_model(key)
     if os.path.exists(key):
         try:
             with open(key, "r", encoding="utf-8") as fh:
@@ -440,8 +451,31 @@ def load_model(name_or_path) -> HomogeneousModel:
     raise ModelError(f"unknown model {key!r} (no such built-in or file)")
 
 
+@cache
+def _builtin_model(name) -> HomogeneousModel:
+    """The built-in model of that name, parsed once per process with its
+    one analysis (stages run on first use), as SpinorStructure.shared
+    builds each structure once; neither may be mutated."""
+    model = HomogeneousModel.from_dict(_BUILTIN_DATA[name])
+    model._analysis = ModelAnalysis(model)
+    return model
+
+
 # ---------------------------------------------------------------------------
 # the analysis pipeline
+
+
+def _kept_per_flag(stage):
+    """The verdict stage with its result kept on the analysis, one per
+    positive_only flag; the stages under it are cached already, and no
+    caller mutates a result."""
+    @wraps(stage)
+    def kept(self, positive_only=True):
+        key = (stage.__name__, bool(positive_only))
+        if key not in self._kept:
+            self._kept[key] = stage(self, positive_only)
+        return self._kept[key]
+    return kept
 
 
 class ModelAnalysis:
@@ -457,7 +491,8 @@ class ModelAnalysis:
     residual) D^2 times.  Verdicts are decided on these cleared values, and
     an output is divided by D or D^2 only where it is read.  S, eta, the
     torsion xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi)
-    are kept once computed; the stabilizer part of a slot is
+    are kept once computed, and so are the classes and each verdict-bearing
+    result, per positive_only flag; the stabilizer part of a slot is
     D Lambda_i - xi_i, m being its orthogonal complement.  The stabilizer,
     m, J and psi come from the structure shared by every model with the
     same n and phi0.
@@ -467,6 +502,15 @@ class ModelAnalysis:
         self.model = model
         self.rep = SpinRep.build(model.n)
         self.structure = SpinorStructure.shared(model.n, model.phi0)
+        self._kept = {}   # (stage, positive_only) -> verdict-bearing result
+
+    @classmethod
+    def of(cls, model: HomogeneousModel) -> ModelAnalysis:
+        """The one analysis a shared built-in model carries, or a fresh one
+        for any other model.  A file model keeps none: its analysis is freed
+        with the request that holds it, with no model-analysis cycle left
+        for the garbage collector."""
+        return model._analysis or cls(model)
 
     # -- the cleared Wang map ----------------------------------------------------
 
@@ -500,8 +544,18 @@ class ModelAnalysis:
 
     @cached_property
     def cleared(self):
-        """The slots D*Lambda_i; every coefficient is a polynomial in u."""
+        """The slots D*Lambda_i; every coefficient is a polynomial in u.
+        ModelError names the first entry, in file order, whose cleared
+        degree deg num + deg D - deg den passes MAX_CLEARED_DEGREE, before
+        any is multiplied out: D alone does not bound it."""
         d = self.common_denominator
+        for k, slot in enumerate(self.model.lam, 1):
+            for (i, j), c in slot.terms.items():
+                degree = c.num.degree + d.degree - c.den.degree
+                if degree > MAX_CLEARED_DEGREE:
+                    raise ModelError(
+                        f"slot {k} ({i},{j}): cleared coefficient of degree "
+                        f"{degree} above {MAX_CLEARED_DEGREE}")
         return [MultiVector(self.model.n,
                             {key: Scalar(c.num * d.exact_div(c.den))
                              for key, c in slot.terms.items()})
@@ -578,6 +632,7 @@ class ModelAnalysis:
             coords.extend(vec_sub(slot.pair_coeffs(), xi.pair_coeffs()))
         return coords
 
+    @_kept_per_flag
     def canonical_parameters(self, positive_only=True) -> Verdict:
         return self._verdict("canonical parameters",
                              self._cleared_canonical(), 1, positive_only)
@@ -623,6 +678,7 @@ class ModelAnalysis:
             return self.harmonicity_su3(positive_only)
         return self.harmonicity_g2(positive_only)
 
+    @_kept_per_flag
     def harmonicity_su3(self, positive_only=True) -> HarmonicityVerdict:
         """Residual chi^S.phi - 1/2 xi_eta.j.phi + (div S).phi
         + div(eta)j.phi + j.S(eta).phi - |eta|^2 phi, exact in t.
@@ -670,6 +726,7 @@ class ModelAnalysis:
             residual, self._inverse[2],
             self._verdict("harmonicity", residual, 2, positive_only))
 
+    @_kept_per_flag
     def harmonicity_g2(self, positive_only=True) -> HarmonicityVerdict:
         """Residual div S; the structure is harmonic iff it vanishes."""
         if self.model.n != 7:
@@ -682,6 +739,7 @@ class ModelAnalysis:
 
     # -- spinor Laplacian cross-check ------------------------------------------------
 
+    @_kept_per_flag
     def laplacian_cross_check(self, positive_only=True) -> CrossCheck:
         """Delta phi = -sum lift(Lambda_i)^2 phi0 against -1/2 c_xi.phi.
 
@@ -709,6 +767,10 @@ class ModelAnalysis:
     # -- classification ---------------------------------------------------------------
 
     def classify(self):
+        return self._classes
+
+    @cached_property
+    def _classes(self):
         """The classes of (D S, D eta), each distinct coordinate scaled
         back by 1/D once; the component matrices mirror the results."""
         s, eta = self._cleared_s_eta

@@ -204,7 +204,7 @@ def _cp3_expected_S():
 
 
 def check_cp3():
-    an = ModelAnalysis(load_model("cp3"))
+    an = ModelAnalysis.of(load_model("cp3"))
     sub = an.model.substitution
     s, eta = an.extract_S_eta()
     fails = []
@@ -245,7 +245,7 @@ def _spin4_stated_eta():
 
 
 def check_spin4():
-    an = ModelAnalysis(load_model("spin4"))
+    an = ModelAnalysis.of(load_model("spin4"))
     sub = an.model.substitution
     s, eta = an.extract_S_eta()
     out = []
@@ -314,7 +314,7 @@ def _aw11_expected_S():
 
 
 def check_aw11():
-    an = ModelAnalysis(load_model("aw11"))
+    an = ModelAnalysis.of(load_model("aw11"))
     sub = an.model.substitution
     s, eta = an.extract_S_eta()
     fails = []
@@ -465,7 +465,7 @@ def check_cross_check():
               "spin4": Verdict(ROOT_SET, {Fraction(3, 2): 1}),
               "aw11": Verdict(ALL_T)}
     for name, verdict in stated.items():
-        an = ModelAnalysis(load_model(name))
+        an = ModelAnalysis.of(load_model(name))
         cc = an.laplacian_cross_check()
         if verdict.kind == ALL_T:
             if not all(c.is_zero for c in cc.residual):
@@ -490,7 +490,7 @@ def check_numeric_scan(samples=20, seed=77):
     fails = []
     for name in ("cp3", "spin4", "aw11"):
         model = load_model(name)
-        an = ModelAnalysis(model)
+        an = ModelAnalysis.of(model)
         verdict = an.harmonicity().verdict
         ts = [Fraction(rng.randint(1, 64), rng.randint(16, 32))
               for _ in range(samples)]

@@ -2,7 +2,18 @@ import copy
 
 import pytest
 
+from spinharm import homogeneous
 from spinharm.homogeneous import load_model
+
+
+@pytest.fixture(autouse=True)
+def fresh_builtin_models():
+    """Each test starts with no shared built-in model, hence no kept
+    analysis: a test that monkeypatches the pipeline sees it run, and
+    leaves no model built under its patch to the next test."""
+    homogeneous._builtin_model.cache_clear()
+    yield
+    homogeneous._builtin_model.cache_clear()
 
 
 S5_STR = ["0", "0", "0", "0", "1", "0", "0", "0"]

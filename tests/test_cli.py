@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,8 +17,9 @@ import spinharm.verify as verify
 from spinharm.cli import main
 from spinharm.coeffexpr import MAX_FILE_FOLD_WORK, MAX_NESTING, MAX_TOKENS
 from spinharm.gstruct import InternalInvariantError
-from spinharm.homogeneous import (MAX_DENOMINATOR_BITS, MAX_DENOMINATOR_DEGREE,
-                                  MAX_JSON_DEPTH, ModelAnalysis, load_model)
+from spinharm.homogeneous import (MAX_CLEARED_DEGREE, MAX_DENOMINATOR_BITS,
+                                  MAX_DENOMINATOR_DEGREE, MAX_JSON_DEPTH,
+                                  ModelAnalysis, load_model)
 
 
 def run_cli(*argv):
@@ -508,6 +510,55 @@ def test_common_denominator_bits_limit(tmp_path, capsys):
     # the same file with the first few entries loads and reports
     path.write_text(json.dumps(_aw11_over(picks[:4])))
     assert run_cli("report", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cleared_degree_limit(tmp_path, capsys, extra):
+    # aw11's D is t; its first entry, -1, times (t+1)^(M-1+extra) clears to
+    # degree M + extra while D keeps degree 1
+    d = load_model("aw11").to_dict()
+    ent = d["lambda"][0][0]
+    assert (ent["i"], ent["j"], ent["coeff"]) == (2, 7, "-1")
+    ent["coeff"] = f"-(t+1)^{MAX_CLEARED_DEGREE - 1 + extra}"
+    path = tmp_path / "cleared.json"
+    path.write_text(json.dumps(d))
+    start = time.perf_counter()
+    code, text = run_cli("report", str(path))
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if extra:
+        assert code == 2 and text == "" and elapsed < 0.5
+        assert err == (f"error: slot 1 (2,7): cleared coefficient of degree "
+                       f"{MAX_CLEARED_DEGREE + 1} above "
+                       f"{MAX_CLEARED_DEGREE}\n")
+    else:
+        assert code == 0 and err == ""
+        an = ModelAnalysis(load_model(str(path)))
+        assert max(c.num.degree for slot in an.cleared
+                   for c in slot.terms.values()) == MAX_CLEARED_DEGREE
+        assert "harmonicity:" in text
+
+
+def test_cleared_degree_probe_exit2_at_once(tmp_path, capsys):
+    # entry m times (t + a_m)^40/(t^2 + b_m)^4: deg D 73, under the
+    # denominator limit, and report took 5.2-6.6 s
+    d = load_model("aw11").to_dict()
+    rng = random.Random(5)
+    for entries in d["lambda"]:
+        for ent in entries:
+            a, b = rng.randint(1, 9), rng.randint(1, 9)
+            ent["coeff"] = f"({ent['coeff']})*(t+{a})^40/(t^2+{b})^4"
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(d))
+    start = time.perf_counter()
+    code, _ = run_cli("report", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    an = ModelAnalysis(load_model(str(path)))
+    assert an.common_denominator.degree == 73 <= MAX_DENOMINATOR_DEGREE
+    assert capsys.readouterr().err == (
+        f"error: slot 1 (2,7): cleared coefficient of degree 105 above "
+        f"{MAX_CLEARED_DEGREE}\n")
 
 
 @pytest.mark.parametrize("coeff", [["t", "+", "u"], {"t": 1}, None, 5])

@@ -89,7 +89,8 @@ def _model_record(draw):
     }
     fault = draw(st.sampled_from(
         ["none"] * 6 + ["coeff", "coeff", "field", "entry", "duplicate",
-                        "missing", "record", "powers", "powers"]))
+                        "missing", "record", "powers", "powers",
+                        "cleared", "cleared"]))
     if fault == "coeff":
         slot = draw(st.integers(0, n - 1))
         lam[slot].append({"i": 1, "j": n,
@@ -114,6 +115,15 @@ def _model_record(draw):
         entries = [ent for slot in lam for ent in slot]
         for m, ent in enumerate(entries, 1):
             ent["coeff"] = f"({ent['coeff']})/(t^2+{m})^{e}"
+    elif fault == "cleared":
+        # entry m times (t + a_m)^k/(t^2 + b_m)^4: numerator degrees that
+        # lift the cleared coefficients below and past MAX_CLEARED_DEGREE,
+        # with the common denominator mostly under its own limit
+        k = draw(st.integers(1, 60))
+        for slot in lam:
+            for ent in slot:
+                a, b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+                ent["coeff"] = f"({ent['coeff']})*(t+{a})^{k}/(t^2+{b})^4"
     return record
 
 

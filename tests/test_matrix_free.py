@@ -18,7 +18,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinharm import clifford, cli, coeffexpr, gstruct
+from spinharm import clifford, cli, coeffexpr, gstruct, homogeneous
 from spinharm.clifford import MultiVector, SpinRep
 from spinharm.gstruct import InternalInvariantError, SpinorStructure
 from spinharm.homogeneous import (BUILTIN_MODELS, _BUILTIN_DATA,
@@ -264,6 +264,9 @@ def test_warm_reports_do_each_piece_of_work_once(monkeypatch):
         strings = {e["coeff"] for entries in data["lambda"] for e in entries}
         for fmt, skew in (("text", 0), ("structured", 9 - data["n"])):
             calls.clear()
+            # the warm-up built the SpinRep and structure caches; a kept
+            # built-in model would answer the report without the work
+            homogeneous._builtin_model.cache_clear()
             assert cli.main(["report", name, "--format", fmt],
                             out=io.StringIO()) == 0
             assert calls == Counter({"parse_scalar": len(strings),

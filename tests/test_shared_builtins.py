@@ -1,0 +1,179 @@
+"""Built-in models are shared per process; model files never are.
+
+`load_model(name)` returns the one parsed model of a built-in, and
+`ModelAnalysis.of(model)` the one analysis kept on a model, whose verdicts
+are kept per positive_only flag.  These tests pin what is shared, that
+nothing else is (a model file is read and analysed afresh on every call),
+that the shared results cannot be written into, and that a process which
+repeats requests prints what fresh processes print.
+"""
+
+import copy
+import gc
+import io
+import os
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import spinharm
+from spinharm import cli, coeffexpr, homogeneous, scalars
+from spinharm.clifford import SpinRep
+from spinharm.homogeneous import (BUILTIN_MODELS, HomogeneousModel,
+                                  ModelAnalysis, load_model)
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    code = cli.main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+def _perturbed(name, dst, src, factor, label):
+    """The built-in with slot dst gaining slot src times factor."""
+    d = load_model(name).to_dict()
+    extra = copy.deepcopy(d["lambda"][src])
+    for ent in extra:
+        ent["coeff"] = f"({ent['coeff']})*({factor})"
+    d["lambda"][dst] = d["lambda"][dst] + extra
+    d["name"] = label
+    return d
+
+
+def test_builtin_model_and_analysis_are_shared():
+    for name in BUILTIN_MODELS:
+        model = load_model(name)
+        assert load_model(name) is model
+        an = ModelAnalysis.of(model)
+        assert an.model is model
+        assert ModelAnalysis.of(model) is an
+        assert ModelAnalysis(model) is not an   # the constructor is fresh
+    assert homogeneous._builtin_model.cache_info().currsize == \
+        len(BUILTIN_MODELS)
+
+
+def test_verdicts_are_kept_per_flag():
+    for name in BUILTIN_MODELS:
+        an = ModelAnalysis.of(load_model(name))
+        for stage in (an.canonical_parameters, an.harmonicity,
+                      an.laplacian_cross_check):
+            assert stage() is stage(True)
+            assert stage(False) is stage(False)
+            assert stage(False) is not stage(True)
+        assert an.classify() is an.classify()
+
+
+def test_repeated_builtin_report_does_no_work(monkeypatch):
+    # the second visit to a built-in parses no coefficient, lifts no slot
+    # and takes no gcd: only the output is built again
+    argvs = [argv for name in BUILTIN_MODELS
+             for argv in (("report", name, "--format", "structured"),
+                          ("report", name, "--at", "3/2"),
+                          ("report", name, "--include-negative-roots"))]
+    first = {argv: run_cli(*argv) for argv in argvs}
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gcd = counted("poly_gcd", scalars.poly_gcd)
+    monkeypatch.setattr(scalars, "poly_gcd", gcd)
+    monkeypatch.setattr(homogeneous, "poly_gcd", gcd)
+    monkeypatch.setattr(coeffexpr, "parse_scalar",
+                        counted("parse_scalar", coeffexpr.parse_scalar))
+    monkeypatch.setattr(SpinRep, "lift_act",
+                        counted("lift_act", SpinRep.lift_act))
+    for argv in argvs:
+        assert run_cli(*argv) == first[argv], argv
+    assert calls == Counter()
+
+
+def test_model_file_rewritten_between_reports(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(load_model("cp3").dumps(), encoding="utf-8")
+    first = run_cli("report", str(path), "--format", "structured")
+    path.write_text(load_model("aw11").dumps(), encoding="utf-8")
+    second = run_cli("report", str(path), "--format", "structured")
+    assert first == run_cli("report", "cp3", "--format", "structured")
+    assert second == run_cli("report", "aw11", "--format", "structured")
+
+
+def test_two_loads_of_a_file_share_nothing(tmp_path, g2_toy_dict):
+    path = tmp_path / "g2toy.json"
+    path.write_text(HomogeneousModel.from_dict(g2_toy_dict).dumps(),
+                    encoding="utf-8")
+    a, b = load_model(str(path)), load_model(str(path))
+    assert a is not b
+    an_a, an_b = ModelAnalysis.of(a), ModelAnalysis.of(b)
+    assert an_a is not an_b
+    assert ModelAnalysis.of(a) is not an_a   # a file model keeps none
+    assert an_a.harmonicity() is not an_b.harmonicity()
+    assert an_a.harmonicity().verdict == an_b.harmonicity().verdict
+
+
+def test_generated_file_reports_keep_no_model(tmp_path):
+    # with the collector off, a model left in a reference cycle (say, with
+    # its analysis) would outlive its report
+    gc.disable()
+    try:
+        for k in range(20):
+            name = BUILTIN_MODELS[k % 3]
+            label = f"generated-{k}"
+            path = tmp_path / f"{label}.json"
+            path.write_text(HomogeneousModel.from_dict(
+                _perturbed(name, 0, 2, f"t-{k + 1}/7", label)).dumps(),
+                encoding="utf-8")
+            code, _ = run_cli("report", str(path), "--format", "structured")
+            assert code == 0
+            assert run_cli("report", name)[0] == 0
+        kept = [o.name for o in gc.get_objects()
+                if isinstance(o, HomogeneousModel)
+                and o.name.startswith("generated-")]
+    finally:
+        gc.enable()
+    assert kept == []
+    assert homogeneous._builtin_model.cache_info().currsize <= 3
+
+
+def test_shared_results_are_read_only():
+    model = load_model("aw11")
+    with pytest.raises(TypeError):
+        model.lam[0] = model.lam[1]
+    an = ModelAnalysis.of(model)
+    canonical = an.canonical_parameters()
+    assert dict(canonical.roots) == {Fraction(1, 8): 1}
+    with pytest.raises(TypeError):
+        canonical.roots[Fraction(1, 8)] = 2
+    with pytest.raises(TypeError):
+        an.harmonicity().verdict.roots[Fraction(1)] = 1
+    assert dict(an.canonical_parameters().roots) == {Fraction(1, 8): 1}
+    assert an.harmonicity().verdict.to_dict() == {"kind": "ALL_T",
+                                                  "roots": {}}
+
+
+def test_interleaved_requests_print_fresh_process_bytes():
+    runs = []
+    for name, t in (("cp3", "1/2"), ("spin4", "3/2"), ("aw11", "5/4")):
+        runs += [("report", name, "--format", "structured"),
+                 ("report", name, "--include-negative-roots", "--format",
+                  "structured"),
+                 ("report", name, "--at", t),
+                 ("dump", name)]
+    runs.append(("verify", "--trials", "20"))
+    src = os.path.dirname(os.path.dirname(spinharm.__file__))
+    script = "import sys, spinharm.cli\nsys.exit(spinharm.cli.main())\n"
+    fresh = {}
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert done.stderr == "", argv
+        fresh[argv] = (done.returncode, done.stdout)
+    for argv in runs + runs[::-1]:
+        assert run_cli(*argv) == fresh[argv], argv

@@ -4,8 +4,9 @@
 gives every request the check that decides whether its output is correct:
 golden bytes for the built-in reports and dumps, planted verdicts, the
 float oracle, and the acceptance check names.  Here each workload's first
-timed pass runs once, untimed, so a changed golden byte or verdict fails
-the test suite and not only a benchmark run.  The module is imported from
+two timed passes run once, untimed, so a changed golden byte or verdict
+fails the test suite and not only a benchmark run; the second pass meets
+each built-in model again, as the shared model of its name.  The module is imported from
 its file and only read; it writes its model files under tmp_path.
 """
 
@@ -35,10 +36,11 @@ def workloads():
 
 
 @pytest.mark.parametrize("name", ["reports", "roots", "acceptance"])
-def test_first_pass_passes_its_own_checks(workloads, tmp_path, name):
+def test_two_passes_pass_their_own_checks(workloads, tmp_path, name):
     assert name in workloads.WORKLOADS
     wl = workloads.Workload(name, SEED, tmp_path)
-    requests = wl.requests(1)
-    assert requests
-    for req in requests:
-        assert req.check(req.run()) is None, req.kind
+    for index in (1, 2):
+        requests = wl.requests(index)
+        assert requests
+        for req in requests:
+            assert req.check(req.run()) is None, (index, req.kind)
