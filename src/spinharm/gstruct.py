@@ -36,7 +36,7 @@ and the W4 solve multiplies back through the (e_l -| psi) matrix.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from itertools import combinations
 
 from .scalars import Scalar, ZERO, ONE, zero_at
@@ -48,6 +48,20 @@ from .clifford import MultiVector, SpinRep, _multivector, index_pairs
 
 class InternalInvariantError(AssertionError):
     """A structural identity the representation guarantees failed to hold."""
+
+
+def kept(stage):
+    """The stage with its first result stored on the instance; a stage
+    that raises stores nothing.  It stays a plain function, so a caller can
+    wrap it by name."""
+    key = stage.__qualname__   # dotted: no attribute lookup reaches it
+
+    @wraps(stage)
+    def wrapper(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = stage(self)
+        return self.__dict__[key]
+    return wrapper
 
 
 class SpinorParts:
@@ -136,26 +150,23 @@ class SpinorStructure:
         return Matrix.from_columns([self._basis_act(p, self.phi)
                                     for p in index_pairs(self.n)])
 
-    @cached_property
-    def _annihilator(self):
-        return self.action_matrix().kernel()
-
-    @cached_property
-    def _complement_m(self):
-        return self._annihilator.orthogonal_complement()
-
+    @kept
     def annihilator(self) -> Subspace:
         """2-forms annihilating phi: su(3) for n = 6, g2 for n = 7."""
-        return self._annihilator
+        return self.action_matrix().kernel()
 
+    @kept
     def complement_m(self) -> Subspace:
         """Orthogonal complement of the stabilizer inside the 2-forms."""
-        return self._complement_m
+        return self.annihilator().orthogonal_complement()
 
     # -- derived structures ---------------------------------------------------
 
-    @cached_property
-    def _almost_complex(self):
+    @kept
+    def almost_complex(self) -> Matrix:
+        """J with J(X).phi = j.X.phi; J^2 = -Id, orthogonal, skew (n = 6)."""
+        if self.n != 6:
+            raise ValueError("almost complex structure needs n = 6")
         vol = self.rep.volume_element()
         cols = []
         for i in range(1, 7):
@@ -166,12 +177,6 @@ class SpinorStructure:
                     "j.X.phi has a phi or j.phi component")
             cols.append(parts.vector)
         return Matrix.from_columns(cols)
-
-    def almost_complex(self) -> Matrix:
-        """J with J(X).phi = j.X.phi; J^2 = -Id, orthogonal, skew (n = 6)."""
-        if self.n != 6:
-            raise ValueError("almost complex structure needs n = 6")
-        return self._almost_complex
 
     def kahler_form(self) -> MultiVector:
         return MultiVector.from_skew_matrix(self.almost_complex())

@@ -39,8 +39,9 @@ published values, but no code checks it against the Koszul formula from
 the Lie brackets.  Model files are JSON per the documented schema;
 built-ins round-trip through dump/load bit-exactly.  A built-in is parsed
 once per process and carries one ModelAnalysis (`ModelAnalysis.of`), which
-keeps every stage and verdict; a model file is read and analysed afresh on
-every load.
+keeps every stage once, the cleared values that both positive_only settings
+share, and each verdict per setting; a model file is read and analysed
+afresh on every load.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from functools import cache, cached_property, wraps
+from functools import cache, cached_property
 from types import MappingProxyType
 
 from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
@@ -57,9 +58,10 @@ from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
                       quote)
 from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
                      vec_sub, zero_vec)
-from .clifford import MultiVector, SpinRep
+from .clifford import MultiVector, SpinRep, _multivector
 from .coeffexpr import parse_fraction
-from .gstruct import SpinorStructure, InternalInvariantError, unit_spinor
+from .gstruct import (SpinorStructure, InternalInvariantError, kept,
+                      unit_spinor)
 
 
 class ModelError(ValueError):
@@ -181,8 +183,9 @@ class CrossCheck:
 
 
 class HomogeneousModel:
-    """Immutable reductive-space description; a shared built-in carries
-    its one ModelAnalysis in the `_analysis` slot."""
+    """Reductive-space description whose Lambda slots are read-only: the
+    slots are a tuple and each slot's terms a mapping proxy.  A shared
+    built-in carries its one ModelAnalysis in the `_analysis` slot."""
 
     __slots__ = ("name", "n", "substitution", "lam", "phi0", "notes",
                  "_analysis")
@@ -202,7 +205,8 @@ class HomogeneousModel:
         self.name = name
         self.n = n
         self.substitution = substitution
-        self.lam = tuple(lam)
+        self.lam = tuple(_multivector(n, MappingProxyType(dict(slot.terms)))
+                         for slot in lam)
         self.phi0 = phi0
         self.notes = notes
         self._analysis = None
@@ -219,7 +223,7 @@ class HomogeneousModel:
             "name": self.name,
             "n": self.n,
             "substitution": self.substitution.label,
-            "spinor": [_fraction_str(c) for c in self.phi0],
+            "spinor": [str(c.as_fraction()) for c in self.phi0],
             "lambda": lam_out,
             "notes": self.notes,
         }
@@ -231,10 +235,13 @@ class HomogeneousModel:
     def from_dict(cls, data):
         from .coeffexpr import FoldBudget, ParseError
         try:
+            if type(data) is not dict:
+                raise TypeError("expected a JSON object, got "
+                                f"{type(data).__name__}")
             name = _json_str(data, "name")
             notes = _json_str(data, "notes") if "notes" in data else ""
             n = _json_int(data, "n")
-            sub = Substitution.from_label(data["substitution"])
+            sub = Substitution.from_label(_json_str(data, "substitution"))
             spinor = [_parse_fraction(k, c)
                       for k, c in enumerate(_json_spinor(data), 1)]
             lam_raw = data["lambda"]
@@ -338,12 +345,6 @@ def _json_spinor(record):
     if len(value) != 8:
         raise ValueError(f"spinor must have 8 coordinates, got {len(value)}")
     return value
-
-
-def _fraction_str(c: Scalar) -> str:
-    f = c.as_fraction()
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 \
-        else str(f.numerator)
 
 
 def _parse_fraction(k, text) -> Scalar:
@@ -465,19 +466,6 @@ def _builtin_model(name) -> HomogeneousModel:
 # the analysis pipeline
 
 
-def _kept_per_flag(stage):
-    """The verdict stage with its result kept on the analysis, one per
-    positive_only flag; the stages under it are cached already, and no
-    caller mutates a result."""
-    @wraps(stage)
-    def kept(self, positive_only=True):
-        key = (stage.__name__, bool(positive_only))
-        if key not in self._kept:
-            self._kept[key] = stage(self, positive_only)
-        return self._kept[key]
-    return kept
-
-
 class ModelAnalysis:
     """Lazy exact pipeline over one model, run on the cleared Wang map.
 
@@ -491,8 +479,9 @@ class ModelAnalysis:
     residual) D^2 times.  Verdicts are decided on these cleared values, and
     an output is divided by D or D^2 only where it is read.  S, eta, the
     torsion xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi)
-    are kept once computed, and so are the classes and each verdict-bearing
-    result, per positive_only flag; the stabilizer part of a slot is
+    are kept once computed, and so are the classes and the cleared values
+    the verdicts are decided on, which no positive_only setting changes;
+    each verdict is kept per setting.  The stabilizer part of a slot is
     D Lambda_i - xi_i, m being its orthogonal complement.  The stabilizer,
     m, J and psi come from the structure shared by every model with the
     same n and phi0.
@@ -502,7 +491,7 @@ class ModelAnalysis:
         self.model = model
         self.rep = SpinRep.build(model.n)
         self.structure = SpinorStructure.shared(model.n, model.phi0)
-        self._kept = {}   # (stage, positive_only) -> verdict-bearing result
+        self._verdicts = {}   # (stage, positive_only) -> Verdict
 
     @classmethod
     def of(cls, model: HomogeneousModel) -> ModelAnalysis:
@@ -570,11 +559,8 @@ class ModelAnalysis:
 
     # -- S and eta -------------------------------------------------------------
 
+    @kept
     def extract_S_eta(self):
-        return self._s_eta
-
-    @cached_property
-    def _s_eta(self):
         s, eta = self._cleared_s_eta
         inv = self._inverse[1]
         return s.scale(inv), vec_scale(inv, eta)
@@ -604,11 +590,8 @@ class ModelAnalysis:
 
     # -- torsion ----------------------------------------------------------------
 
+    @kept
     def torsion(self):
-        return self._torsion
-
-    @cached_property
-    def _torsion(self):
         inv = self._inverse[1]
         return [slot.scale(inv) for slot in self._cleared_torsion]
 
@@ -624,27 +607,32 @@ class ModelAnalysis:
         """The stabilizer components of every Lambda slot, slot after slot
         in pair coordinates, as D Lambda_i - xi_i over D; they vanish
         exactly where Lambda is the canonical connection."""
-        return vec_scale(self._inverse[1], self._cleared_canonical())
+        return vec_scale(self._inverse[1], self._cleared_canonical)
 
+    @cached_property
     def _cleared_canonical(self):
         coords = []
         for slot, xi in zip(self.cleared, self._cleared_torsion):
             coords.extend(vec_sub(slot.pair_coeffs(), xi.pair_coeffs()))
         return coords
 
-    @_kept_per_flag
     def canonical_parameters(self, positive_only=True) -> Verdict:
-        return self._verdict("canonical parameters",
-                             self._cleared_canonical(), 1, positive_only)
+        return self._verdict("canonical parameters", self._cleared_canonical,
+                             1, positive_only)
 
     def _verdict(self, stage, cleared, power, positive_only):
         """vanishing_verdict of cleared values over D^power under the
-        model's substitution; a refusal names the stage."""
-        try:
-            return vanishing_verdict(cleared, self.model.substitution,
-                                     positive_only, self._inverse[power].den)
-        except IrrationalRoots as exc:
-            raise IrrationalRoots(f"{stage}: {exc}") from None
+        model's substitution, kept per (stage, positive_only); a refusal
+        names the stage and is not kept."""
+        key = (stage, bool(positive_only))
+        if key not in self._verdicts:
+            try:
+                self._verdicts[key] = vanishing_verdict(
+                    cleared, self.model.substitution, positive_only,
+                    self._inverse[power].den)
+            except IrrationalRoots as exc:
+                raise IrrationalRoots(f"{stage}: {exc}") from None
+        return self._verdicts[key]
 
     # -- divergences -------------------------------------------------------------
 
@@ -674,14 +662,18 @@ class ModelAnalysis:
     # -- harmonicity --------------------------------------------------------------
 
     def harmonicity(self, positive_only=True) -> HarmonicityVerdict:
-        if self.model.n == 6:
-            return self.harmonicity_su3(positive_only)
-        return self.harmonicity_g2(positive_only)
+        """The harmonicity residual (a spinor for n = 6, a frame vector for
+        n = 7) and the t-set where it vanishes."""
+        residual = self._cleared_residual
+        return HarmonicityVerdict(
+            residual, self._inverse[2],
+            self._verdict("harmonicity", residual, 2, positive_only))
 
-    @_kept_per_flag
-    def harmonicity_su3(self, positive_only=True) -> HarmonicityVerdict:
-        """Residual chi^S.phi - 1/2 xi_eta.j.phi + (div S).phi
-        + div(eta)j.phi + j.S(eta).phi - |eta|^2 phi, exact in t.
+    @cached_property
+    def _cleared_residual(self):
+        """D^2 times the harmonicity residual: div S for n = 7, and for
+        n = 6 chi^S.phi - 1/2 xi_eta.j.phi + (div S).phi + div(eta)j.phi
+        + j.S(eta).phi - |eta|^2 phi, exact in t.
 
         chi^S enters with the sign that makes the residual the exact
         negative of the Laplacian cross-check residual (a polynomial
@@ -690,9 +682,9 @@ class ModelAnalysis:
         is quadratic in Lambda: the sum over the cleared slots is D^2 times
         the residual.
         """
-        if self.model.n != 6:
-            raise ValueError("SU(3) harmonicity needs n = 6")
         s, eta = self._cleared_s_eta
+        if self.model.n == 7:
+            return self.divergence_endo(s, self.cleared)
         xi = self._cleared_torsion
         phi = self.structure.phi
         vol = self.rep.volume_element()
@@ -720,34 +712,25 @@ class ModelAnalysis:
                            self.rep.act(vol, self.rep.act_vector(s_eta, phi)))
 
         eta2 = vec_dot(eta, eta)
-        residual = vec_add(residual, vec_scale(-eta2, phi))
-
-        return HarmonicityVerdict(
-            residual, self._inverse[2],
-            self._verdict("harmonicity", residual, 2, positive_only))
-
-    @_kept_per_flag
-    def harmonicity_g2(self, positive_only=True) -> HarmonicityVerdict:
-        """Residual div S; the structure is harmonic iff it vanishes."""
-        if self.model.n != 7:
-            raise ValueError("G2 harmonicity needs n = 7")
-        s, _ = self._cleared_s_eta
-        residual = self.divergence_endo(s, self.cleared)
-        return HarmonicityVerdict(
-            residual, self._inverse[2],
-            self._verdict("harmonicity", residual, 2, positive_only))
+        return vec_add(residual, vec_scale(-eta2, phi))
 
     # -- spinor Laplacian cross-check ------------------------------------------------
 
-    @_kept_per_flag
     def laplacian_cross_check(self, positive_only=True) -> CrossCheck:
         """Delta phi = -sum lift(Lambda_i)^2 phi0 against -1/2 c_xi.phi.
 
         The residual Delta phi + 1/2 c_xi.phi equals -1/2 L.phi, so its
-        vanishing set is the harmonic parameter set.  All three are
-        quadratic in Lambda, summed over the cleared slots and divided by
-        D^2.
+        vanishing set is the harmonic parameter set.
         """
+        cleared = self._cleared_cross
+        return CrossCheck(
+            cleared, self._inverse[2],
+            self._verdict("cross-check", cleared[2], 2, positive_only))
+
+    @cached_property
+    def _cleared_cross(self):
+        """(Delta phi, c_xi.phi, residual), each quadratic in Lambda,
+        summed over the cleared slots: D^2 times their values."""
         phi = self.structure.phi
         rep = self.rep
         delta = zero_vec(8)
@@ -760,17 +743,12 @@ class ModelAnalysis:
             c_xi_phi = vec_add(c_xi_phi, rep.act(slot, rep.act(slot, phi)))
         c_xi_phi = vec_scale(half, c_xi_phi)
         residual = [d + half * c for d, c in zip(delta, c_xi_phi)]
-        return CrossCheck(
-            (delta, c_xi_phi, residual), self._inverse[2],
-            self._verdict("cross-check", residual, 2, positive_only))
+        return delta, c_xi_phi, residual
 
     # -- classification ---------------------------------------------------------------
 
+    @kept
     def classify(self):
-        return self._classes
-
-    @cached_property
-    def _classes(self):
         """The classes of (D S, D eta), each distinct coordinate scaled
         back by 1/D once; the component matrices mirror the results."""
         s, eta = self._cleared_s_eta

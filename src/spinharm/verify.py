@@ -225,7 +225,7 @@ def check_cp3():
         fails.append("div S != 0")
     if an.canonical_parameters() != Verdict(ALL_T):
         fails.append("canonical parameters != ALL_T")
-    if an.harmonicity_su3().verdict != Verdict(ALL_T):
+    if an.harmonicity().verdict != Verdict(ALL_T):
         fails.append("harmonicity != ALL_T")
     return [CheckResult("cp3-model", not fails,
                         "; ".join(fails) or
@@ -273,7 +273,7 @@ def check_spin4():
     out.append(CheckResult("spin4-divergences", ok_div,
                            "div S = 0 and div(eta-sharp) = 0"))
 
-    hv = an.harmonicity_su3()
+    hv = an.harmonicity()
     stated_verdict = Verdict(ROOT_SET, {Fraction(3, 2): 1})
     ok_roots = (hv.verdict.kind == ROOT_SET
                 and set(hv.verdict.roots) == {Fraction(3, 2)})
@@ -331,7 +331,7 @@ def check_aw11():
         fails.append("canonical parameters != {1/8}")
     if not vec_is_zero(an.divergence_endo(s)):
         fails.append("div S != 0")
-    if an.harmonicity_g2().verdict != Verdict(ALL_T):
+    if an.harmonicity().verdict != Verdict(ALL_T):
         fails.append("harmonicity != ALL_T")
     return [CheckResult("aw11-model", not fails,
                         "; ".join(fails) or

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import io
 import json
 import os
@@ -114,15 +116,42 @@ def test_directory_as_model_file_exit2(tmp_path, capsys, command):
         f"error: cannot read model file {str(tmp_path)!r}: Is a directory\n"
 
 
-@pytest.mark.skipif(os.geteuid() == 0, reason="root can read any file")
-def test_unreadable_model_file_exit2(tmp_path, capsys, flat6_dict):
+def test_unreadable_model_file_exit2(tmp_path, capsys, monkeypatch,
+                                    flat6_dict):
+    # open() refuses the file as it would for a reader without permission,
+    # whoever runs the test
     path = tmp_path / "locked.json"
     path.write_text(json.dumps(flat6_dict))
-    path.chmod(0)
+    real_open = builtins.open
+
+    def locked_open(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(path))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", locked_open)
     code, out = run_cli("report", str(path))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == \
         f"error: cannot read model file {str(path)!r}: Permission denied\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    (json.dumps({"name": "x", "n": 6, "substitution": ["t=u"],
+                 "spinor": ["0"] * 4 + ["1"] + ["0"] * 3,
+                 "lambda": [[] for _ in range(6)]}),
+     "substitution must be a string, got ['t=u']")],
+    ids=["list", "substitution"])
+def test_model_record_message_names_the_fault(tmp_path, capsys, text,
+                                              message):
+    # these exited 2 with "list indices must be integers or slices, not
+    # str" and "unhashable type: 'list'"
+    path = tmp_path / "record.json"
+    path.write_text(text)
+    assert run_cli("report", str(path)) == (2, "")
+    assert capsys.readouterr().err == f"error: bad model record: {message}\n"
 
 
 @pytest.mark.parametrize("coeff", ["(" * 5000 + "1" + ")" * 5000,

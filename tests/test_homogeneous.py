@@ -256,13 +256,13 @@ def test_divergence_vector_numeric_cross_check():
 
 
 def test_cp3_harmonic_for_all_t():
-    hv = ModelAnalysis(load_model("cp3")).harmonicity_su3()
+    hv = ModelAnalysis(load_model("cp3")).harmonicity()
     assert hv.verdict == Verdict(ALL_T)
     assert all(c.is_zero for c in hv.residual)
 
 
 def test_aw11_harmonic_for_all_t():
-    hv = ModelAnalysis(load_model("aw11")).harmonicity_g2()
+    hv = ModelAnalysis(load_model("aw11")).harmonicity()
     assert hv.verdict == Verdict(ALL_T)
 
 
@@ -270,7 +270,7 @@ def test_spin4_residual_identically_zero():
     # regression for the computed truth: the six-term residual of the
     # self-consistent extraction cancels identically (the published {3/2}
     # verdict needs the inconsistent doubled S and eta; see notes)
-    hv = ModelAnalysis(load_model("spin4")).harmonicity_su3()
+    hv = ModelAnalysis(load_model("spin4")).harmonicity()
     assert all(c.is_zero for c in hv.residual)
     assert hv.verdict == Verdict(ALL_T)
 
@@ -286,7 +286,7 @@ def test_flat_toy_harmonic(flat6_dict, flat7_dict):
 
 def test_g2_toy_root_set(g2_toy_dict):
     an = ModelAnalysis(HomogeneousModel.from_dict(g2_toy_dict))
-    hv = an.harmonicity_g2()
+    hv = an.harmonicity()
     assert hv.verdict == Verdict(ROOT_SET, {Fraction(1, 2): 1})
     # residual is (2t-1)/4 in the second coordinate
     nz = [c for c in hv.residual if not c.is_zero]
@@ -302,13 +302,6 @@ def test_g2_toy_numeric_bracketing(g2_toy_dict):
     left = max(t for t in vals if t < root)
     right = min(t for t in vals if t > root)
     assert vals[left] > vals[root] and vals[right] > vals[root]
-
-
-def test_wrong_dimension_dispatch():
-    with pytest.raises(ValueError, match="needs n = 6"):
-        ModelAnalysis(load_model("aw11")).harmonicity_su3()
-    with pytest.raises(ValueError, match="needs n = 7"):
-        ModelAnalysis(load_model("cp3")).harmonicity_g2()
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +358,7 @@ def test_theorem_residual_is_negative_of_cross_check(eta_toy_dict):
     chi = an.structure.chi_vector(an.torsion(), s)
     assert not vec_is_zero(chi)
     assert not vec_is_zero(eta)
-    hv = an.harmonicity_su3()
+    hv = an.harmonicity()
     cc = an.laplacian_cross_check()
     assert hv.residual == [-c for c in cc.residual]
 

@@ -1,8 +1,10 @@
 """Built-in models are shared per process; model files never are.
 
 `load_model(name)` returns the one parsed model of a built-in, and
-`ModelAnalysis.of(model)` the one analysis kept on a model, whose verdicts
-are kept per positive_only flag.  These tests pin what is shared, that
+`ModelAnalysis.of(model)` the one analysis kept on a model.  It keeps each
+stage once, the cleared values the verdicts are decided on once for both
+positive_only settings, and each verdict per setting.  These tests pin what
+is shared, that
 nothing else is (a model file is read and analysed afresh on every call),
 that the shared results cannot be written into, and that a process which
 repeats requests prints what fresh processes print.
@@ -22,8 +24,10 @@ import pytest
 import spinharm
 from spinharm import cli, coeffexpr, homogeneous, scalars
 from spinharm.clifford import SpinRep
+from spinharm.gstruct import InternalInvariantError, SpinorStructure
 from spinharm.homogeneous import (BUILTIN_MODELS, HomogeneousModel,
                                   ModelAnalysis, load_model)
+from spinharm.scalars import ONE
 
 
 def run_cli(*argv):
@@ -58,12 +62,52 @@ def test_builtin_model_and_analysis_are_shared():
 def test_verdicts_are_kept_per_flag():
     for name in BUILTIN_MODELS:
         an = ModelAnalysis.of(load_model(name))
-        for stage in (an.canonical_parameters, an.harmonicity,
-                      an.laplacian_cross_check):
-            assert stage() is stage(True)
-            assert stage(False) is stage(False)
-            assert stage(False) is not stage(True)
-        assert an.classify() is an.classify()
+        assert an.canonical_parameters() is an.canonical_parameters(True)
+        assert an.canonical_parameters(False) is an.canonical_parameters(False)
+        assert an.harmonicity(False).verdict is an.harmonicity(False).verdict
+        for stage in (an.harmonicity, an.laplacian_cross_check):
+            # the cleared values do not depend on the flag
+            assert stage(True).cleared is stage(False).cleared
+        for stage in (an.extract_S_eta, an.torsion, an.classify):
+            assert stage() is stage()
+
+
+def test_second_flag_lifts_and_differentiates_nothing(monkeypatch):
+    # after a report, the same report with the other positive_only setting
+    # decides its verdicts on the cleared values already kept
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((SpinRep, "lift_act"), (SpinRep, "act_vector"),
+                        (ModelAnalysis, "divergence_endo")):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    for name in BUILTIN_MODELS:
+        assert run_cli("report", name, "--format", "structured")[0] == 0
+        assert calls["lift_act"] > 0 and calls["divergence_endo"] == 1
+        calls.clear()
+        assert run_cli("report", name, "--format", "structured",
+                       "--include-negative-roots")[0] == 0
+        assert calls == Counter(), name
+
+
+def test_a_stage_that_raises_keeps_nothing(monkeypatch, capsys):
+    structure = SpinorStructure.shared(7, [0, 0, 0, 0, 1, 0, 0, 0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="needs n = 6"):
+            structure.almost_complex()
+
+    def breach(self):
+        raise InternalInvariantError("phi component nonzero")
+
+    monkeypatch.setattr(ModelAnalysis, "_extract", breach)
+    for _ in range(2):
+        assert run_cli("report", "cp3") == (3, "")
+        assert "invariant breach" in capsys.readouterr().err
 
 
 def test_repeated_builtin_report_does_no_work(monkeypatch):
@@ -92,6 +136,17 @@ def test_repeated_builtin_report_does_no_work(monkeypatch):
     for argv in argvs:
         assert run_cli(*argv) == first[argv], argv
     assert calls == Counter()
+
+
+def test_lambda_slots_are_read_only():
+    model = load_model("cp3")
+    dumped = model.dumps()
+    with pytest.raises(TypeError):
+        model.lam[0].terms[(3, 5)] = ONE
+    golden = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "perfbench", "golden", "dump-cp3.json")
+    with open(golden, encoding="utf-8") as fh:
+        assert run_cli("dump", "cp3") == (0, fh.read()) == (0, dumped)
 
 
 def test_model_file_rewritten_between_reports(tmp_path):
