@@ -28,11 +28,10 @@ compare operators (the Clifford relations, the volume element, the
 commutator identities, c_T) keep them as SpinOps, sums c_W e_W over words
 W: a product concatenates words, and equality collects the terms by their
 signed permutation, so an identity's words cancel with no matrix built.
-A dense spinor matrix (`gens`, `endo`, `spin_lift`, `j_matrix`) is a
-SpinOp's `dense()`, built only where a matrix is returned: the pinned
-generator entries, c_T itself, and the W3-energy check, which applies
-each torsion slot twice.  `to_skew_matrix` builds the printed class
-component matrices.
+A dense spinor matrix (`gens`, `endo`, `spin_lift`) is a SpinOp's
+`dense()`, built only where a matrix is returned: the pinned generator
+entries, c_T itself, and the W3-energy check, which applies each torsion
+slot twice.  `to_skew_matrix` builds the printed class component matrices.
 
 For a frame tensor T (one 2-form per frame direction) the module builds
 c_T = 1/2 sum_i T_i . T_i and sigma_T = 1/2 sum_i T_i ^ T_i together with
@@ -111,10 +110,6 @@ class MultiVector:
     @classmethod
     def vector(cls, n, coords):
         return cls(n, {(i + 1,): c for i, c in enumerate(coords)})
-
-    @classmethod
-    def two_form(cls, n, coeffs):
-        return cls(n, {key: c for key, c in coeffs.items()})
 
     def coeff(self, key):
         return self.terms.get(tuple(key), ZERO)
@@ -293,7 +288,7 @@ class SpinRep:
     permutations are read off _GEN_TABLE and composed letter by letter in
     `_signed_perm`.  `act` applies them to a spinor directly; `op` turns a
     multivector into a SpinOp, and every dense matrix (`gens`, `endo`,
-    `spin_lift`, `j_matrix`) is a SpinOp's `dense()`.  `build` returns one
+    `spin_lift`) is a SpinOp's `dense()`.  `build` returns one
     representation per n for the process.
     """
 
@@ -316,7 +311,8 @@ class SpinRep:
     @cached_property
     def gens(self):
         """The dense generator matrices e_1, ..., e_n."""
-        return [self._tuple_endo((i,)) for i in range(1, self.n + 1)]
+        return [SpinOp(self, (((i,), ONE),)).dense()
+                for i in range(1, self.n + 1)]
 
     @classmethod
     @cache
@@ -360,10 +356,6 @@ class SpinRep:
         if m.n != self.n:
             raise ValueError("dimension mismatch")
         return SpinOp(self, tuple(m.terms.items()))
-
-    def _tuple_endo(self, key):
-        """Dense matrix of the ordered product e_{key[0]}...e_{key[-1]}."""
-        return SpinOp(self, ((key, ONE),)).dense()
 
     def endo(self, m: MultiVector) -> Matrix:
         """Spinor endomorphism of a multivector (ordered products)."""
@@ -409,9 +401,6 @@ class SpinRep:
         if self.n != 6:
             raise ValueError("unsupported dimension (volume element needs n=6)")
         return MultiVector(6, {(1, 2, 3, 4, 5, 6): ONE})
-
-    def j_matrix(self) -> Matrix:
-        return self._tuple_endo((1, 2, 3, 4, 5, 6)) if self.n == 6 else None
 
     def spin_lift(self, a) -> Matrix:
         """Lift of a skew matrix (or 2-form) into the spin representation."""

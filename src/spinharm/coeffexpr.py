@@ -257,7 +257,7 @@ class _Fold:
             return self.checked(Scalar.rational(value), pos)
         if kind == "sym":
             return self.checked(
-                Scalar.u() if value == "u" else self.sub.t_as_scalar(), pos)
+                Scalar.u() if value == "u" else self.sub.t, pos)
         if kind != "(":
             raise ParseError("expected a number, symbol, or '('", pos)
         self.deeper(pos)

@@ -27,11 +27,12 @@ entries, with no 8x8 matrix built.
 These depend on (n, phi) alone, not on a model's Wang map or on t:
 `SpinorStructure.shared` keeps one structure per (n, phi) for the process,
 and computes each piece once, on first use.  The fixed linear maps among
-them (the transposed frame, the m-projector, the W4 solve and the
-contractions e_l -| psi that give the torsion slots) are kept by their
-nonzero entries and applied by those alone.  Two of those pieces carry a
-check made once per structure: the decomposition frame must be orthonormal,
-and the W4 solve multiplies back through the (e_l -| psi) matrix.
+them are kept by their nonzero entries and applied by those alone: the
+transposed frame; one projector, onto m, whose remainder is the stabilizer
+part; and one table of the contractions e_l -| psi, which gives the torsion
+slots and, with its left inverse, the W4 vector.  The decomposition frame
+is checked once per structure to be orthonormal, and each W4 solve
+multiplies back through the contraction table.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from functools import cache, cached_property, wraps
 from itertools import combinations
 
-from .scalars import Scalar, ZERO, ONE, zero_at
+from .scalars import Scalar, ONE, zero_at
 from .linalg import (Matrix, Subspace, apply_columns, sparse_columns,
                      vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub,
                      zero_vec)
@@ -188,21 +189,14 @@ class SpinorStructure:
         xj = self.kahler_form().pair_coeffs()
         return xj, vec_dot(xj, xj)
 
-    @cached_property
-    def _psi_plus(self):
-        return MultiVector(self.n, {
+    @kept
+    def psi_form(self) -> MultiVector:
+        """The cubic form psi(X,Y,Z) = -<X.Y.Z.phi, phi> for n = 6 and
+        +<X.Y.Z.phi, phi> for n = 7, as a 3-form."""
+        psi = MultiVector(self.n, {
             key: vec_dot(self._basis_act(key, self.phi), self.phi)
             for key in combinations(range(1, self.n + 1), 3)})
-
-    def psi_form(self, sign=None) -> MultiVector:
-        """The cubic form psi(X,Y,Z) = sign * <X.Y.Z.phi, phi> as a 3-form.
-
-        The default sign is the dimension-appropriate one: -1 for n = 6 and
-        +1 for n = 7.  Pass sign explicitly to override.
-        """
-        if sign is None:
-            sign = -1 if self.n == 6 else +1
-        return self._psi_plus if sign > 0 else -self._psi_plus
+        return -psi if self.n == 6 else psi
 
     # -- torsion machinery ----------------------------------------------------
 
@@ -215,26 +209,21 @@ class SpinorStructure:
         """
         if self.n == 6 and eta is not None and not vec_is_zero(eta):
             raise ValueError("use homogeneous model torsion")
-        slots = []
-        for i in range(self.n):
-            out = {}
-            for row, terms in zip(s.data, self._torsion_table):
-                x = row[i]
-                if x is not ZERO:
-                    for key, c in terms:
-                        out[key] = out.get(key, ZERO) + c * x
-            slots.append(_multivector(self.n,
-                                      {k: v for k, v in out.items() if v}))
-        return slots
+        m, columns = self._contractions
+        c = _TWO_THIRDS if self.n == 7 else ONE
+        return [MultiVector.from_pair_coeffs(self.n, apply_columns(
+                    columns, vec_scale(c, s.column(i)), m.rows))
+                for i in range(self.n)]
 
     @cached_property
-    def _torsion_table(self):
-        """The terms of e_l -| psi' for l = 1..n, where psi' is psi for
-        n = 6 and 2/3 psi for n = 7: xi_i sums S_li times them."""
+    def _contractions(self):
+        """M, whose column l is e_l -| psi in pair coordinates, so that
+        M V = V -| psi: as a Matrix and by its nonzero columns."""
         psi = self.psi_form()
-        if self.n == 7:
-            psi = psi.scale(Scalar.rational(2, 3))
-        return [tuple(c.terms.items()) for c in _contractions(psi)]
+        m = Matrix.from_columns(
+            [_multivector(self.n, {(l,): ONE}).interior(psi).pair_coeffs()
+             for l in range(1, self.n + 1)])
+        return m, sparse_columns(m)
 
     def chi_vector(self, xi_slots, s: Matrix):
         """chi^S = sum_i xi_{e_i} S(e_i) as frame coordinates."""
@@ -272,34 +261,30 @@ class SpinorStructure:
         w3 = [(c + jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
         xj, xj_norm2 = self._kahler_coords
         lam = vec_dot(x, xj) / xj_norm2
-        g_part = self.annihilator().project(x)
-        w4 = vec_sub(vec_sub(x, g_part), vec_scale(lam, xj))
-        return SU3Classes(self, mu, lam, g_part, w2m, w3, w4, list(eta))
+        m_part = self.complement_m().project(x)
+        return SU3Classes(self, mu, lam, vec_sub(x, m_part), w2m, w3,
+                          vec_sub(m_part, vec_scale(lam, xj)), list(eta))
 
     def _classify_g2(self, s):
         lam = s.trace() / Scalar.rational(7)
         w3, x = _split(s, lam)
-        g_part = self.annihilator().project(x)
-        m_coords = vec_sub(x, g_part)
-        return G2Classes(self, lam, g_part, w3, m_coords,
+        m_coords = self.complement_m().project(x)
+        return G2Classes(self, lam, vec_sub(x, m_coords), w3, m_coords,
                          self._solve_w4_vector(m_coords))
 
     @cached_property
-    def _w4_frame(self):
-        """(M, L): M has the columns e_l -| psi as 2-form coordinates, and
-        L is its left inverse (M^T M)^-1 M^T."""
-        m = Matrix.from_columns(
-            [c.pair_coeffs() for c in _contractions(self.psi_form())])
-        return sparse_columns(m), sparse_columns(m.left_inverse())
+    def _w4_left_inverse(self):
+        """L = (M^T M)^-1 M^T for the contraction matrix M, by its nonzero
+        columns; built on the first W4 solve, so only for n = 7."""
+        return sparse_columns(self._contractions[0].left_inverse())
 
     def _solve_w4_vector(self, m_coords):
         """Unique V with V -| psi equal to the given m-part 2-form.
 
         L m is the least-squares V; it is exact only when M V = m, which is
         checked, so an m-part outside the image raises."""
-        m, left = self._w4_frame
-        v = apply_columns(left, m_coords, 7)
-        if apply_columns(m, v, len(m_coords)) != m_coords:
+        v = apply_columns(self._w4_left_inverse, m_coords, self.n)
+        if apply_columns(self._contractions[1], v, len(m_coords)) != m_coords:
             raise InternalInvariantError(
                 "m-part not representable as V -| psi")
         return v
@@ -310,13 +295,8 @@ def _shared_structure(n, phi0):
     return SpinorStructure(SpinRep.build(n), list(phi0))
 
 
-def _contractions(psi):
-    """e_l -| psi for l = 1..n."""
-    return [_multivector(psi.n, {(l,): ONE}).interior(psi)
-            for l in range(1, psi.n + 1)]
-
-
 _HALF = Scalar.rational(1, 2)
+_TWO_THIRDS = Scalar.rational(2, 3)
 
 
 @cache

@@ -56,8 +56,8 @@ from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
                       Substitution, rational_roots, poly_gcd,
                       IrrationalRoots, vanishes_at, format_scalar, clip,
                       quote)
-from .linalg import (Matrix, basis_vec, vec_add, vec_dot, vec_scale,
-                     vec_sub, zero_vec)
+from .linalg import (Matrix, _matrix, basis_vec, vec_add, vec_dot,
+                     vec_scale, vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, _multivector
 from .coeffexpr import parse_fraction
 from .gstruct import (SpinorStructure, InternalInvariantError, kept,
@@ -194,7 +194,7 @@ class HomogeneousModel:
         if n not in (6, 7):
             raise ModelError(f"unsupported dimension {n}")
         if len(lam) != n:
-            raise ModelError("one Wang-map slot per frame direction required")
+            raise ModelError(f"lambda has {len(lam)} slots; n = {n} needs {n}")
         for slot in lam:
             if slot.n != n or not (slot.is_zero or slot.is_pure_grade(2)):
                 raise ModelError("Wang-map slots must be grade-2 elements")
@@ -270,7 +270,7 @@ class HomogeneousModel:
                     raise ModelError(f"slot {k + 1}: duplicate entry ({i},{j})")
                 coeffs[(i, j)] = c
             try:
-                lam.append(MultiVector.two_form(n, coeffs))
+                lam.append(MultiVector(n, coeffs))
             except ValueError as exc:
                 raise ModelError(f"slot {k + 1}: {exc}") from exc
         return cls(name, n, sub, lam, spinor, notes)
@@ -559,11 +559,19 @@ class ModelAnalysis:
 
     # -- S and eta -------------------------------------------------------------
 
-    @kept
     def extract_S_eta(self):
+        """(S, eta): the one kept S, whose rows are tuples, and eta as a
+        fresh list on each call, so no caller can write into either."""
+        s, eta = self._reduced_s_eta
+        return s, list(eta)
+
+    @cached_property
+    def _reduced_s_eta(self):
         s, eta = self._cleared_s_eta
         inv = self._inverse[1]
-        return s.scale(inv), vec_scale(inv, eta)
+        s = s.scale(inv)
+        return (_matrix(tuple(map(tuple, s.data)), s.cols),
+                tuple(vec_scale(inv, eta)))
 
     @cached_property
     def _cleared_s_eta(self):

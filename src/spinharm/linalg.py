@@ -86,8 +86,11 @@ class Matrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def __eq__(self, other):
+        """Entrywise equality, whether the rows are lists or tuples."""
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols
+                and list(map(tuple, self.data)) ==
+                list(map(tuple, other.data)))
 
     def __add__(self, other):
         self._shape_check(other)

@@ -78,7 +78,8 @@ class PoleError(ScalarDomainError):
 
 
 class IdenticallyZero(ScalarDomainError):
-    """Root finding on the zero polynomial (verdict: holds for all t)."""
+    """Root finding on the zero polynomial.  No verdict path meets it:
+    `vanishing_verdict` returns ALL_T before it looks for any root."""
 
 
 class IrrationalRoots(ScalarDomainError):
@@ -651,7 +652,8 @@ class Substitution:
         # u^2 = u_squared_per_t * t, or None when u = t directly
         self.label = label
         self.u_squared_per_t = u_squared_per_t
-        self._t = Scalar.u() if u_squared_per_t is None else \
+        # the image of t in Q(u), built once per substitution
+        self.t = Scalar.u() if u_squared_per_t is None else \
             Scalar(Poly((0, 0, Fraction(1, u_squared_per_t))))
         Substitution._BY_LABEL[label] = self
 
@@ -664,10 +666,6 @@ class Substitution:
             return cls._BY_LABEL[label]
         except KeyError:
             raise ValueError(f"unknown substitution {quote(label)}") from None
-
-    def t_as_scalar(self):
-        """The image of t in Q(u), built once per substitution."""
-        return self._t
 
     def u_value(self, t0: Fraction):
         """(c, root) with u = root if rational else sqrt(c), at t = t0."""
@@ -868,8 +866,8 @@ def rational_roots(p: Poly):
     irrational root; it is returned as the int triple (lo, hi, k) of
     (lo/2^k, hi/2^k] from the isolation, on the negative side when hi <= 0
     and on the positive side when lo >= 0.  Raises IdenticallyZero on the
-    zero polynomial; callers translate that into a 'holds for all t'
-    verdict.
+    zero polynomial, which `vanishing_verdict` never passes: it returns
+    ALL_T for a zero gcd first.
     """
     if p.is_zero:
         raise IdenticallyZero("identically zero")

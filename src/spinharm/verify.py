@@ -94,10 +94,10 @@ def _rand_scalar(rng):
     return Scalar.rational(rng.randint(-2, 2), rng.choice((1, 1, 2)))
 
 
-def _rand_two_form(rng, n, nterms=4):
+def _rand_2form(rng, n, nterms=4):
     pairs = index_pairs(n)
     chosen = rng.sample(pairs, min(nterms, len(pairs)))
-    return MultiVector.two_form(n, {p: _rand_scalar(rng) for p in chosen})
+    return MultiVector(n, {p: _rand_scalar(rng) for p in chosen})
 
 
 def _rand_vector(rng, n):
@@ -260,7 +260,7 @@ def check_spin4():
 
     u = Scalar.u()
     w_coeff = (Scalar.rational(3) - u * u) / (Scalar.rational(6) * u)
-    expected_proj = MultiVector.two_form(
+    expected_proj = MultiVector(
         6, {(1, 2): w_coeff, (3, 4): -w_coeff, (5, 6): w_coeff})
     proj4 = an.torsion()[3]
     out.append(CheckResult(
@@ -349,7 +349,7 @@ def _property_clifford_mult(rng, trials):
         n = 6 if k % 2 else 7
         rep = SpinRep.build(n)
         x = MultiVector.vector(n, _rand_vector(rng, n))
-        omega = _rand_two_form(rng, n)
+        omega = _rand_2form(rng, n)
         xo, oo = rep.op(x), rep.op(omega)
         lhs = xo * oo - oo * xo
         rhs = rep.op(x.interior(omega)).scale(Scalar.rational(-2))
@@ -362,8 +362,8 @@ def _property_bracket(rng, trials):
     for k in range(trials):
         n = 6 if k % 2 else 7
         rep = SpinRep.build(n)
-        a = _rand_two_form(rng, n)
-        b = _rand_two_form(rng, n)
+        a = _rand_2form(rng, n)
+        b = _rand_2form(rng, n)
         ao, bo = rep.op(a), rep.op(b)
         lhs = ao * bo - bo * ao
         rhs = rep.op(bracket(a, b)).scale(Scalar.rational(2))
@@ -429,7 +429,7 @@ def _property_c_sigma(rng, trials):
     for k in range(trials):
         n = 6 if k % 2 else 7
         rep = SpinRep.build(n)
-        slots = [_rand_two_form(rng, n, nterms=3) for _ in range(n)]
+        slots = [_rand_2form(rng, n, nterms=3) for _ in range(n)]
         cs = c_sigma(rep, FrameTensor(n, slots))
         if cs.kappa != half:
             return f"kappa != 1/2 at trial {k} (got {cs.kappa})"

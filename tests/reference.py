@@ -5,7 +5,8 @@ every component is a 6x6 or 7x7 Matrix formed by matrix sums, differences
 and scalings of S and its transpose.  The library reads the same classes
 off coordinates (scalars, upper triangles and pair coordinates); these
 functions use only the structure's J, stabilizer, Kahler coordinates and W4
-solve, never its classifier.
+solve, never its classifier.  They project onto the stabilizer for the
+g-part, where the library keeps only the projector onto m and subtracts.
 
 `matrix_product` is the column-by-column product that the row-sparse
 `Matrix.__mul__` is compared against.  `dense_endo` is the entrywise spinor

@@ -131,8 +131,8 @@ def _draw_instances(seed):
     rng = random.Random(seed)
     out = []
     for draw in (lambda: verify._rand_vector(rng, 7),
-                 lambda: verify._rand_two_form(rng, 6),
-                 lambda: verify._rand_two_form(rng, 7, nterms=3),
+                 lambda: verify._rand_2form(rng, 6),
+                 lambda: verify._rand_2form(rng, 7, nterms=3),
                  lambda: verify._rand_matrix(rng, 6),
                  lambda: verify._rand_matrix(rng, 7)):
         out.append((draw(), rng.getstate()))

@@ -62,7 +62,7 @@ def _base(name):
 
 def _in_t(coeffs, sub):
     """f(t) = sum c_k t^k as a Scalar in u."""
-    t, acc = sub.t_as_scalar(), Scalar.rational(0)
+    t, acc = sub.t, Scalar.rational(0)
     for c in reversed(coeffs):
         acc = acc * t + Scalar.rational(c)
     return acc

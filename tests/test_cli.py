@@ -154,6 +154,30 @@ def test_model_record_message_names_the_fault(tmp_path, capsys, text,
     assert capsys.readouterr().err == f"error: bad model record: {message}\n"
 
 
+@pytest.mark.parametrize("lam, argv, message", [
+    ([[]] * 5, ("report",), "lambda has 5 slots; n = 6 needs 6"),
+    ([[{"i": 5, "j": 3, "coeff": "1"}]] + [[]] * 5, ("report",),
+     "slot 1: indices must be strictly increasing: (5, 3)"),
+    ([[{"i": 3, "j": 7, "coeff": "1"}]] + [[]] * 5, ("report",),
+     "slot 1: index out of range in (3, 7)"),
+    ([[{"i": 3, "j": 5, "coeff": "t^u"}]] + [[]] * 5, ("report",),
+     "slot 1 (3,5): expected 'int' at column 3"),
+    ([[{"i": 3, "j": 5, "coeff": "(t))"}]] + [[]] * 5, ("report",),
+     "slot 1 (3,5): trailing input at column 4"),
+    (None, ("scan", "cp3", "--min", "1", "--max", "2", "--steps", "0"),
+     "steps must be positive")],
+    ids=["slot-count", "order", "range", "power", "trailing", "steps"])
+def test_fault_message_exit2(tmp_path, capsys, flat6_dict, lam, argv,
+                             message):
+    if lam is not None:
+        flat6_dict["lambda"] = lam
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(flat6_dict))
+        argv += (str(path),)
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("coeff", ["(" * 5000 + "1" + ")" * 5000,
                                    "-" * 5000 + "1"])
 def test_report_deep_nesting_exit2(tmp_path, capsys, flat6_dict, coeff):
@@ -761,6 +785,15 @@ def test_scan_bad_range_exit2(capsys):
     capsys.readouterr()
 
 
+def test_scan_text_prints_a_pole_row():
+    path = Path(__file__).parent / "data" / "models" / "pole.json"
+    code, text = run_cli("scan", str(path), "--min", "1/2", "--max", "3/2",
+                         "--steps", "2")
+    rows = text.splitlines()
+    assert code == 0 and len(rows) == 3
+    assert rows[1] == "    1.000000  pole"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -805,6 +838,19 @@ def test_verify_structured():
     assert by_name["cp3-model"] is True
     assert by_name["aw11-model"] is True
     assert by_name["spin4-eta-exact"] is False
+
+
+def test_a_raising_check_is_a_fail_line(monkeypatch):
+    def check_boom():
+        raise RuntimeError("boom")
+
+    names = [r.name for r in verify.run_all(trials=2)]
+    monkeypatch.setattr(verify, "ALL_CHECKS", [check_boom, *verify.ALL_CHECKS])
+    code, text = run_cli("verify", "--trials", "2")
+    lines = text.splitlines()
+    assert code == 1
+    assert lines[0] == "[FAIL] boom -- RuntimeError: boom"
+    assert [line.split()[1] for line in lines[1:len(names) + 1]] == names
 
 
 # ---------------------------------------------------------------------------

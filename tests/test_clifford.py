@@ -8,7 +8,7 @@ import spinharm.clifford as clifford
 from spinharm.clifford import (FrameTensor, MultiVector, SpinRep, bracket,
                                c_sigma, index_pairs)
 from spinharm.linalg import Matrix, vec_dot
-from spinharm.scalars import Scalar
+from spinharm.scalars import ONE, Scalar
 from spinharm.verify import S5, S6
 
 U = Scalar.u()
@@ -20,7 +20,7 @@ def sc(p, q=1):
 
 def rand_two_form(rng, n, terms=4):
     pairs = rng.sample(index_pairs(n), terms)
-    return MultiVector.two_form(n, {p: sc(rng.randint(-3, 3)) for p in pairs})
+    return MultiVector(n, {p: sc(rng.randint(-3, 3)) for p in pairs})
 
 
 def rand_skew(rng, n):
@@ -91,7 +91,7 @@ def test_volume_element_on_s5():
 
 def test_volume_element_square_and_anticommutation():
     rep = SpinRep.build(6)
-    j = rep.j_matrix()
+    j = rep.endo(rep.volume_element())
     assert (j * j + Matrix.identity(8)).is_zero
     for g in rep.gens:
         assert (j * g + g * j).is_zero
@@ -114,7 +114,7 @@ def test_vector_action_e1_on_s5():
 
 def test_annihilator_element_kills_s5():
     rep = SpinRep.build(6)
-    omega = MultiVector.two_form(6, {(1, 2): sc(1), (3, 4): sc(1)})
+    omega = MultiVector(6, {(1, 2): sc(1), (3, 4): sc(1)})
     assert all(c.is_zero for c in rep.act(omega, S5))
 
 
@@ -213,7 +213,7 @@ def test_lift_reproduces_cp3_column():
     # lift of ((1-t)/(2 sqrt t))(e13+e24) applied to s5 equals S55 e5.s5
     rep = SpinRep.build(6)
     coeff = (sc(1) - U * U) / (sc(2) * U)
-    omega = MultiVector.two_form(6, {(1, 3): coeff, (2, 4): coeff})
+    omega = MultiVector(6, {(1, 3): coeff, (2, 4): coeff})
     out = rep.spin_lift(omega).apply(S5)
     s55 = -coeff
     expected = [s55 * c for c in rep.gens[4].apply(S5)]
@@ -258,14 +258,14 @@ def test_lift_rejects_non_skew():
 
 def test_wedge_repeated_index_vanishes():
     e1 = MultiVector.vector(6, [sc(1)] + [sc(0)] * 5)
-    e12 = MultiVector.two_form(6, {(1, 2): sc(1)})
+    e12 = MultiVector(6, {(1, 2): sc(1)})
     assert e1.wedge(e12).is_zero
 
 
 def test_interior_contraction_rule():
     e1 = MultiVector.vector(6, [sc(1)] + [sc(0)] * 5)
     e3 = MultiVector.vector(6, [sc(0)] * 2 + [sc(1)] + [sc(0)] * 3)
-    e12 = MultiVector.two_form(6, {(1, 2): sc(1)})
+    e12 = MultiVector(6, {(1, 2): sc(1)})
     assert e1.interior(e12) == MultiVector(6, {(2,): sc(1)})
     assert e3.interior(e12).is_zero
 
@@ -295,14 +295,14 @@ def test_wedge_anticommutes_on_vectors():
 
 
 def test_bracket_sharing_one_index():
-    e12 = MultiVector.two_form(6, {(1, 2): sc(1)})
-    e13 = MultiVector.two_form(6, {(1, 3): sc(1)})
-    assert bracket(e12, e13) == MultiVector.two_form(6, {(2, 3): sc(1)})
+    e12 = MultiVector(6, {(1, 2): sc(1)})
+    e13 = MultiVector(6, {(1, 3): sc(1)})
+    assert bracket(e12, e13) == MultiVector(6, {(2, 3): sc(1)})
 
 
 def test_bracket_disjoint_indices():
-    e12 = MultiVector.two_form(6, {(1, 2): sc(1)})
-    e34 = MultiVector.two_form(6, {(3, 4): sc(1)})
+    e12 = MultiVector(6, {(1, 2): sc(1)})
+    e34 = MultiVector(6, {(3, 4): sc(1)})
     assert bracket(e12, e34).is_zero
 
 
@@ -319,7 +319,7 @@ def test_bracket_matrix_identity():
 
 def test_bracket_wrong_grade():
     v = MultiVector.vector(6, [sc(1)] * 6)
-    w = MultiVector.two_form(6, {(1, 2): sc(1)})
+    w = MultiVector(6, {(1, 2): sc(1)})
     with pytest.raises(ValueError, match="grade-2"):
         bracket(v, w)
 
@@ -330,7 +330,7 @@ def test_bracket_wrong_grade():
 
 def test_c_sigma_single_slot():
     rep = SpinRep.build(6)
-    slots = [MultiVector.two_form(6, {(1, 2): sc(1)})] + \
+    slots = [MultiVector(6, {(1, 2): sc(1)})] + \
             [MultiVector.zero(6)] * 5
     cs = c_sigma(rep, FrameTensor(6, slots))
     assert cs.c == Matrix.identity(8).scale(sc(-1, 2))
@@ -382,12 +382,12 @@ def _dense_tuple_products(rep):
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_tuple_endo_matches_dense_products(n):
+def test_basis_op_matches_dense_products(n):
     rep = SpinRep.build(n)
     ref = _dense_tuple_products(rep)
     assert len(ref) == 2 ** n
     for key, dense in ref.items():
-        assert rep._tuple_endo(key) == dense, key
+        assert rep.op(MultiVector(n, {key: ONE})).dense() == dense, key
 
 
 @pytest.mark.parametrize("n", [6, 7])

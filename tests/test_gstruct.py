@@ -1,11 +1,15 @@
+import io
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from spinharm import cli, gstruct, verify
 from spinharm.clifford import MultiVector, SpinRep, _perm_sign, index_pairs
 from spinharm.gstruct import SpinorStructure, unit_spinor
+from spinharm.homogeneous import BUILTIN_MODELS
 from spinharm.linalg import (Matrix, Subspace, vec_add, vec_dot, vec_is_zero,
                              vec_scale, zero_vec)
 from spinharm.scalars import Poly, Scalar, Substitution
@@ -90,7 +94,7 @@ def test_decompose_roundtrip_random(n):
         parts = st.decompose(psi)
         recomposed = vec_scale(parts.a, st.phi)
         if n == 6:
-            jphi = rep.j_matrix().apply(st.phi)
+            jphi = rep.endo(rep.volume_element()).apply(st.phi)
             recomposed = vec_add(recomposed, vec_scale(parts.b, jphi))
         recomposed = vec_add(recomposed,
                              rep.act_vector(parts.vector, st.phi))
@@ -202,10 +206,9 @@ def test_psi_form_n7_frozen():
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_psi_form_sign_flips_the_whole_form(n):
+def test_psi_form_is_kept(n):
     st = structure(n)
-    assert st.psi_form(-1) == -st.psi_form(+1)
-    assert st.psi_form() == st.psi_form(-1 if n == 6 else +1)
+    assert st.psi_form() is st.psi_form()
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -245,6 +248,25 @@ def test_torsion_table_matches_the_column_contraction(n):
         want = reference.torsion_from_S(st, s)
         assert got == want
         assert all(all(c for c in slot.terms.values()) for slot in got)
+
+
+def test_report_and_verify_build_no_stabilizer_projector(monkeypatch):
+    # fresh shared structures: the g-part of every split is x minus its
+    # m-part, so only the projector onto m is ever built
+    monkeypatch.setattr(gstruct, "_shared_structure",
+                        cache(gstruct._shared_structure.__wrapped__))
+    for name in BUILTIN_MODELS:
+        assert cli.main(["report", name, "--format", "structured"],
+                        out=io.StringIO()) == 0
+    verify.run_all(trials=5)
+    rng = random.Random(25)
+    for n in (6, 7):
+        st = SpinorStructure.shared(n, S5)
+        assert st.annihilator()._columns is None
+        assert st.complement_m()._columns is not None
+        for _ in range(4):
+            s = rand_matrix(rng, n)
+            assert st.torsion_from_S(s) == reference.torsion_from_S(st, s)
 
 
 def test_psi_repeated_argument_vanishes():
@@ -359,7 +381,7 @@ def test_dirac_matches_raw_reassembly():
     s = rand_matrix(rng, 6)
     eta = rand_vec(rng, 6)
     out = st.dirac(s, eta)
-    jphi = st.rep.j_matrix().apply(st.phi)
+    jphi = st.rep.endo(st.rep.volume_element()).apply(st.phi)
     expected = zero_vec(8)
     for i in range(6):
         nabla = st.rep.act_vector(s.column(i), st.phi)
@@ -493,7 +515,7 @@ def test_classify_g2_w4_roundtrip():
 def test_classify_g2_w2_projection():
     st = structure(7)
     # a stabilizer-algebra element classifies as pure W2
-    omega = MultiVector.two_form(7, {(1, 2): sc(1), (3, 4): sc(1)})
+    omega = MultiVector(7, {(1, 2): sc(1), (3, 4): sc(1)})
     cls = st.classify(omega.to_skew_matrix())
     assert cls.flags() == {"W2"}
     assert vec_is_zero(cls.v)

@@ -40,8 +40,7 @@ def test_unknown_model():
 def test_cp3_slot5_pinned():
     m = load_model("cp3")
     coeff = (sc(1) - U * U) / (sc(2) * U)
-    assert m.lam[4] == MultiVector.two_form(6, {(1, 3): coeff,
-                                                (2, 4): coeff})
+    assert m.lam[4] == MultiVector(6, {(1, 3): coeff, (2, 4): coeff})
 
 
 def test_spin4_slot4_pinned():
@@ -56,7 +55,7 @@ def test_aw11_slot7_levi_civita():
     # negative; see the repository notes)
     m = load_model("aw11")
     q = sc(1) / (sc(4) * U)
-    expected = MultiVector.two_form(
+    expected = MultiVector(
         7, {(1, 2): sc(-1), (3, 4): -(sc(1) - q), (5, 6): sc(1) - q})
     assert m.lam[6] == expected
 
@@ -178,7 +177,7 @@ def test_cp3_torsion_is_identity_projection():
 def test_spin4_torsion_slot4():
     an = ModelAnalysis(load_model("spin4"))
     w_coeff = (sc(3) - U * U) / (sc(6) * U)
-    expected = MultiVector.two_form(
+    expected = MultiVector(
         6, {(1, 2): w_coeff, (3, 4): -w_coeff, (5, 6): w_coeff})
     assert an.torsion()[3] == expected
 
@@ -488,7 +487,7 @@ _roots = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def _value_families(draw):
     """Values sharing roots from one pool, times root-free quadratics."""
     sub = draw(st.sampled_from(_SUBS))
-    t = sub.t_as_scalar()
+    t = sub.t
     pool = draw(st.lists(_roots, min_size=1, max_size=3, unique=True))
     values = []
     for _ in range(draw(st.integers(1, 4))):

@@ -178,11 +178,11 @@ def test_project_spin4_slot4_onto_m():
     # ((3-2t)/(6 sqrt 2t)) (e12 - e34 + e56); here u = sqrt(2t)
     a = (sc(2) - U * U) / (sc(2) * U)
     c = sc(1) / (sc(2) * U)
-    lam4 = MultiVector.two_form(6, {(1, 2): a, (5, 6): c})
+    lam4 = MultiVector(6, {(1, 2): a, (5, 6): c})
     st = SpinorStructure(SpinRep.build(6), S5)
     proj = st.complement_m().project(lam4.pair_coeffs())
     w_coeff = (sc(3) - U * U) / (sc(6) * U)
-    expected = MultiVector.two_form(
+    expected = MultiVector(
         6, {(1, 2): w_coeff, (3, 4): -w_coeff, (5, 6): w_coeff})
     assert MultiVector.from_pair_coeffs(6, proj) == expected
 

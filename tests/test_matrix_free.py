@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinharm import clifford, cli, coeffexpr, gstruct, homogeneous
-from spinharm.clifford import MultiVector, SpinRep
+from spinharm.clifford import MultiVector, SpinOp, SpinRep
 from spinharm.gstruct import InternalInvariantError, SpinorStructure
 from spinharm.homogeneous import (BUILTIN_MODELS, _BUILTIN_DATA,
                                   HomogeneousModel, ModelAnalysis)
@@ -200,9 +200,8 @@ def test_cold_reports_build_no_dense_clifford_operator(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for attr in ("_tuple_endo", "endo"):
-        monkeypatch.setattr(SpinRep, attr,
-                            counted(attr, getattr(SpinRep, attr)))
+    for owner, attr in ((SpinOp, "dense"), (SpinRep, "endo")):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
     for name in ("cp3", "spin4", "aw11"):
         assert cli.main(["report", name, "--format", "structured"],
                         out=io.StringIO()) == 0

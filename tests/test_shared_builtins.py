@@ -68,8 +68,10 @@ def test_verdicts_are_kept_per_flag():
         for stage in (an.harmonicity, an.laplacian_cross_check):
             # the cleared values do not depend on the flag
             assert stage(True).cleared is stage(False).cleared
-        for stage in (an.extract_S_eta, an.torsion, an.classify):
+        for stage in (an.torsion, an.classify):
             assert stage() is stage()
+        (s, eta), (s2, eta2) = an.extract_S_eta(), an.extract_S_eta()
+        assert s is s2 and eta == eta2
 
 
 def test_second_flag_lifts_and_differentiates_nothing(monkeypatch):
@@ -210,6 +212,22 @@ def test_shared_results_are_read_only():
     assert dict(an.canonical_parameters().roots) == {Fraction(1, 8): 1}
     assert an.harmonicity().verdict.to_dict() == {"kind": "ALL_T",
                                                   "roots": {}}
+
+
+def test_kept_s_and_eta_cannot_be_written_into():
+    golden = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "perfbench", "golden", "report-aw11.json")
+    with open(golden, encoding="utf-8") as fh:
+        want = (0, fh.read())
+    argv = ("report", "aw11", "--format", "structured")
+    assert run_cli(*argv) == want
+    an = ModelAnalysis.of(load_model("aw11"))
+    s, eta = an.extract_S_eta()
+    with pytest.raises(TypeError):
+        s.data[0][0] = ONE
+    eta.append(ONE)
+    assert len(an.extract_S_eta()[1]) == 7
+    assert run_cli(*argv) == want
 
 
 def test_interleaved_requests_print_fresh_process_bytes():
