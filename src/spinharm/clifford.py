@@ -46,9 +46,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
 
-from .scalars import Scalar, ZERO, ONE, _coerce
+from .scalars import Scalar, ZERO, ONE, as_scalar
 from .linalg import Matrix, _matrix
 
 # the unique factor making the so(n) -> spin(n) transport a Lie algebra
@@ -66,8 +65,10 @@ _GEN_TABLE = {
 }
 
 
+@cache
 def index_pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    """The pairs i < j in 2-form coordinate order, one tuple per n."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def _perm_sign(seq):
@@ -89,16 +90,14 @@ class MultiVector:
     def __init__(self, n, terms=None):
         self.n = n
         clean = {}
-        valid = _increasing_keys(n)
         for key, c in (terms or {}).items():
             key = tuple(key)
-            if key not in valid:
-                if any(not (1 <= i <= n) for i in key):
-                    raise ValueError(f"index out of range in {key}")
-                if len(set(key)) != len(key) or list(key) != sorted(key):
-                    raise ValueError(
-                        f"indices must be strictly increasing: {key}")
-            c = c if isinstance(c, Scalar) else _coerce(c)
+            if any(not (1 <= i <= n) for i in key):
+                raise ValueError(f"index out of range in {key}")
+            if len(set(key)) != len(key) or list(key) != sorted(key):
+                raise ValueError(
+                    f"indices must be strictly increasing: {key}")
+            c = c if isinstance(c, Scalar) else as_scalar(c)
             if not c.is_zero:
                 clean[key] = c
         self.terms = clean
@@ -144,7 +143,7 @@ class MultiVector:
         return self + (-other)
 
     def scale(self, c):
-        c = c if isinstance(c, Scalar) else _coerce(c)
+        c = c if isinstance(c, Scalar) else as_scalar(c)
         if c.is_zero:
             return MultiVector.zero(self.n)
         return _multivector(self.n,
@@ -260,16 +259,6 @@ def _multivector(n, terms):
     m.n = n
     m.terms = terms
     return m
-
-
-@cache
-def _increasing_keys(n):
-    """Every strictly increasing index tuple over 1..n; empty past n = 8,
-    where the set grows as 2^n and every key takes the two checks."""
-    if n > 8:
-        return frozenset()
-    return frozenset(key for k in range(n + 1)
-                     for key in combinations(range(1, n + 1), k))
 
 
 # words up to this length keep their signed permutation (and its normalized
@@ -441,7 +430,7 @@ class SpinOp:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, Scalar) else _coerce(c)
+        c = c if isinstance(c, Scalar) else as_scalar(c)
         return SpinOp(self.rep, tuple((w, c * v) for w, v in self.terms))
 
     def __mul__(self, other):

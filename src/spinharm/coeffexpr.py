@@ -150,8 +150,7 @@ def _size(s: Scalar):
     """(u-degree, bits) of a Scalar, as bounded by MAX_DEGREE and
     MAX_COEFF_BITS."""
     num, den = s.num, s.den
-    bits = max(c.bit_length() for p in (num, den) for c in p.ints + (p.dd,))
-    return max(num.degree, den.degree), bits
+    return max(num.degree, den.degree), max(num.bits(), den.bits())
 
 
 def _check_size(degree, bits, pos):

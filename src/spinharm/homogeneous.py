@@ -52,10 +52,9 @@ import re
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, U_POLY,
-                      Substitution, rational_roots, poly_gcd,
-                      IrrationalRoots, vanishes_at, format_scalar, clip,
-                      quote)
+from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, Substitution,
+                      rational_roots, poly_gcd, IrrationalRoots,
+                      format_scalar, clip, quote)
 from .linalg import (Matrix, _matrix, basis_vec, vec_add, vec_dot,
                      vec_scale, vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, _multivector
@@ -109,11 +108,12 @@ def vanishing_verdict(values, sub, positive_only=True,
     the least of max(0, m_i - c) is max(0, min m_i - c).  An even g is
     E(m t) (g itself when t = u), whose rational roots are the answer on
     t > 0, or on t != 0 and t = 0 when positive_only is off.  A g = E(u^2)
-    + u O(u^2) with odd terms vanishes at u = sqrt(v0) > 0 only where the
-    norm E(v)^2 - v O(v)^2 does: each rational root v0 > 0 of the norm is
-    kept if g vanishes at sqrt(v0), with the multiplicity of sqrt(v0)'s
-    minimal polynomial in g.  Raises IrrationalRoots when the isolation of
-    g's real roots leaves more in the domain than were kept.
+    + u O(u^2) with odd terms vanishes at t0 = r^2/m for each rational root
+    r > 0 of g, with g's multiplicity, and at t0 = v0/m for each rational
+    root v0 > 0 of gcd(E, O) with an irrational square root, with its
+    multiplicity there: (u^2 - v0)^k divides g exactly when (v - v0)^k
+    divides E and O.  Raises IrrationalRoots when the isolation of g's real
+    roots leaves more in the domain than were kept.
     """
     g = ZERO_POLY
     for v in values:
@@ -133,18 +133,11 @@ def vanishing_verdict(values, sub, positive_only=True,
         irrational = any(lo >= 0 or not positive_only for lo, _, _ in others)
         shown, var = p, "t"
     else:
-        roots = {}
-        for v0 in rational_roots(e * e - U_POLY * (o * o))[0]:
-            if v0 <= 0:
-                continue
-            _, root = sub.u_value(v0 / m)
-            minimal = Poly((-v0, 0, 1) if root is None else (-root, 1))
-            work, k = g, 0
-            while vanishes_at(work, v0, root):
-                work, k = work.exact_div(minimal), k + 1
-            if k:
-                roots[v0 / m] = k
         found, others = rational_roots(g)
+        roots = {r * r / m: k for r, k in found.items() if r > 0}
+        for v0, k in rational_roots(poly_gcd(e, o))[0].items():
+            if v0 > 0 and sub.u_value(v0 / m)[1] is None:
+                roots[v0 / m] = k
         irrational = sum(1 for r in found if r > 0) + \
             sum(1 for lo, _, _ in others if lo >= 0) > len(roots)
         shown, var = g, "u"
@@ -517,8 +510,7 @@ class ModelAnalysis:
                     continue
                 seen.add(c.den)
                 d = d * c.den.exact_div(poly_gcd(d, c.den))
-                bits = max(d.dd.bit_length(),
-                           *(abs(x).bit_length() for x in d.ints))
+                bits = d.bits()
                 if d.degree > MAX_DENOMINATOR_DEGREE:
                     size = f"of degree {d.degree} above " \
                         f"{MAX_DENOMINATOR_DEGREE}"

@@ -17,7 +17,7 @@ stand (`_matrix`).
 
 from __future__ import annotations
 
-from .scalars import Scalar, ZERO, ONE, _coerce
+from .scalars import Scalar, ZERO, ONE, as_scalar
 
 
 def zero_vec(n):
@@ -59,7 +59,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        self.data = [[e if isinstance(e, Scalar) else _coerce(e) for e in row]
+        self.data = [[e if isinstance(e, Scalar) else as_scalar(e) for e in row]
                      for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
@@ -108,7 +108,7 @@ class Matrix:
             raise ValueError("dimension mismatch")
 
     def scale(self, c):
-        c = c if isinstance(c, Scalar) else _coerce(c)
+        c = c if isinstance(c, Scalar) else as_scalar(c)
         return _matrix([[c * e for e in row] for row in self.data], self.cols)
 
     def __mul__(self, other):
@@ -127,10 +127,7 @@ class Matrix:
                             out[j] = out[j] + a * b
                 data.append(out)
             return _matrix(data, n)
-        c = _coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self.scale(c)
+        return self.scale(other)
 
     def apply(self, v):
         """The product A v, summing only the terms with both factors nonzero

@@ -24,15 +24,12 @@ reducing constructor.  Two rational constants (as in the Clifford
 matrices) combine on their ints n/dd, as fmpq does, with one gcd per
 result and no Poly arithmetic.  Every zero the kernel builds (a sum that
 cancels, x - x, x * 0, -ZERO) is the one shared ZERO, and `+ - *` return
-at once for an operand that is ZERO, or ONE in a product.  Identity is a
-fast path only: `Scalar(...)` still builds distinct zeros, which are equal
-to ZERO and take the general path, so no result depends on it.
-Small reduced constants are shared, as CPython shares small ints: n/d
-with |n| < 64 and d <= 64 is one object (`_SMALL`), found by the pair as
-passed before any gcd, so `Scalar.rational(1) is ONE`.  This is safe
-because `Scalar` and `Poly` have no code path that assigns `num`, `den`,
-`ints` or `dd` after construction.
-A point question ("is s zero at t0?") is answered by
+at once for an operand that is ZERO, or ONE in a product.  Small reduced
+constants are shared, as CPython shares small ints: n/d with |n| < 64 and
+d <= 64 is one object (`_SMALL`), found by the pair as passed before any
+gcd, so `Scalar.rational(1) is ONE`.  This is safe because `Scalar` and
+`Poly` have no code path that assigns `num`, `den`, `ints` or `dd` after
+construction.  A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
 Root finding runs on ints: a Sturm chain isolates each real root by
@@ -44,6 +41,21 @@ one isolation gives the rational roots and the irrational ones' count.
 Verdicts are always decided exactly; floating point appears only in
 eval_numeric, the one-value reference the float oracle (numeric.py) is
 tested against.
+
+This module alone knows how a value is stored.  The kernel API, the
+names that the other modules import from it:
+
+    Scalar Poly ZERO ONE ZERO_POLY ONE_POLY Substitution as_scalar
+    poly_gcd rational_roots vanishes_at zero_at format_scalar
+    IrrationalRoots clip quote
+
+with Scalar's num, den, rational(), u(), is_zero, is_rational,
+as_fraction() and operators, and Poly's degree, is_zero, bits(), eval(),
+exact_div(), even_odd_parts(), scale_argument(), int_coeffs() and + - *;
+of rational_roots' intervals only the side of 0 is read.  Identity with
+ZERO or ONE and every lane above are speed only: `Scalar(...)` still
+builds distinct zeros, and `tests/plain_kernel.py`, with no shared object
+or lane, runs the whole CLI to the same bytes in a tier-1 test.
 """
 
 from __future__ import annotations
@@ -120,6 +132,11 @@ class Poly:
     def is_zero(self):
         return not self.ints
 
+    def bits(self):
+        """The most bits of an integer in the fraction-free form: the
+        coprime integer coefficients and their one positive denominator."""
+        return max(c.bit_length() for c in (self.dd, *self.ints))
+
     def __bool__(self):
         return bool(self.ints)
 
@@ -132,11 +149,6 @@ class Poly:
         return hash((self.ints, self.dd))
 
     def __add__(self, other):
-        a, b = self.ints, other.ints
-        if not b:
-            return self
-        if not a:
-            return other
         a, b, dd = self._over_common_dd(other)
         if len(a) < len(b):
             a, b = b, a
@@ -149,10 +161,6 @@ class Poly:
         return _raw(tuple(-c for c in self.ints), self.dd)
 
     def __sub__(self, other):
-        if not other.ints:
-            return self
-        if not self.ints:
-            return -other
         a, b, dd = self._over_common_dd(other)
         out = list(a) + [0] * (len(b) - len(a))
         for k, c in enumerate(b):
@@ -481,7 +489,8 @@ class Scalar:
         return _add(self, _scalar(-other.num, other.den))
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if other is ZERO:
@@ -536,7 +545,8 @@ class Scalar:
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other = _coerce(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -624,11 +634,22 @@ def _rational(n, d):
 
 
 def _coerce(x):
+    """x as a Scalar, or NotImplemented for an operator to return."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar.rational(x)
     return NotImplemented
+
+
+def as_scalar(x):
+    """x as a Scalar: a Scalar itself, an int or Fraction as a rational
+    constant; TypeError naming any other type."""
+    s = _coerce(x)
+    if s is NotImplemented:
+        raise TypeError(
+            f"rational coefficient expected, got {type(x).__name__}")
+    return s
 
 
 _SMALL[(0, 1)] = ZERO

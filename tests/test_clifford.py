@@ -145,11 +145,31 @@ def test_indices_must_increase(key):
     (9, (9, 10), "index out of range in (9, 10)"),
     (9, (4, 2), "indices must be strictly increasing: (4, 2)")])
 def test_key_errors_name_the_key(n, key, message):
-    # a key outside the cached set of increasing tuples takes both checks,
-    # as does every key past n = 8, where no set is kept
     with pytest.raises(ValueError) as info:
         MultiVector(n, {key: sc(1)})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, type_name", [
+    (lambda: Matrix([[1.5]]), "float"),
+    (lambda: MultiVector(6, {(1, 2): 1.5}), "float"),
+    (lambda: Matrix.identity(2).scale(0.5), "float"),
+    (lambda: MultiVector(6, {(1, 2): 1}).scale("x"), "str"),
+    (lambda: SpinRep.build(6).op(MultiVector(6, {(1, 2): 1})).scale(None),
+     "NoneType"),
+], ids=["Matrix", "MultiVector", "Matrix.scale", "MultiVector.scale",
+        "SpinOp.scale"])
+def test_a_non_rational_entry_is_refused(build, type_name):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == f"rational coefficient expected, got {type_name}"
+
+
+def test_index_pairs_is_one_tuple_per_n():
+    for n in (6, 7):
+        assert index_pairs(n) is index_pairs(n)
+        assert index_pairs(n) == tuple((i, j) for i in range(1, n + 1)
+                                       for j in range(i + 1, n + 1))
 
 
 def test_valid_keys_keep_their_coefficients():

@@ -929,6 +929,17 @@ def test_kernel_built_zeros_are_the_shared_zero(x, y):
     assert q + Scalar(Poly((-1,)), Poly((1, 1))) is ZERO
 
 
+def test_reflected_operators_refuse_what_no_scalar_accepts():
+    # a float on the left once recursed through __rsub__/__rtruediv__
+    for other in (0.5, "x", None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other - ONE
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other / sc(3)
+    assert 1 - U == Scalar(Poly((1, -1)))
+    assert Fraction(1, 2) / U == Scalar(Poly((1,)), Poly((0, 2)))
+
+
 def test_short_circuits_keep_type_errors():
     # ZERO and ONE still refuse what no Scalar accepts
     for shared in (ZERO, ONE):
