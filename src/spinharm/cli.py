@@ -19,12 +19,12 @@ stderr, no traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
-from .scalars import format_scalar, IrrationalRoots, vanishes_at
+from .scalars import ZERO, format_scalar, IrrationalRoots, vanishes_at
 from .coeffexpr import ParseError, parse_fraction
+from .jsontext import dumps
 from .gstruct import InternalInvariantError
 from .homogeneous import (ALL_T, BUILTIN_MODELS, ModelAnalysis, ModelError,
                           load_model)
@@ -84,8 +84,14 @@ def build_parser():
     return p
 
 
-def _matrix_strings(m, var="u"):
-    return [[format_scalar(e, var) for e in row] for row in m.data]
+def _strings(values, var):
+    """format_scalar of each value; the kernel's shared zero is printed
+    without it."""
+    return ["0" if e is ZERO else format_scalar(e, var) for e in values]
+
+
+def _matrix_strings(m, var):
+    return [_strings(row, var) for row in m.data]
 
 
 def _report_data(args):
@@ -101,7 +107,7 @@ def _report_data(args):
         "n": model.n,
         "substitution": model.substitution.label,
         "S": _matrix_strings(s, var),
-        "eta": [format_scalar(e, var) for e in eta],
+        "eta": _strings(eta, var),
         "classes": {
             "flags": sorted(classes.flags()),
         },
@@ -117,12 +123,10 @@ def _report_data(args):
     if model.n == 6:
         data["classes"]["mu_W1minus"] = format_scalar(classes.mu, var)
         data["classes"]["lambda_W1plus"] = format_scalar(classes.lam, var)
-        data["classes"]["eta_W5"] = [format_scalar(e, var)
-                                     for e in classes.eta]
+        data["classes"]["eta_W5"] = _strings(classes.eta, var)
     else:
         data["classes"]["lambda_W1"] = format_scalar(classes.lam, var)
-        data["classes"]["W4_vector"] = [format_scalar(c, var)
-                                        for c in classes.v]
+        data["classes"]["W4_vector"] = _strings(classes.v, var)
     if args.format == "structured":   # text output never prints them
         data["classes"]["components"] = {
             label: _matrix_strings(mat, var)
@@ -186,7 +190,7 @@ def _verdict_text(v):
 def cmd_report(args, out):
     data = _report_data(args)
     if args.format == "structured":
-        print(json.dumps(data, sort_keys=True, indent=2), file=out)
+        print(dumps(data), file=out)
     else:
         _print_report_text(data, out)
     return 0
@@ -198,7 +202,7 @@ def cmd_verify(args, out):
     if args.format == "structured":
         payload = [{"name": r.name, "ok": r.ok, "detail": r.detail}
                    for r in results]
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(dumps(payload), file=out)
     else:
         for r in results:
             print(r.line(), file=out)
@@ -219,7 +223,7 @@ def cmd_scan(args, out):
                     "residual": None if r is None else r,
                     "pole": r is None}
                    for (t, r) in rows]
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(dumps(payload), file=out)
     else:
         for (t, r) in rows:
             if r is None:

@@ -163,7 +163,10 @@ def _check_size(degree, bits, pos):
 class _Fold:
     """The recursive descent over a coefficient's tokens: each rule returns
     (value, u-degree) of what it has read.  expr and term fold their chains
-    left to right in a loop; only brackets and unary minus recurse."""
+    left to right in a loop; only brackets and unary minus recurse.  Only a
+    step or a power can grow a value, so only their results are measured:
+    an integer literal is checked by its bit length where it is read, and a
+    symbol or a negation keeps within the limits what it starts from."""
 
     __slots__ = ("tokens", "i", "depth", "work", "sub", "budget")
 
@@ -226,9 +229,9 @@ class _Fold:
             return self.power()
         self.i += 1
         self.deeper(pos)
-        value = -self.unary()[0]
+        value, degree = self.unary()
         self.depth -= 1
-        return self.checked(value, pos)
+        return -value, degree   # the same degree and bits
 
     def power(self):
         base, degree = self.atom()
@@ -253,10 +256,13 @@ class _Fold:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return self.checked(Scalar.rational(value), pos)
+            if value.bit_length() > MAX_COEFF_BITS:
+                raise ParseError(
+                    f"coefficient above {MAX_COEFF_BITS} bits", pos)
+            return Scalar.rational(value), 0
         if kind == "sym":
-            return self.checked(
-                Scalar.u() if value == "u" else self.sub.t, pos)
+            value = Scalar.u() if value == "u" else self.sub.t
+            return value, value.num.degree   # u, u^2/m: within every limit
         if kind != "(":
             raise ParseError("expected a number, symbol, or '('", pos)
         self.deeper(pos)

@@ -59,6 +59,7 @@ from .linalg import (Matrix, _matrix, basis_vec, vec_add, vec_dot,
                      vec_scale, vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, _multivector
 from .coeffexpr import parse_fraction
+from . import jsontext
 from .gstruct import (SpinorStructure, InternalInvariantError, kept,
                       unit_spinor)
 
@@ -222,7 +223,7 @@ class HomogeneousModel:
         }
 
     def dumps(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return jsontext.dumps(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, data):
@@ -235,8 +236,7 @@ class HomogeneousModel:
             notes = _json_str(data, "notes") if "notes" in data else ""
             n = _json_int(data, "n")
             sub = Substitution.from_label(_json_str(data, "substitution"))
-            spinor = [_parse_fraction(k, c)
-                      for k, c in enumerate(_json_spinor(data), 1)]
+            spinor = _spinor_entries(_json_spinor(data))
             lam_raw = data["lambda"]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad model record: {exc}") from exc
@@ -340,12 +340,18 @@ def _json_spinor(record):
     return value
 
 
-def _parse_fraction(k, text) -> Scalar:
-    """Spinor entry k (counted from 1) as a rational Scalar."""
-    try:
-        return Scalar.rational(parse_fraction(str(text)))
-    except ValueError as exc:
-        raise ValueError(f"spinor entry {k}: {exc}") from None
+def _spinor_entries(entries):
+    """The spinor entries as rational Scalars, each distinct entry parsed
+    once; a bad one is named by its first position (counted from 1)."""
+    texts = [str(entry) for entry in entries]
+    parsed = {}
+    for k, text in enumerate(texts, 1):
+        if text not in parsed:
+            try:
+                parsed[text] = Scalar.rational(parse_fraction(text))
+            except ValueError as exc:
+                raise ValueError(f"spinor entry {k}: {exc}") from None
+    return [parsed[text] for text in texts]
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,10 @@ class Scalar:
 
     @classmethod
     def rational(cls, p, q=1):
+        for x in (p, q):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError("rational coefficient expected, got "
+                                f"{type(x).__name__}")
         return cls(Fraction(p, q))
 
     @classmethod

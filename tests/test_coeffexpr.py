@@ -191,6 +191,27 @@ def test_coefficient_bits_boundary():
         parse_scalar(f"t/({big})", T_ID)
 
 
+def test_negated_huge_literal_is_refused_at_the_literal():
+    # a negation keeps its operand's size: the literal itself is refused
+    big = str(2 ** MAX_COEFF_BITS)   # MAX_COEFF_BITS + 1 bits
+    with pytest.raises(ParseError) as err:
+        parse_scalar(f"t + -{big}", T_ID)
+    assert str(err.value) == \
+        f"coefficient above {MAX_COEFF_BITS} bits at column 6"
+
+
+def test_division_by_zero_left_of_a_huge_literal_is_reported_first():
+    # 1,234 digits: over MAX_COEFF_BITS bits, within the tokenizer's 1,365
+    digits = "9" * 1234
+    assert len(digits) <= MAX_COEFF_BITS // 3 < MAX_COEFF_BITS < \
+        int(digits).bit_length()
+    for text in (f"t/0 + {digits}", f"t/0*{digits}", f"-(t/0)-{digits}"):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text, T_ID)
+        assert str(err.value) == \
+            f"division by zero at column {text.index('/') + 1}"
+
+
 @pytest.mark.parametrize("text, message", [
     ("u^1000000000", "degree above"), ("t^-1000000000", "degree above"),
     ("2^1000000000", "bits"), ("(1/2)^-1000000000", "bits")])

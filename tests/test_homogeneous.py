@@ -98,6 +98,23 @@ def test_non_unit_spinor_rejected(flat6_dict):
         HomogeneousModel.from_dict(flat6_dict)
 
 
+def test_repeated_bad_spinor_entry_is_named_at_its_first_place(flat6_dict):
+    # each distinct entry is parsed once; the refusal names entry 3, not 6
+    flat6_dict["spinor"] = ["0", "0", "1/x", "0", "1", "1/x", "0", "0"]
+    with pytest.raises(ModelError) as err:
+        HomogeneousModel.from_dict(flat6_dict)
+    assert str(err.value) == \
+        "bad model record: spinor entry 3: not a rational: '1/x'"
+
+
+def test_repeated_spinor_entries_keep_their_values(flat6_dict):
+    flat6_dict["spinor"] = ["1/2", "0", "1/2", 0, "1/2", "0.5", "0", "0"]
+    model = HomogeneousModel.from_dict(flat6_dict)
+    assert [c.as_fraction() for c in model.phi0] == \
+        [Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2),
+         0, 0]
+
+
 def test_duplicate_entry_rejected(flat6_dict):
     flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "1"},
                                {"i": 1, "j": 2, "coeff": "2"}]

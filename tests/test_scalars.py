@@ -496,6 +496,76 @@ def test_poly_gcd_fraction_free():
     assert g == Poly((-1, 1))   # monic gcd u - 1
 
 
+def _ref_gcd(a, b):
+    """Monic gcd of Fraction coefficient tuples by Euclid over Q."""
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def _prs_gcd(a, b):
+    """poly_gcd with the heuristic gcd switched off."""
+    saved = scalars_module.HEURISTIC_GCD_DEGREE
+    scalars_module.HEURISTIC_GCD_DEGREE = math.inf
+    try:
+        return poly_gcd(a, b)
+    finally:
+        scalars_module.HEURISTIC_GCD_DEGREE = saved
+
+
+_int_polys = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                      max_size=7).filter(lambda cs: cs[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_polys, _int_polys, _int_polys)
+def test_poly_gcd_on_either_path_matches_euclid(gs, xs, ys):
+    # a common factor planted in two integer polynomials
+    g = Poly(gs)
+    a, b = g * Poly(xs), g * Poly(ys)
+    want = _ref_gcd(a.coeffs, b.coeffs)
+    assert poly_gcd(a, b).coeffs == want
+    assert _prs_gcd(a, b).coeffs == want
+    found = scalars_module._heuristic_gcd(a.int_coeffs(), b.int_coeffs())
+    if found is not None:
+        assert found[-1] > 0 and Poly(found).monic().coeffs == want
+
+
+def test_heuristic_gcd_runs_from_its_degree(monkeypatch):
+    calls = []
+    heuristic = scalars_module._heuristic_gcd
+    monkeypatch.setattr(scalars_module, "_heuristic_gcd",
+                        lambda x, y: calls.append(len(y) - 1) or
+                        heuristic(x, y))
+    d = scalars_module.HEURISTIC_GCD_DEGREE
+    low, high = Poly([1] * d), Poly([1] * (d + 1))   # degrees d - 1 and d
+    assert poly_gcd(low * Poly((1, 1)), low) == low.monic()
+    assert calls == []
+    assert poly_gcd(high * Poly((2, 1)), high) == high.monic()
+    assert calls == [d]
+
+
+def test_heuristic_gcd_falls_back_to_the_prs():
+    # x(xi) keeps a factor 2^30 for each 2^b tried, so every candidate is a
+    # power of u, which does not divide x; the PRS finds gcd 1
+    x = Poly([2 ** 30] * 5 + [1])
+    y = Poly((0, 0, 0, 0, 1))
+    assert scalars_module._heuristic_gcd(x.int_coeffs(), y.int_coeffs()) \
+        is None
+    assert poly_gcd(x, y) == ONE_POLY == _prs_gcd(x, y)
+
+
+def test_heuristic_gcd_at_degree_eighty():
+    # two degree-80 values with a degree-40 common factor and large
+    # coefficients, as a cleared model file gives
+    rng = random.Random(11)
+    g, p, q = (Poly([rng.randint(-10 ** 12, 10 ** 12) for _ in range(41)])
+               for _ in range(3))
+    want = _prs_gcd(g * p, g * q)
+    assert want == (g * poly_gcd(p, q)).monic()
+    assert poly_gcd(g * p, g * q) == want
+
+
 def test_format_canonical():
     s = (sc(1) - U * U) / (sc(2) * U)
     assert format_scalar(s) == "(1 - u^2)/(2*u)"
@@ -938,6 +1008,20 @@ def test_reflected_operators_refuse_what_no_scalar_accepts():
             other / sc(3)
     assert 1 - U == Scalar(Poly((1, -1)))
     assert Fraction(1, 2) / U == Scalar(Poly((1,)), Poly((0, 2)))
+
+
+@pytest.mark.parametrize("args", [(1.5,), ("1/2",), (1, 2.0), (None,),
+                                  (Fraction(1, 2), "3")])
+def test_rational_refuses_what_is_not_rational(args):
+    import plain_kernel
+    bad = next(a for a in args if not isinstance(a, (int, Fraction)))
+    for kernel in (scalars_module, plain_kernel):
+        with pytest.raises(TypeError) as err:
+            kernel.Scalar.rational(*args)
+        assert str(err.value) == \
+            f"rational coefficient expected, got {type(bad).__name__}"
+    assert Scalar.rational(Fraction(3), 6) == sc(1, 2)
+    assert Scalar.rational(True) is ONE
 
 
 def test_short_circuits_keep_type_errors():
