@@ -172,9 +172,9 @@ def _print_report_text(data, out):
           file=out)
     print("harmonicity:", _verdict_text(data["harmonicity"]), file=out)
     cc = data["cross_check"]
-    print("cross-check:", _verdict_text(cc["verdict"]),
-          "(residual identically zero)" if cc["residual_identically_zero"]
-          else "", file=out)
+    note = (" (residual identically zero)"
+            if cc["residual_identically_zero"] else "")
+    print(f"cross-check: {_verdict_text(cc['verdict'])}{note}", file=out)
     if "at" in data:
         print(f"at t = {data['at']['t']}: flags",
               " ".join(data["at"]["flags"]), file=out)

@@ -16,7 +16,8 @@ the stabilizer inside SO(n).  This module computes, exactly over Q(u):
     xi_X = S(X) -| psi, i.e. g(xi_X Y, Z) = psi(S(X), Y, Z), with the extra
     factor 2/3 for n = 7;
   * chi^S = sum_i xi_{e_i} S(e_i) and the pointwise Dirac contraction;
-  * the Gray-Hervella splitting of (S, eta) into W-components.
+  * the Gray-Hervella splitting of (S, eta) into classes, W1+- ... W5 for
+    SU(3) and W1 ... W4 for G2, held as one read-only `Classes` type.
 
 All splits are orthogonal projections in exact arithmetic, so components
 recombine to the input on the nose and each component re-classifies pure.
@@ -39,11 +40,12 @@ from __future__ import annotations
 
 from functools import cache, cached_property, wraps
 from itertools import combinations
+from types import MappingProxyType
 
 from .scalars import Scalar, ONE, zero_at
-from .linalg import (Matrix, Subspace, apply_columns, sparse_columns,
-                     vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub,
-                     zero_vec)
+from .linalg import (Matrix, Subspace, _matrix, apply_columns,
+                     sparse_columns, vec_add, vec_dot, vec_is_zero, vec_scale,
+                     vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, _multivector, index_pairs
 
 
@@ -245,32 +247,27 @@ class SpinorStructure:
 
     # -- Gray-Hervella classification ------------------------------------------
 
-    def classify(self, s: Matrix, eta=None):
+    def classify(self, s: Matrix, eta=None) -> Classes:
         """The classes of (S, eta) for n = 6 (eta = 0 by default), of S
         for n = 7, computed as coordinates."""
-        if self.n == 6:
-            return self._classify_su3(s, zero_vec(6) if eta is None else eta)
-        return self._classify_g2(s)
-
-    def _classify_su3(self, s, eta):
-        mu = s.trace() / Scalar.rational(6)
-        sym0, x = _split(s, mu)
+        n = self.n
+        trace = s.trace() / Scalar.rational(n)
+        sym0, x = _split(s, trace)
+        m_part = self.complement_m().project(x)
+        if n == 7:
+            return Classes(self, {"W1": (trace,), "W2": vec_sub(x, m_part),
+                                  "W3": sym0, "W4": m_part},
+                           self._solve_w4_vector(m_part))
         j = self.almost_complex()
         jsj = (j * _symmetric(6, sym0) * j).data
         w2m = [(c - jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
         w3 = [(c + jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
         xj, xj_norm2 = self._kahler_coords
         lam = vec_dot(x, xj) / xj_norm2
-        m_part = self.complement_m().project(x)
-        return SU3Classes(self, mu, lam, vec_sub(x, m_part), w2m, w3,
-                          vec_sub(m_part, vec_scale(lam, xj)), list(eta))
-
-    def _classify_g2(self, s):
-        lam = s.trace() / Scalar.rational(7)
-        w3, x = _split(s, lam)
-        m_coords = self.complement_m().project(x)
-        return G2Classes(self, lam, vec_sub(x, m_coords), w3, m_coords,
-                         self._solve_w4_vector(m_coords))
+        return Classes(self, {"W1+": (lam,), "W1-": (trace,),
+                              "W2+": vec_sub(x, m_part), "W2-": w2m, "W3": w3,
+                              "W4": vec_sub(m_part, vec_scale(lam, xj)),
+                              "W5": zero_vec(6) if eta is None else eta})
 
     @cached_property
     def _w4_left_inverse(self):
@@ -328,10 +325,57 @@ def _skew(n, pairs):
     return MultiVector.from_pair_coeffs(n, pairs).to_skew_matrix()
 
 
-class _Classes:
-    """Gray-Hervella classes as coordinates: trace scalars, upper triangles
-    of the symmetric parts, pair coordinates of the skew parts.  The
-    `components` matrices mirror them and sum exactly to the input S."""
+# What the coordinates of each class label are: the multiple of Id or of J,
+# the upper triangle of a symmetric matrix or the pair coordinates of a skew
+# one; W5 is eta itself (n = 6), with no matrix.
+_SHAPES = {"W1": "trace", "W1-": "trace", "W1+": "kahler", "W2": "skew",
+           "W2+": "skew", "W2-": "symmetric", "W3": "symmetric",
+           "W4": "skew", "W5": None}
+
+
+class Classes:
+    """Gray-Hervella classes, read-only: `coords` maps each label (W1+ ...
+    W5 for n = 6, W1 ... W4 for n = 7) to a tuple of Scalars, as `_SHAPES`
+    reads them; for n = 7 W4 is also kept as the vector V with V -| psi
+    equal to it.  The `components` matrices, built on first read, mirror
+    the coordinates and sum exactly to the input S."""
+
+    def __init__(self, structure, coords, w4_vector=()):
+        self.structure = structure
+        self.coords = MappingProxyType({label: tuple(cs)
+                                        for label, cs in coords.items()})
+        self.w4_vector = tuple(w4_vector)
+
+    mu = property(lambda self: self.coords["W1-"][0])
+    lam = property(lambda self: self.coords["W1" if self.structure.n == 7
+                                            else "W1+"][0])
+    eta = property(lambda self: list(self.coords["W5"]))
+    v = property(lambda self: list(self.w4_vector))
+
+    def scale(self, c):
+        """The classes of (c S, c eta): every coordinate times c."""
+        return Classes(self.structure,
+                       {label: vec_scale(c, cs)
+                        for label, cs in self.coords.items()},
+                       vec_scale(c, self.w4_vector))
+
+    @cached_property
+    def components(self):
+        """The matrix of each class but W5, with tuple rows."""
+        n, out = self.structure.n, {}
+        for label, cs in self.coords.items():
+            shape = _SHAPES[label]
+            if shape == "kahler":   # lambda J, by J's pair coordinates
+                shape = "skew"
+                cs = vec_scale(cs[0], self.structure._kahler_coords[0])
+            if shape == "trace":
+                m = Matrix.identity(n).scale(cs[0])
+            elif shape:
+                m = (_skew if shape == "skew" else _symmetric)(n, cs)
+            else:
+                continue
+            out[label] = _matrix(tuple(map(tuple, m.data)), n)
+        return MappingProxyType(out)
 
     def total(self) -> Matrix:
         out = Matrix.zeros(self.structure.n, self.structure.n)
@@ -340,64 +384,10 @@ class _Classes:
         return out
 
     def flags(self):
-        return {label for label, cs in self.coordinates().items()
+        return {label for label, cs in self.coords.items()
                 if not vec_is_zero(cs)}
 
     def flags_at(self, sub, t0):
         """Flags after exact evaluation at rational parameter t0."""
-        return {label for label, cs in self.coordinates().items()
+        return {label for label, cs in self.coords.items()
                 if any(not c.is_zero and not zero_at(c, sub, t0) for c in cs)}
-
-
-class SU3Classes(_Classes):
-    """Gray-Hervella classes of (S, eta) for n = 6; eta carries W5."""
-
-    def __init__(self, structure, mu, lam, w2p, w2m, w3, w4, eta):
-        self.structure = structure
-        self.mu, self.lam, self.eta = mu, lam, eta
-        self.w2p, self.w2m, self.w3, self.w4 = w2p, w2m, w3, w4
-
-    def scale(self, c):
-        """The classes of (c S, c eta): every coordinate times c."""
-        return SU3Classes(self.structure, c * self.mu, c * self.lam,
-                          *(vec_scale(c, v) for v in (self.w2p, self.w2m,
-                                                      self.w3, self.w4,
-                                                      self.eta)))
-
-    def coordinates(self):
-        return {"W1+": [self.lam], "W1-": [self.mu], "W2+": self.w2p,
-                "W2-": self.w2m, "W3": self.w3, "W4": self.w4,
-                "W5": self.eta}
-
-    @property
-    def components(self):
-        xj = self.structure._kahler_coords[0]
-        return {"W1+": _skew(6, vec_scale(self.lam, xj)),
-                "W1-": Matrix.identity(6).scale(self.mu),
-                "W2+": _skew(6, self.w2p), "W2-": _symmetric(6, self.w2m),
-                "W3": _symmetric(6, self.w3), "W4": _skew(6, self.w4)}
-
-
-class G2Classes(_Classes):
-    """Gray-Hervella classes of S for n = 7; W4 also as the vector V."""
-
-    def __init__(self, structure, lam, w2, w3, w4, v):
-        self.structure = structure
-        self.lam, self.v = lam, v
-        self.w2, self.w3, self.w4 = w2, w3, w4
-
-    def scale(self, c):
-        """The classes of c S: every coordinate times c."""
-        return G2Classes(self.structure, c * self.lam,
-                         *(vec_scale(c, v) for v in (self.w2, self.w3,
-                                                     self.w4, self.v)))
-
-    def coordinates(self):
-        return {"W1": [self.lam], "W2": self.w2, "W3": self.w3,
-                "W4": self.w4}
-
-    @property
-    def components(self):
-        return {"W1": Matrix.identity(7).scale(self.lam),
-                "W2": _skew(7, self.w2), "W3": _symmetric(7, self.w3),
-                "W4": _skew(7, self.w4)}

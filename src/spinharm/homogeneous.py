@@ -176,6 +176,12 @@ class CrossCheck:
     residual = property(lambda self: vec_scale(self.inverse, self.cleared[2]))
 
 
+def _read_only(n, terms):
+    """The 2-forms with the given terms as a tuple, each one's terms behind
+    a mapping proxy, so that no holder can write into a kept slot."""
+    return tuple(_multivector(n, MappingProxyType(t)) for t in terms)
+
+
 class HomogeneousModel:
     """Reductive-space description whose Lambda slots are read-only: the
     slots are a tuple and each slot's terms a mapping proxy.  A shared
@@ -199,8 +205,7 @@ class HomogeneousModel:
         self.name = name
         self.n = n
         self.substitution = substitution
-        self.lam = tuple(_multivector(n, MappingProxyType(dict(slot.terms)))
-                         for slot in lam)
+        self.lam = _read_only(n, (dict(slot.terms) for slot in lam))
         self.phi0 = phi0
         self.notes = notes
         self._analysis = None
@@ -480,10 +485,11 @@ class ModelAnalysis:
     torsion xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi)
     are kept once computed, and so are the classes and the cleared values
     the verdicts are decided on, which no positive_only setting changes;
-    each verdict is kept per setting.  The stabilizer part of a slot is
-    D Lambda_i - xi_i, m being its orthogonal complement.  The stabilizer,
-    m, J and psi come from the structure shared by every model with the
-    same n and phi0.
+    each verdict is kept per setting.  What a stage hands out is fresh or
+    read-only (tuples, 2-forms with proxied terms, Classes).  The stabilizer
+    part of a slot is D Lambda_i - xi_i, m being its orthogonal complement.
+    The stabilizer, m, J and psi come from the structure shared by every
+    model with the same n and phi0.
     """
 
     def __init__(self, model: HomogeneousModel):
@@ -531,7 +537,7 @@ class ModelAnalysis:
 
     @cached_property
     def cleared(self):
-        """The slots D*Lambda_i; every coefficient is a polynomial in u.
+        """The slots D*Lambda_i, read-only; each coefficient a polynomial in u.
         ModelError names the first entry, in file order, whose cleared
         degree deg num + deg D - deg den passes MAX_CLEARED_DEGREE, before
         any is multiplied out: D alone does not bound it."""
@@ -543,10 +549,10 @@ class ModelAnalysis:
                     raise ModelError(
                         f"slot {k} ({i},{j}): cleared coefficient of degree "
                         f"{degree} above {MAX_CLEARED_DEGREE}")
-        return [MultiVector(self.model.n,
-                            {key: Scalar(c.num * d.exact_div(c.den))
-                             for key, c in slot.terms.items()})
-                for slot in self.model.lam]
+        return _read_only(self.model.n,
+                          ({key: Scalar(c.num * d.exact_div(c.den))
+                            for key, c in slot.terms.items()}
+                           for slot in self.model.lam))
 
     @cached_property
     def _inverse(self):
@@ -599,7 +605,8 @@ class ModelAnalysis:
     @kept
     def torsion(self):
         inv = self._inverse[1]
-        return [slot.scale(inv) for slot in self._cleared_torsion]
+        return _read_only(self.model.n, (slot.scale(inv).terms
+                                         for slot in self._cleared_torsion))
 
     @cached_property
     def _cleared_torsion(self):
@@ -690,7 +697,7 @@ class ModelAnalysis:
         """
         s, eta = self._cleared_s_eta
         if self.model.n == 7:
-            return self.divergence_endo(s, self.cleared)
+            return tuple(self.divergence_endo(s, self.cleared))
         xi = self._cleared_torsion
         phi = self.structure.phi
         vol = self.rep.volume_element()
@@ -718,7 +725,7 @@ class ModelAnalysis:
                            self.rep.act(vol, self.rep.act_vector(s_eta, phi)))
 
         eta2 = vec_dot(eta, eta)
-        return vec_add(residual, vec_scale(-eta2, phi))
+        return tuple(vec_add(residual, vec_scale(-eta2, phi)))
 
     # -- spinor Laplacian cross-check ------------------------------------------------
 
@@ -748,8 +755,8 @@ class ModelAnalysis:
         for slot in self._cleared_torsion:
             c_xi_phi = vec_add(c_xi_phi, rep.act(slot, rep.act(slot, phi)))
         c_xi_phi = vec_scale(half, c_xi_phi)
-        residual = [d + half * c for d, c in zip(delta, c_xi_phi)]
-        return delta, c_xi_phi, residual
+        residual = tuple(d + half * c for d, c in zip(delta, c_xi_phi))
+        return tuple(delta), tuple(c_xi_phi), residual
 
     # -- classification ---------------------------------------------------------------
 

@@ -188,7 +188,7 @@ def test_aw11_extraction_matches_published_diagonal():
 
 def test_cp3_torsion_is_identity_projection():
     an = ModelAnalysis(load_model("cp3"))
-    assert an.torsion() == list(an.model.lam)
+    assert an.torsion() == an.model.lam
 
 
 def test_spin4_torsion_slot4():

@@ -10,6 +10,7 @@ that the shared results cannot be written into, and that a process which
 repeats requests prints what fresh processes print.
 """
 
+import contextlib
 import copy
 import gc
 import io
@@ -22,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 import spinharm
-from spinharm import cli, coeffexpr, homogeneous, scalars
+from spinharm import cli, coeffexpr, gstruct, homogeneous, scalars, verify
 from spinharm.clifford import SpinRep
 from spinharm.gstruct import InternalInvariantError, SpinorStructure
 from spinharm.homogeneous import (BUILTIN_MODELS, HomogeneousModel,
@@ -250,3 +251,75 @@ def test_interleaved_requests_print_fresh_process_bytes():
         fresh[argv] = (done.returncode, done.stdout)
     for argv in runs + runs[::-1]:
         assert run_cli(*argv) == fresh[argv], argv
+
+
+def _golden_report(name):
+    golden = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "perfbench", "golden", f"report-{name}.json")
+    with open(golden, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_kept_classes_torsion_and_cleared_values_are_read_only(name):
+    an = ModelAnalysis.of(load_model(name))
+    classes = an.classify()
+    for label in classes.coords:
+        with pytest.raises(TypeError):
+            classes.coords[label] = (ONE,)
+        with pytest.raises(TypeError):
+            classes.coords[label][0] = ONE
+    for label, matrix in classes.components.items():
+        with pytest.raises(TypeError):
+            matrix.data[0][0] = ONE
+        with pytest.raises(TypeError):
+            classes.components[label] = matrix
+    for slots in (an.torsion(), an.cleared):
+        with pytest.raises(TypeError):
+            slots[0] = slots[1]
+        for slot in slots:
+            with pytest.raises(TypeError):
+                slot.terms[(1, 2)] = ONE
+    with pytest.raises(TypeError):
+        an.harmonicity().cleared[0] = ONE
+    for part in an.laplacian_cross_check().cleared:
+        with pytest.raises(TypeError):
+            part[0] = ONE
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_writes_into_eta_and_w4_vector_lists_change_no_report(name):
+    # eta and the W4 vector come as fresh lists on every read
+    classes = ModelAnalysis.of(load_model(name)).classify()
+    (classes.eta if classes.structure.n == 6 else classes.v)[0] = ONE
+    assert run_cli("report", name, "--format", "structured") == \
+        (0, _golden_report(name))
+
+
+def test_second_structured_report_builds_no_component_matrix(monkeypatch):
+    assert run_cli("report", "cp3", "--format", "structured")[0] == 0
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for attr in ("_symmetric", "_skew"):
+        monkeypatch.setattr(gstruct, attr,
+                            counted(attr, getattr(gstruct, attr)))
+    assert run_cli("report", "cp3", "--format", "structured") == \
+        (0, _golden_report("cp3"))
+    assert calls == Counter()
+
+
+def test_spin4_checks_survive_a_torsion_write():
+    def results():
+        return [(r.name, r.ok, r.detail) for r in verify.check_spin4()]
+
+    before = results()
+    slot = ModelAnalysis.of(load_model("spin4")).torsion()[3]
+    with contextlib.suppress(TypeError):
+        slot.terms[(1, 2)] = ONE
+    assert results() == before
