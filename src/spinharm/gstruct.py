@@ -254,10 +254,10 @@ class SpinorStructure:
         trace = s.trace() / Scalar.rational(n)
         sym0, x = _split(s, trace)
         m_part = self.complement_m().project(x)
+        w2 = vec_sub(x, m_part)
         if n == 7:
-            return Classes(self, {"W1": (trace,), "W2": vec_sub(x, m_part),
-                                  "W3": sym0, "W4": m_part},
-                           self._solve_w4_vector(m_part))
+            return Classes(self, {"W1": (trace,), "W2": w2, "W3": sym0,
+                                  "W4": m_part}, self._solve_w4_vector(m_part))
         j = self.almost_complex()
         jsj = (j * _symmetric(6, sym0) * j).data
         w2m = [(c - jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
@@ -265,7 +265,7 @@ class SpinorStructure:
         xj, xj_norm2 = self._kahler_coords
         lam = vec_dot(x, xj) / xj_norm2
         return Classes(self, {"W1+": (lam,), "W1-": (trace,),
-                              "W2+": vec_sub(x, m_part), "W2-": w2m, "W3": w3,
+                              "W2+": w2, "W2-": w2m, "W3": w3,
                               "W4": vec_sub(m_part, vec_scale(lam, xj)),
                               "W5": zero_vec(6) if eta is None else eta})
 
@@ -325,20 +325,31 @@ def _skew(n, pairs):
     return MultiVector.from_pair_coeffs(n, pairs).to_skew_matrix()
 
 
-# What the coordinates of each class label are: the multiple of Id or of J,
-# the upper triangle of a symmetric matrix or the pair coordinates of a skew
-# one; W5 is eta itself (n = 6), with no matrix.
-_SHAPES = {"W1": "trace", "W1-": "trace", "W1+": "kahler", "W2": "skew",
-           "W2+": "skew", "W2-": "symmetric", "W3": "symmetric",
-           "W4": "skew", "W5": None}
+# The matrix of each class label from its coordinates: a multiple of Id or
+# of J, a symmetric matrix by its upper triangle or a skew one by its pair
+# coordinates.  W5 (n = 6) is eta itself and has no matrix.
+_MATRIX_OF = {
+    **dict.fromkeys(("W1", "W1-"),
+                    lambda st, cs: Matrix.identity(st.n).scale(cs[0])),
+    "W1+": lambda st, cs: _skew(st.n, vec_scale(cs[0], st._kahler_coords[0])),
+    **dict.fromkeys(("W2", "W2+", "W4"), lambda st, cs: _skew(st.n, cs)),
+    **dict.fromkeys(("W2-", "W3"), lambda st, cs: _symmetric(st.n, cs))}
+
+
+def _reader(n, read):
+    """A property for dimension n; in the other, `hasattr` reads False."""
+    def get(self):
+        if self.structure.n != n:
+            raise AttributeError(f"read for n = {n} only")
+        return read(self)
+    return property(get)
 
 
 class Classes:
     """Gray-Hervella classes, read-only: `coords` maps each label (W1+ ...
-    W5 for n = 6, W1 ... W4 for n = 7) to a tuple of Scalars, as `_SHAPES`
-    reads them; for n = 7 W4 is also kept as the vector V with V -| psi
-    equal to it.  The `components` matrices, built on first read, mirror
-    the coordinates and sum exactly to the input S."""
+    W5 for n = 6, W1 ... W4 for n = 7) to a tuple of Scalars, and for
+    n = 7 `w4_vector` is the V with V -| psi equal to W4.  The `components`
+    matrices, built on first read, sum exactly to the input S."""
 
     def __init__(self, structure, coords, w4_vector=()):
         self.structure = structure
@@ -346,11 +357,11 @@ class Classes:
                                         for label, cs in coords.items()})
         self.w4_vector = tuple(w4_vector)
 
-    mu = property(lambda self: self.coords["W1-"][0])
+    mu = _reader(6, lambda self: self.coords["W1-"][0])
     lam = property(lambda self: self.coords["W1" if self.structure.n == 7
                                             else "W1+"][0])
-    eta = property(lambda self: list(self.coords["W5"]))
-    v = property(lambda self: list(self.w4_vector))
+    eta = _reader(6, lambda self: list(self.coords["W5"]))
+    v = _reader(7, lambda self: list(self.w4_vector))
 
     def scale(self, c):
         """The classes of (c S, c eta): every coordinate times c."""
@@ -362,20 +373,11 @@ class Classes:
     @cached_property
     def components(self):
         """The matrix of each class but W5, with tuple rows."""
-        n, out = self.structure.n, {}
-        for label, cs in self.coords.items():
-            shape = _SHAPES[label]
-            if shape == "kahler":   # lambda J, by J's pair coordinates
-                shape = "skew"
-                cs = vec_scale(cs[0], self.structure._kahler_coords[0])
-            if shape == "trace":
-                m = Matrix.identity(n).scale(cs[0])
-            elif shape:
-                m = (_skew if shape == "skew" else _symmetric)(n, cs)
-            else:
-                continue
-            out[label] = _matrix(tuple(map(tuple, m.data)), n)
-        return MappingProxyType(out)
+        st = self.structure
+        return MappingProxyType({
+            label: _matrix(tuple(map(tuple, _MATRIX_OF[label](st, cs).data)),
+                           st.n)
+            for label, cs in self.coords.items() if label in _MATRIX_OF})
 
     def total(self) -> Matrix:
         out = Matrix.zeros(self.structure.n, self.structure.n)

@@ -312,6 +312,18 @@ def test_second_structured_report_builds_no_component_matrix(monkeypatch):
     assert run_cli("report", "cp3", "--format", "structured") == \
         (0, _golden_report("cp3"))
     assert calls == Counter()
+    # the counters see a build: fresh classes build their matrices
+    ModelAnalysis.of(load_model("cp3")).classify().scale(ONE).components
+    assert calls["_symmetric"] and calls["_skew"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_classes_readers_of_the_other_dimension_are_absent(name):
+    classes = ModelAnalysis.of(load_model(name)).classify()
+    six = classes.structure.n == 6
+    assert hasattr(classes, "lam")
+    assert [hasattr(classes, a) for a in ("mu", "eta", "v")] == \
+        [six, six, not six]
 
 
 def test_spin4_checks_survive_a_torsion_write():

@@ -1,23 +1,19 @@
 """Search for the slowest model file that the size limits accept.
 
-    PYTHONPATH=src python tests/worst_case.py [--seed 1] [--budget 480]
-                                              [--out worst-case.json]
+    PYTHONPATH=src python tests/worst_case.py > worst-case.json
 
 A candidate takes the Wang map of a built-in (cp3, spin4, aw11) or a random
 sparse one of dimension n, sets its substitution, and multiplies entry m by
 (t + a_m)^k / (t^2 + b_m)^p, the b_m running over d distinct values: the
 recipe is (base, n, substitution, d, p, k, seed).  A candidate counts only
 if it loads and both MAX_DENOMINATOR_* limits and MAX_CLEARED_DEGREE accept
-it; then `report FILE` is timed in-process, capped at --cap seconds.  The
-first half of the budget draws recipes at random from the seed, the second
-mutates the slowest recipe one knob at a time and keeps a slower result.
-The slowest file is written to --out with its recipe in `notes` and
-printed.  Timings differ between machines and runs, so the second half may
-take another path on a rerun; the recipes of the first half do not change.
-pytest does not collect this file (no test_ prefix).
+it; then `report FILE` is timed in-process, cut at CAP_S seconds.  The
+recipes are drawn from SEED alone, so every run tries the same sequence;
+how far along it a run of BUDGET_S seconds gets depends on the machine.
+Progress goes to stderr, and the slowest file, its recipe in `notes`, to
+stdout.  pytest does not collect this file (no test_ prefix).
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -36,6 +32,9 @@ BASES = {6: ["cp3", "spin4", "random"], 7: ["aw11", "random"]}
 SUBSTITUTIONS = ["t=u", "t=u^2", "t=u^2/2"]
 SIMPLE = ["1", "t", "u", "2*t-1", "t^2+3", "1/u"]
 S5 = ["0", "0", "0", "0", "1", "0", "0", "0"]
+SEED = 1
+BUDGET_S = 480
+CAP_S = 120
 
 
 def build(recipe):
@@ -71,21 +70,6 @@ def draw_recipe(rng):
             "k": rng.randint(0, 60), "seed": rng.randrange(10 ** 6)}
 
 
-def mutate(recipe, rng):
-    """The recipe with one knob moved."""
-    out = dict(recipe)
-    knob = rng.choice(["d", "p", "k", "k", "substitution", "seed"])
-    if knob == "substitution":
-        out[knob] = rng.choice(SUBSTITUTIONS)
-    elif knob == "seed":
-        out[knob] = rng.randrange(10 ** 6)
-    else:
-        step = rng.choice([-1, 1]) * (rng.randint(1, 6) if knob == "k" else 1)
-        low, high = {"d": (1, 9), "p": (1, 12), "k": (0, 80)}[knob]
-        out[knob] = min(high, max(low, out[knob] + step))
-    return out
-
-
 class _Cap(BaseException):
     """Past the cap; not an Exception, which the CLI would report."""
 
@@ -116,52 +100,42 @@ def time_report(record, path, cap):
     return time.perf_counter() - start, code, err.getvalue().strip()
 
 
-def search(seed, budget, cap, log=print):
-    rng = random.Random(seed)
+def search(log):
+    rng = random.Random(SEED)
     start = time.perf_counter()
     best = None   # (seconds, code, stderr, recipe, record)
     tried = accepted = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "candidate.json"
-        while (elapsed := time.perf_counter() - start) < budget:
-            if best is None or elapsed < budget / 2:
-                recipe = draw_recipe(rng)
-            else:
-                recipe = mutate(best[3], rng)
+        while (elapsed := time.perf_counter() - start) < BUDGET_S:
+            recipe = draw_recipe(rng)
             record = build(recipe)
             tried += 1
-            timed = time_report(record, path, min(cap, budget - elapsed + 1))
+            timed = time_report(record, path, min(CAP_S, BUDGET_S - elapsed))
             if timed is None:
                 continue
             accepted += 1
             if best is None or timed[0] > best[0]:
                 best = (*timed, recipe, record)
-                log(f"{elapsed:7.1f}s  {timed[0]:8.3f}s  exit {timed[1]}  "
-                    f"{json.dumps(recipe, sort_keys=True)}")
+                log(f"{elapsed:7.1f}s  #{tried:<4d} {timed[0]:8.3f}s  "
+                    f"exit {timed[1]}  {json.dumps(recipe, sort_keys=True)}")
     return best, tried, accepted
 
 
-def run(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--budget", type=float, default=480,
-                    help="seconds of search (default 480)")
-    ap.add_argument("--cap", type=float, default=120,
-                    help="seconds at which one report is cut (default 120)")
-    ap.add_argument("--out", default="worst-case.json")
-    args = ap.parse_args(argv)
-    best, tried, accepted = search(args.seed, args.budget, args.cap)
-    print(f"{tried} recipes tried, {accepted} accepted by the size limits")
+def run():
+    def log(line):
+        print(line, file=sys.stderr, flush=True)
+    best, tried, accepted = search(log)
+    log(f"{tried} recipes tried, {accepted} accepted by the size limits")
     if best is None:
         return 1
     seconds, code, err, recipe, record = best
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n",
-                              encoding="utf-8")
-    status = f"exit {code}" if code is not None else f"cut at {args.cap} s"
-    print(f"slowest: {seconds:.3f} s ({status}), written to {args.out}")
+    status = f"exit {code}" if code is not None else f"cut at {CAP_S} s"
+    log(f"slowest: {seconds:.3f} s ({status})")
     if err:
-        print("stderr:", err)
-    print("recipe:", json.dumps(recipe, sort_keys=True))
+        log("stderr: " + err)
+    log("recipe: " + json.dumps(recipe, sort_keys=True))
+    print(json.dumps(record, indent=2))
     return 0
 
 
