@@ -34,12 +34,13 @@ gcd, so `Scalar.rational(1) is ONE`.  This is safe because `Scalar` and
 construction.  A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
-Root finding runs on ints: a Sturm chain isolates each real root by
-bisection from the Cauchy bound, on dyadic endpoints a/2^k signed by a
-homogeneous Horner with shifts.  A Fraction is built only for the final
-candidate p/q, which exact division by q t - p confirms and deflates; an
-isolating interval with no such candidate is returned as it is, so the
-one isolation gives the rational roots and the irrational ones' count.
+Root finding runs on ints: continued fractions (Taylor shifts and
+Descartes' rule of signs) isolate the real roots on each side of 0.  A
+rational root p/q shows up exactly, and exact division by q t - p counts
+its multiplicity; a root left between Farey neighbours too close for a
+fraction whose denominator divides the leading coefficient is
+irrational, so the one isolation gives the rational roots and the
+irrational ones' count.
 Verdicts are always decided exactly; floating point appears only in
 eval_numeric, the one-value reference the float oracle (numeric.py) is
 tested against.
@@ -326,31 +327,18 @@ U_POLY = Poly((0, 1))
 
 
 def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (fraction-free).
-
-    Scaling by |lead(b)| keeps it a positive multiple of the Euclidean
-    remainder, as Sturm chains need.
-    """
+    """Pseudo-remainder of integer coefficient lists (fraction-free), b with
+    a positive leading coefficient."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    m = abs(lb)
     while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        la = a[-1] if lb > 0 else -a[-1]
-        a = [c * m for c in a]
+        da, la = len(a) - 1, a[-1]
+        a = [c * lb for c in a]
         for j in range(len(b)):
             a[da - db + j] -= la * b[j]
         while a and a[-1] == 0:
             a.pop()
     return a
-
-
-def _int_content_div(a):
-    """Divide by the positive content; signs are kept (Sturm chains need it)."""
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return [c // g for c in a] if g > 1 else a
 
 
 def _int_primitive(a):
@@ -838,41 +826,7 @@ def eval_numeric(s: Scalar, sub: Substitution, t0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# real root isolation (Sturm) and rational reconstruction
-
-
-def _sturm_chain(a):
-    """Sturm sequence a, a', -rem, ... of an integer coefficient list,
-    each term divided by its positive content."""
-    chain = [a, _int_content_div([k * c for k, c in enumerate(a)][1:])]
-    while len(chain[-1]) > 1:
-        r = _int_pseudo_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_int_content_div([-c for c in r]))
-    return chain
-
-
-def _sign_at(a, n, k):
-    """Sign of the integer polynomial a at the dyadic n/2^k: the sign of
-    sum a_j n^j 2^(k(deg-j)), by Horner with shifts."""
-    acc, shift = a[-1], 0
-    for c in a[-2::-1]:
-        shift += k
-        acc = acc * n + (c << shift)
-    return (acc > 0) - (acc < 0)
-
-
-def _variations_at(chain, n, k):
-    """Sign variations of the chain at the dyadic n/2^k."""
-    out, last = 0, 0
-    for a in chain:
-        s = _sign_at(a, n, k)
-        if s:
-            if last and s != last:
-                out += 1
-            last = s
-    return out
+# real root isolation (continued fractions)
 
 
 def _divide_root(a, p, q):
@@ -888,71 +842,109 @@ def _divide_root(a, p, q):
     return out if a[0] + p * b == 0 else None
 
 
-def _isolating_intervals(f, chain, bound):
-    """Intervals (lo/2^k, hi/2^k] as int triples (lo, hi, k), one per
-    distinct real root of f, f(lo)f(hi) != 0.
+def _shift(g, m):
+    """g(x + m) for an integer coefficient list g (Taylor shift)."""
+    g = list(g)
+    for i in range(len(g) - 1):
+        for j in range(len(g) - 2, i - 1, -1):
+            g[j] += m * g[j + 1]
+    return g
 
-    Bisection of (-bound, 0] and (0, bound] on Sturm counts; a split point
-    that is itself a root is moved towards lo, so no endpoint is a root.
+
+def _variations(g):
+    """Sign variations of g: its positive roots plus an even number."""
+    signs = [c > 0 for c in g if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _lower_bound(g):
+    """e with every positive root of g above 2^e, g(0) != 0: the reversed
+    g's are below 2 max (|g_j| / |g_0|)^(1/j) over the g_j of the other
+    sign than g_0 (Kioustelidis), here rounded up on bit lengths."""
+    b0, s = g[0].bit_length(), g[0] > 0
+    return -1 - max((c.bit_length() - b0 + j) // j
+                    for j, c in enumerate(g) if c and (c > 0) != s)
+
+
+def _at(g, p, q):
+    """q^n g(p/q) for the integer list g of degree n (homogeneous Horner)."""
+    v, w = g[-1], 1
+    for c in g[-2::-1]:
+        w *= q
+        v = v * p + c * w
+    return v
+
+
+def _floor_root(g, s, a, b, c, d):
+    """(m, exact): m the integer part of the one positive root of
+    h(x) = (c x + d)^n g((a x + b)/(c x + d)), whose sign below it is s
+    (True: positive), and whether it is m; by doubling, then bisection."""
+    lo = hi = 0   # hi = 0 while no x above the root is known
+    while hi != lo + 1:
+        x = (lo + hi) // 2 if hi else 2 * lo or 1
+        v = _at(g, a * x + b, c * x + d)
+        if not v:
+            return x, True
+        if (v > 0) == s:
+            lo = x
+        else:
+            hi = x
+    return lo, False
+
+
+def _isolate(f, lead, side, found, others):
+    """Append to found the rational roots of the squarefree integer list f,
+    f(0) != 0, on one side of 0 (side 1 or -1), and to others (lo, hi, 0)
+    per irrational one, in Fractions, neither end a root.  A node is g with
+    M(x) = (a x + b)/(c x + d), |ad - bc| = 1, mapping the positive roots of
+    g onto the roots of f(side t) between b/d and a/c.  With two or more
+    sign variations it is shifted past a lower bound of its roots, if that
+    is 1 or more, and split into x + 1 and 1/(x + 1); a root at the split
+    shows as the zero constant term of both halves.  With one, its root
+    follows its continued fraction: M, and (p x + q)/(r x + s) from there
+    to g, advance by the exact integer part and invert.  Between Farey
+    neighbours b/d and a/c every fraction has a denominator of c + d or
+    more, and a rational root's divides lead: once c + d > lead the root is
+    irrational.
     """
-    v = [_variations_at(chain, x, 0) for x in (-bound, 0, bound)]
-    todo = [(-bound, 0, 0, v[0], v[1]), (0, bound, 0, v[1], v[2])]
-    out = []
+    todo = [([c * side ** j for j, c in enumerate(f)], 1, 0, 0, 1)]
     while todo:
-        lo, hi, k, vlo, vhi = todo.pop()
-        if vlo - vhi == 1:
-            out.append((lo, hi, k))
-        elif vlo - vhi > 1:
-            lo, hi, k = lo << 1, hi << 1, k + 1
-            mid = (lo + hi) >> 1
-            while _sign_at(f, mid, k) == 0:
-                lo, mid, hi, k = lo << 1, lo + mid, hi << 1, k + 1
-            vmid = _variations_at(chain, mid, k)
-            todo.append((lo, mid, k, vlo, vmid))
-            todo.append((mid, hi, k, vmid, vhi))
-    return out
-
-
-def _rational_in(f, lo, hi, k, lead):
-    """The rational root of f in (lo/2^k, hi/2^k], or None if irrational.
-
-    f is squarefree with exactly one root r in the interval.  A rational
-    root has a denominator dividing lead, and two such fractions lie at
-    least 1/lead^2 apart: once (hi - lo) 2 lead^2 < 2^k, r is the fraction
-    nearest the midpoint with denominator at most lead.  A halving
-    doubles lo and 2^k, so the numerator width hi - lo stays fixed.
-    """
-    slo, width = _sign_at(f, lo, k), hi - lo
-    spread = width * 2 * lead * lead
-    while spread >= 1 << k:
-        lo, k = lo << 1, k + 1
-        s = _sign_at(f, lo + width, k)
-        if s == 0:
-            return Fraction(lo + width, 1 << k)
-        if s == slo:
-            lo += width
-    c = Fraction(2 * lo + width, 2 << k).limit_denominator(lead)
-    p, q = c.numerator, c.denominator
-    if lo * q < p << k <= (lo + width) * q and \
-            _divide_root(f, p, q) is not None:
-        return c
-    return None
+        g, a, b, c, d = todo.pop()
+        v = _variations(g)
+        p, q, r, s, sign = 1, 0, 0, 1, g[0] > 0
+        while v == 1:
+            m, exact = _floor_root(g, sign, p, q, r, s)
+            b, d, q, s = a * m + b, c * m + d, p * m + q, r * m + s
+            if exact:
+                found.append(Fraction(side * b, d))
+                break
+            if c + d > lead:
+                ends = sorted((Fraction(side * a, c), Fraction(side * b, d)))
+                if ends[0] not in found and ends[1] not in found:
+                    others.append((*ends, 0))
+                    break
+            a, b, c, d, p, q, r, s, sign = b, a, d, c, q, p, s, r, not sign
+        if v > 1:
+            e = _lower_bound(g)
+            if e >= 0:
+                g, b, d = _shift(g, 1 << e), (a << e) + b, (c << e) + d
+            right = _shift(g, 1)
+            mid = not right[0]
+            if mid:
+                found.append(Fraction(side * (a + b), c + d))
+            todo.append((right[mid:], a, a + b, c, c + d))
+            if _variations(right) < v:
+                todo.append((_shift(g[::-1], 1)[mid:], b, a + b, d, c + d))
 
 
 def rational_roots(p: Poly):
     """(roots, others): the rational roots of p with multiplicities, and
-    an isolating interval for each distinct irrational real root.
-
-    The squarefree part's real roots are isolated with a Sturm chain on
-    the Cauchy bound and each interval is narrowed until at most one
-    fraction with a denominator dividing the leading coefficient fits.
-    Exact division by q t - p confirms that candidate p/q and gives its
-    multiplicity.  An interval that holds no such fraction holds an
-    irrational root; it is returned as the int triple (lo, hi, k) of
-    (lo/2^k, hi/2^k] from the isolation, on the negative side when hi <= 0
-    and on the positive side when lo >= 0.  Raises IdenticallyZero on the
-    zero polynomial, which `vanishing_verdict` never passes: it returns
-    ALL_T for a zero gcd first.
+    one (lo, hi, 0) per distinct irrational real root, which lies in the
+    open interval (lo, hi) of Fraction ends, neither end a root of p, on
+    the negative side when hi <= 0 and on the positive side when lo >= 0.
+    Exact division by q t - p gives a rational root's multiplicity.  Raises
+    IdenticallyZero on the zero polynomial, which `vanishing_verdict` never
+    passes: it returns ALL_T for a zero gcd first.
     """
     if p.is_zero:
         raise IdenticallyZero("identically zero")
@@ -967,16 +959,9 @@ def rational_roots(p: Poly):
         return roots, others
     derivative = _poly([j * c for j, c in enumerate(work.ints)][1:], work.dd)
     f = work.exact_div(poly_gcd(work, derivative)).int_coeffs()
-    lead = f[-1]
-    # Cauchy: every root has |t| < 1 + max|f_i| / lead <= bound
-    bound = 2 + max(abs(c) for c in f[:-1]) // lead
     found = []
-    for interval in _isolating_intervals(f, _sturm_chain(f), bound):
-        r = _rational_in(f, *interval, lead)
-        if r is None:
-            others.append(interval)
-        else:
-            found.append(r)
+    for side in (1, -1):
+        _isolate(f, f[-1], side, found, others)
     rest = work.int_coeffs()
     for r in sorted(found):
         mult, n, d = 0, r.numerator, r.denominator

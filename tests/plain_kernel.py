@@ -2,11 +2,12 @@
 
 `spinharm.scalars` keeps polynomials fraction-free, builds results in
 normal form without a gcd where it can, shares ZERO, ONE and the small
-rational constants, and isolates roots on dyadic integers.  This module
-implements the same API (the list in the `spinharm.scalars` docstring)
-the textbook way: Poly holds a tuple of Fraction coefficients, gcd is
-Euclid's algorithm over Q, every Scalar operation builds num/den and
-reduces it, and no object is cached or shared, so a test of identity
+rational constants, and isolates roots by continued fractions on
+integers.  This module implements the same API (the list in the
+`spinharm.scalars` docstring) the textbook way: Poly holds a tuple of
+Fraction coefficients, gcd is Euclid's algorithm over Q, every Scalar
+operation builds num/den and reduces it, roots come from a Sturm chain
+with bisection, and no object is cached or shared, so a test of identity
 with ZERO or ONE fails on every value but the two constants themselves.
 
 Only the arithmetic is reimplemented.  The exceptions, `clip`, `quote`
@@ -181,7 +182,7 @@ def _divmod(a, b):
 
 
 def _derivative(p):
-    return Poly(k * c for k, c in enumerate(p.coeffs))
+    return Poly(k * c for k, c in enumerate(p.coeffs) if k)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -353,6 +353,76 @@ def test_irrational_intervals_against_sympy_oracle():
         assert len(roots) + len(others) == len(real), poly
 
 
+# roots where continued-fraction isolation shifts, splits and stops: 0, 1,
+# small integers, the Stern-Brocot fractions next to 1, dyadic fractions,
+# and 2^e + 1 past a power-of-two lower bound
+SPLIT_POINTS = [Fraction(r) for r in (
+    0, 1, 2, 3, 5, 9, 17, 64, "1/2", "1/3", "2/3", "3/2", "1/4", "3/4", "5/8",
+    "7/16", "1/1024")]
+
+
+def _edge_polys(count, seed):
+    """Planted roots with numerators and denominators of up to 12 digits,
+    roots at SPLIT_POINTS or their negatives, each possibly repeated, times
+    irrational quadratics on both sides of 0 (t^2 - c, t^2 + t - 1, or two
+    real roots anywhere)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        poly = Poly((rng.choice([1, -3, 4]),))
+        roots = [rng.choice([1, -1]) * rng.choice(SPLIT_POINTS)
+                 for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            digits = rng.randint(1, 12)
+            roots.append(Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                                  rng.randint(1, 10 ** digits)))
+        for r in roots:
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                poly = poly * _linear(r)
+        for _ in range(rng.randint(0, 2)):
+            c = rng.choice([2, 3, 5, 7, 10, 1 << 40 | 1])
+            poly = poly * rng.choice([Poly((-c, 0, 1)), Poly((-1, 1, 1)),
+                                      _real_irrational_quadratic(rng)])
+        yield poly
+
+
+def _plain_root_count(plain, lo, hi):
+    """Distinct real roots of the plain-kernel Poly in (lo, hi], by
+    Sturm's theorem."""
+    import plain_kernel
+    chain = [plain, plain_kernel._derivative(plain)]
+    while chain[-1].degree > 0:
+        rem = plain_kernel._divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(-rem)
+    return plain_kernel._sturm_variations(chain, lo) - \
+        plain_kernel._sturm_variations(chain, hi)
+
+
+def test_roots_against_the_plain_kernels_sturm_isolation():
+    """Continued fractions against the plain kernel's Sturm isolation: the
+    same rational roots and multiplicities, and as many irrational
+    intervals on each side of 0; each interval has lo < hi, no end a root,
+    and exactly one root inside, an irrational one."""
+    import plain_kernel
+    # (t - 1)(t^2 + t - 1): t = 1 is a root and the first split point, and
+    # the half (0, 1) meets the Farey rule at once with 1 as an end
+    polys = [Poly((1, -2, 0, 1))] + list(_seeded_polys(60, seed=37)) + \
+        list(_edge_polys(80, seed=41))
+    for poly in polys:
+        plain = plain_kernel.Poly(poly.coeffs)
+        roots, others = rational_roots(poly)
+        plain_roots, plain_others = plain_kernel.rational_roots(plain)
+        assert roots == plain_roots, poly
+        assert sorted(lo >= 0 for lo, _, _ in others) == \
+            sorted(lo >= 0 for lo, _, _ in plain_others), poly
+        for lo, hi, k in others:
+            assert k == 0 and lo < hi and (lo >= 0 or hi <= 0), poly
+            assert plain.eval(lo) and plain.eval(hi), poly
+            assert _plain_root_count(plain, lo, hi) == 1, poly
+            assert not any(lo < r < hi for r in roots), poly
+
+
 # ---------------------------------------------------------------------------
 # numeric and exact evaluation
 

@@ -1,4 +1,4 @@
-"""The slowest accepted model file known, reported within the fuzz bound.
+"""The slowest accepted model files known, reported within the fuzz bound.
 
 `tests/data/slow/slow-cleared.json` passes every size limit (its common
 denominator has degree 40, its cleared coefficients up to 75), and its
@@ -6,11 +6,29 @@ verdicts take gcds of polynomials of that degree and more, with integer
 coefficients of hundreds of bits.  The primitive PRS alone took 9 to 11 s
 to report it; the
 heuristic gcd in front of it takes well under a second.  Its bytes were
-recorded once from the PRS path.  The file lives outside
-`tests/data/models`, which the plain-kernel byte test reads in full: on
-that textbook kernel one report of it takes about a minute.
+recorded once from the PRS path.
+
+The two `worst-case-*.json` files are recipes of `tests/worst_case.py`
+(the recipe is in each file's notes).  Both exit 2, because the gcd of
+the harmonicity numerators (degree 113 for recipe 272 and 98 for recipe
+14, coefficients of up to 355 bits) has irrational real roots.  Sturm
+isolation took 50 to 70 s and 13 to 17 s to find that; continued
+fractions take well under a second.  Their stderr was recorded once from
+the Sturm path.
+
+`worst-accepted.json` is the slowest file that `tests/worst_case.py`
+(seed 1, 480 s) found among the files every size limit accepts, once
+root isolation ran on continued fractions: about a second, against 17 to
+19 s with Sturm isolation, nearly all of it isolating the negative roots
+of a degree-105 gcd in the cross-check.  It reports NEVER.  Its bytes
+were recorded once from the Sturm path.
+
+The files live outside `tests/data/models`, which the plain-kernel byte
+test reads in full: on that textbook kernel one report of slow-cleared
+takes about a minute.
 """
 
+import contextlib
 import io
 import json
 import random
@@ -21,9 +39,11 @@ import pytest
 
 from spinharm.cli import main
 from test_fuzz_model_file import SECONDS_PER_EXAMPLE
+from worst_case import build
 
 DATA = Path(__file__).parent / "data" / "slow"
 MODEL = DATA / "slow-cleared.json"
+WORST = {"worst-case-272": 2, "worst-case-14": 2, "worst-accepted": 0}
 
 
 def slow_cleared(seed):
@@ -62,3 +82,22 @@ def test_slow_record_reports_within_the_bound(flags, recorded):
     assert main(["report", str(MODEL), *flags], out=out) == 0
     assert time.perf_counter() - start < SECONDS_PER_EXAMPLE
     assert out.getvalue() == (DATA / recorded).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", WORST)
+def test_worst_case_file_is_its_recipe(name):
+    record = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    assert record == build(json.loads(record["notes"].removeprefix("recipe ")))
+
+
+@pytest.mark.parametrize("name, code", WORST.items())
+def test_worst_case_reports_within_the_bound(name, code):
+    """Exit 2 with the recorded stderr, or exit 0 with the recorded text."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        assert main(["report", str(DATA / f"{name}.json")], out=out) == code
+    assert time.perf_counter() - start < SECONDS_PER_EXAMPLE
+    printed, suffix = (err, "stderr") if code else (out, "txt")
+    assert printed.getvalue() == \
+        (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
