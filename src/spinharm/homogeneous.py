@@ -113,8 +113,9 @@ def vanishing_verdict(values, sub, positive_only=True,
     r > 0 of g, with g's multiplicity, and at t0 = v0/m for each rational
     root v0 > 0 of gcd(E, O) with an irrational square root, with its
     multiplicity there: (u^2 - v0)^k divides g exactly when (v - v0)^k
-    divides E and O.  Raises IrrationalRoots when the isolation of g's real
-    roots leaves more in the domain than were kept.
+    divides E and O; this case decides t > 0 only.  `rational_roots`
+    isolates the real roots in the domain alone; IrrationalRoots is raised
+    when it finds more there than were kept.
     """
     g = ZERO_POLY
     for v in values:
@@ -129,18 +130,16 @@ def vanishing_verdict(values, sub, positive_only=True,
     e, o = g.even_odd_parts()
     if m is None or not o:
         p = g if m is None else e.scale_argument(m)
-        found, others = rational_roots(p)
-        roots = {r: k for r, k in found.items() if r > 0 or not positive_only}
-        irrational = any(lo >= 0 or not positive_only for lo, _, _ in others)
+        roots, others = rational_roots(p, positive_only)
+        irrational = bool(others)
         shown, var = p, "t"
     else:
-        found, others = rational_roots(g)
-        roots = {r * r / m: k for r, k in found.items() if r > 0}
-        for v0, k in rational_roots(poly_gcd(e, o))[0].items():
-            if v0 > 0 and sub.u_value(v0 / m)[1] is None:
+        found, others = rational_roots(g, True)
+        roots = {r * r / m: k for r, k in found.items()}
+        for v0, k in rational_roots(poly_gcd(e, o), True)[0].items():
+            if sub.u_value(v0 / m)[1] is None:
                 roots[v0 / m] = k
-        irrational = sum(1 for r in found if r > 0) + \
-            sum(1 for lo, _, _ in others if lo >= 0) > len(roots)
+        irrational = len(found) + len(others) > len(roots)
         shown, var = g, "u"
     if irrational:
         raise IrrationalRoots(

@@ -35,9 +35,10 @@ construction.  A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
 Root finding runs on ints: continued fractions (Taylor shifts and
-Descartes' rule of signs) isolate the real roots on each side of 0.  A
-rational root p/q shows up exactly, and exact division by q t - p counts
-its multiplicity; a root left between Farey neighbours too close for a
+Descartes' rule of signs) isolate the real roots in the domain asked
+for: t > 0 (`positive_only`), or both sides of 0 and t = 0.  A rational
+root p/q shows up exactly, and exact division by q t - p counts its
+multiplicity; a root left between Farey neighbours too close for a
 fraction whose denominator divides the leading coefficient is
 irrational, so the one isolation gives the rational roots and the
 irrational ones' count.
@@ -55,10 +56,11 @@ names that the other modules import from it:
 with Scalar's num, den, rational(), u(), is_zero, is_rational,
 as_fraction() and operators, and Poly's degree, is_zero, bits(), eval(),
 exact_div(), even_odd_parts(), scale_argument(), int_coeffs() and + - *;
-of rational_roots' intervals only the side of 0 is read.  Identity with
-ZERO or ONE and every lane above are speed only: `Scalar(...)` still
-builds distinct zeros, and `tests/plain_kernel.py`, with no shared object
-or lane, runs the whole CLI to the same bytes in a tier-1 test.
+rational_roots takes positive_only, and of its intervals only the number
+is read.  Identity with ZERO or ONE and every lane above are speed only:
+`Scalar(...)` still builds distinct zeros, and `tests/plain_kernel.py`,
+with no shared object or lane, runs the whole CLI to the same bytes in a
+tier-1 test.
 """
 
 from __future__ import annotations
@@ -937,11 +939,12 @@ def _isolate(f, lead, side, found, others):
                 todo.append((_shift(g[::-1], 1)[mid:], b, a + b, d, c + d))
 
 
-def rational_roots(p: Poly):
+def rational_roots(p: Poly, positive_only=False):
     """(roots, others): the rational roots of p with multiplicities, and
     one (lo, hi, 0) per distinct irrational real root, which lies in the
     open interval (lo, hi) of Fraction ends, neither end a root of p, on
     the negative side when hi <= 0 and on the positive side when lo >= 0.
+    With positive_only only the roots t > 0 are isolated and returned.
     Exact division by q t - p gives a rational root's multiplicity.  Raises
     IdenticallyZero on the zero polynomial, which `vanishing_verdict` never
     passes: it returns ALL_T for a zero gcd first.
@@ -952,7 +955,7 @@ def rational_roots(p: Poly):
     k = 0
     while p.ints[k] == 0:
         k += 1
-    if k:
+    if k and not positive_only:
         roots[Fraction(0)] = k
     work = _poly(p.ints[k:], p.dd)
     if work.degree < 1:
@@ -960,7 +963,7 @@ def rational_roots(p: Poly):
     derivative = _poly([j * c for j, c in enumerate(work.ints)][1:], work.dd)
     f = work.exact_div(poly_gcd(work, derivative)).int_coeffs()
     found = []
-    for side in (1, -1):
+    for side in (1,) if positive_only else (1, -1):
         _isolate(f, f[-1], side, found, others)
     rest = work.int_coeffs()
     for r in sorted(found):

@@ -391,18 +391,19 @@ def _sturm_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def rational_roots(p: Poly):
+def rational_roots(p: Poly, positive_only=False):
     """(roots, others): the rational roots of p with multiplicities, and
     one (lo, hi, 0) per distinct irrational real root, which lies in the
     interval (lo, hi] of Fraction endpoints, on the side of 0 of the
-    kernel's interval.
+    kernel's interval; with positive_only, only those in t > 0.
 
     Sturm's theorem counts the distinct real roots of the squarefree part
-    f in (a, b]; bisection from the Cauchy bound isolates each one, away
-    from 0, and narrows its interval below 1/(2 lead^2), lead the leading
-    coefficient of f over Z.  A rational root has a denominator dividing
-    lead, so it is then the fraction nearest the midpoint with such a
-    denominator, which evaluation confirms; none means an irrational root.
+    f in (a, b]; bisection from the Cauchy bound B, on (-B, 0] and (0, B]
+    or on (0, B] alone, isolates each one, away from 0, and narrows its
+    interval below 1/(2 lead^2), lead the leading coefficient of f over Z.
+    A rational root has a denominator dividing lead, so it is then the
+    fraction nearest the midpoint with such a denominator, which
+    evaluation confirms; none means an irrational root.
     """
     if p.is_zero:
         raise IdenticallyZero("identically zero")
@@ -410,7 +411,7 @@ def rational_roots(p: Poly):
     zeros = 0
     while not p.coeffs[0]:
         p, zeros = p.exact_div(Poly((0, 1))), zeros + 1
-    if zeros:
+    if zeros and not positive_only:
         roots[Fraction(0)] = zeros
     if p.degree < 1:
         return roots, others
@@ -423,7 +424,9 @@ def rational_roots(p: Poly):
         chain.append(-rem)
     lead = f.int_coeffs()[-1]
     bound = 1 + max(abs(c / f.coeffs[-1]) for c in f.coeffs[:-1])
-    todo = [(-bound, Fraction(0)), (Fraction(0), bound)]
+    todo = [(Fraction(0), bound)]
+    if not positive_only:
+        todo.insert(0, (-bound, Fraction(0)))
     while todo:
         lo, hi = todo.pop()
         count = _sturm_variations(chain, lo) - _sturm_variations(chain, hi)

@@ -4,7 +4,8 @@ byte for byte against the real one.
 Both kernels run the same commands, each in one fresh interpreter; every
 command's stdout, stderr and exit code must match.  The fast paths of
 `spinharm.scalars` (shared ZERO, ONE and small constants, the no-gcd
-lanes, dyadic root isolation) are speed only exactly when they do.
+lanes, root isolation by continued fractions) are speed only exactly when
+they do.
 """
 
 import json

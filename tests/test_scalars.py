@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -170,6 +171,20 @@ def _linear(r):
     return Poly((-Fraction(r), 1))
 
 
+def _positive_part(poly):
+    """rational_roots(poly) cut to t > 0 by the sign of each root and
+    interval."""
+    roots, others = rational_roots(poly)
+    return ({r: k for r, k in roots.items() if r > 0},
+            [iv for iv in others if iv[0] >= 0])
+
+
+# t^2 (t + 3/2)(t - 5)(t^2 - 2)(t^2 + t - 1): a t^k factor, a negative
+# rational root and irrational roots on both sides of 0
+DOMAIN_CASE = Poly((0, 0, 1)) * _linear(Fraction(-3, 2)) * _linear(5) * \
+    Poly((-2, 0, 1)) * Poly((-1, 1, 1))
+
+
 def test_roots_large_integer_root():
     assert rational_roots(_linear(10000000019))[0] == \
         {Fraction(10000000019): 1}
@@ -211,19 +226,21 @@ def test_roots_irrational_pair_around_an_eleven_digit_root():
     assert _real_root_count(poly) == 3
 
 
+# roots on the split points of Sturm bisection from the Cauchy bound
+# B = 2 + max|f_i| // lead, the engine before continued fractions (split * B
+# is a root); SPLIT_POINTS below holds those of continued fractions
 @pytest.mark.parametrize("roots,quadratic,split", [
-    # (B/2, B] or (0, B] holds one root: the narrowing hits it
+    # (B/2, B] or (0, B] holds one root: the narrowing hit it
     ((Fraction(3, 2),), None, Fraction(1, 2)),             # B = 3
     ((Fraction(1, 2),), None, Fraction(1, 4)),             # B = 2
     ((Fraction(15, 4),), None, Fraction(3, 4)),            # B = 5
     ((Fraction(-3),), (1, 1, 1), Fraction(-1, 2)),         # B = 6
-    # two roots share the half: the isolating bisection hits it
+    # two roots share the half: the isolating bisection hit it
     ((Fraction(9, 2), Fraction(-7, 8)), (-2, 0, 1), Fraction(1, 2)),  # B = 9
     ((Fraction(1),), (-2, 0, 1), Fraction(1, 4)),          # B = 4
     ((Fraction(-16), Fraction(-15, 8)), None, Fraction(-1, 2)),       # B = 32
 ])
-def test_roots_on_dyadic_split_points_of_the_cauchy_bound(roots, quadratic,
-                                                          split):
+def test_roots_on_the_former_sturm_split_points(roots, quadratic, split):
     from spinharm.homogeneous import ROOT_SET, Verdict, vanishing_verdict
     poly = Poly(quadratic or (1,))
     for r in roots:
@@ -312,7 +329,7 @@ def test_irrational_refusal_against_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     rng = random.Random(23)
-    for k, poly in enumerate(_seeded_polys(60, seed=19)):
+    for k, poly in enumerate([*_seeded_polys(60, seed=19), DOMAIN_CASE]):
         if k % 3:
             poly = poly * _real_irrational_quadratic(rng)
         expr = sum(sympy.Rational(c.numerator, c.denominator) * t**j
@@ -331,26 +348,31 @@ def test_irrational_refusal_against_sympy_oracle():
 def test_irrational_intervals_against_sympy_oracle():
     """Each interval rational_roots returns holds exactly one real root, an
     irrational one, and the rational roots plus the intervals count
-    sympy's distinct real roots."""
+    sympy's distinct real roots, or those in t > 0 with positive_only,
+    where the result is the positive part of the whole one."""
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     rng = random.Random(29)
     p, q = 170000000033, 600000012431
     line = Poly((-p, q))
     polys = list(_seeded_polys(60, seed=31)) + [
-        line * (Poly((q * q,)) * line * line - Poly((2,)))]
+        line * (Poly((q * q,)) * line * line - Poly((2,))), DOMAIN_CASE]
     for k, poly in enumerate(polys):
         for _ in range(k % 3):
             poly = poly * _real_irrational_quadratic(rng)
         expr = sum(sympy.Rational(c.numerator, c.denominator) * t**j
                    for j, c in enumerate(poly.coeffs))
         real = sympy.Poly(expr, t).real_roots(multiple=False)
-        roots, others = rational_roots(poly)
-        for lo, hi, bits in others:
-            a, b = sympy.Rational(lo, 2**bits), sympy.Rational(hi, 2**bits)
-            inside = [r for r, _ in real if a < r <= b]
-            assert len(inside) == 1 and not inside[0].is_rational, poly
-        assert len(roots) + len(others) == len(real), poly
+        for positive_only in (False, True):
+            roots, others = rational_roots(poly, positive_only)
+            for lo, hi, bits in others:
+                a, b = sympy.Rational(lo, 2**bits), sympy.Rational(hi, 2**bits)
+                inside = [r for r, _ in real if a < r <= b]
+                assert len(inside) == 1 and not inside[0].is_rational, poly
+            domain = [r for r, _ in real if r > 0 or not positive_only]
+            assert len(roots) + len(others) == len(domain), poly
+            if positive_only:
+                assert (roots, others) == _positive_part(poly), poly
 
 
 # roots where continued-fraction isolation shifts, splits and stops: 0, 1,
@@ -400,19 +422,22 @@ def _plain_root_count(plain, lo, hi):
 
 
 def test_roots_against_the_plain_kernels_sturm_isolation():
-    """Continued fractions against the plain kernel's Sturm isolation: the
-    same rational roots and multiplicities, and as many irrational
-    intervals on each side of 0; each interval has lo < hi, no end a root,
-    and exactly one root inside, an irrational one."""
+    """Continued fractions against the plain kernel's Sturm isolation, on
+    the whole line and with positive_only: the same rational roots and
+    multiplicities, and as many irrational intervals on each side of 0;
+    each interval has lo < hi, no end a root, and exactly one root inside,
+    an irrational one.  With positive_only the result is the positive part
+    of the whole one."""
     import plain_kernel
     # (t - 1)(t^2 + t - 1): t = 1 is a root and the first split point, and
     # the half (0, 1) meets the Farey rule at once with 1 as an end
-    polys = [Poly((1, -2, 0, 1))] + list(_seeded_polys(60, seed=37)) + \
-        list(_edge_polys(80, seed=41))
-    for poly in polys:
+    polys = [Poly((1, -2, 0, 1)), DOMAIN_CASE] + \
+        list(_seeded_polys(60, seed=37)) + list(_edge_polys(80, seed=41))
+    for poly, positive_only in itertools.product(polys, (False, True)):
         plain = plain_kernel.Poly(poly.coeffs)
-        roots, others = rational_roots(poly)
-        plain_roots, plain_others = plain_kernel.rational_roots(plain)
+        roots, others = rational_roots(poly, positive_only)
+        plain_roots, plain_others = \
+            plain_kernel.rational_roots(plain, positive_only)
         assert roots == plain_roots, poly
         assert sorted(lo >= 0 for lo, _, _ in others) == \
             sorted(lo >= 0 for lo, _, _ in plain_others), poly
@@ -421,6 +446,8 @@ def test_roots_against_the_plain_kernels_sturm_isolation():
             assert plain.eval(lo) and plain.eval(hi), poly
             assert _plain_root_count(plain, lo, hi) == 1, poly
             assert not any(lo < r < hi for r in roots), poly
+        if positive_only:
+            assert (roots, others) == _positive_part(poly), poly
 
 
 # ---------------------------------------------------------------------------

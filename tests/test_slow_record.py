@@ -20,7 +20,9 @@ the Sturm path.
 (seed 1, 480 s) found among the files every size limit accepts, once
 root isolation ran on continued fractions: about a second, against 17 to
 19 s with Sturm isolation, nearly all of it isolating the negative roots
-of a degree-105 gcd in the cross-check.  It reports NEVER.  Its bytes
+of a degree-105 gcd in the cross-check.  Those roots lie outside the
+default domain t > 0, and a default report isolates the positive side
+alone: about 0.1 s, with no Taylor shift.  It reports NEVER.  Its bytes
 were recorded once from the Sturm path.
 
 The files live outside `tests/data/models`, which the plain-kernel byte
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import pytest
 
+import spinharm.scalars
 from spinharm.cli import main
 from test_fuzz_model_file import SECONDS_PER_EXAMPLE
 from worst_case import build
@@ -101,3 +104,22 @@ def test_worst_case_reports_within_the_bound(name, code):
     printed, suffix = (err, "stderr") if code else (out, "txt")
     assert printed.getvalue() == \
         (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
+
+
+def test_worst_accepted_isolates_no_root_outside_the_domain(monkeypatch):
+    """A default report of worst-accepted asks for t > 0 only, so root
+    isolation, counted in Taylor shifts, does next to no work: it makes
+    none, where the negative side of the degree-105 gcd takes 536."""
+    shifts = []
+    shift = spinharm.scalars._shift
+
+    def counted(g, m):
+        shifts.append(m)
+        return shift(g, m)
+
+    monkeypatch.setattr(spinharm.scalars, "_shift", counted)
+    out = io.StringIO()
+    assert main(["report", str(DATA / "worst-accepted.json")], out=out) == 0
+    assert out.getvalue() == \
+        (DATA / "worst-accepted.txt").read_text(encoding="utf-8")
+    assert len(shifts) <= 10
