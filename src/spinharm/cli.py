@@ -13,12 +13,14 @@ MODEL is a built-in name (cp3, spin4, aw11) or a path to a JSON model file.
 Structured output is byte-deterministic (sorted keys, canonical scalar
 strings).  Exit codes: 0 success, 1 verification failure, 2 input error,
 3 internal invariant breach or any other internal error (one line on
-stderr, no traceback).
+stderr, no traceback), 141 standard output closed by its reader (silent,
+as a process that SIGPIPE ends reads in the shell).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -239,6 +241,9 @@ def cmd_dump(args, out):
     return 0
 
 
+EXIT_CLOSED_PIPE = 141   # 128 + SIGPIPE, what `yes | head -1` gives yes
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
@@ -246,7 +251,16 @@ def main(argv=None, out=None):
     handler = {"report": cmd_report, "verify": cmd_verify,
                "scan": cmd_scan, "dump": cmd_dump}[args.command]
     try:
-        return handler(args, out)
+        code = handler(args, out)
+        out.flush()   # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped: what is still buffered goes to the null
+        # device, so the interpreter's own flush at exit finds no pipe
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, out.fileno())
+        os.close(null)
+        return EXIT_CLOSED_PIPE
     except (ModelError, ParseError, IrrationalRoots, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,15 +20,19 @@ between, so the first fault met is reported.  Division by a subexpression
 that folds to zero is rejected with a position, and so is any step whose
 result outgrows MAX_DEGREE or MAX_COEFF_BITS, and any step that takes the
 cumulative folding work past MAX_FOLD_WORK, or past MAX_FILE_FOLD_WORK for
-all the coefficients of one model file.  Those share one FoldBudget, which
-folds each distinct string once per file: a repeat reuses the Scalar and
-charges its work again, so the file limit trips at the same entry and
-column.
+all the coefficients of one model file.  Those share one FoldBudget.  A
+string is folded once per process while it stays in the fold table: every
+fold that succeeds is kept there, with its work, keyed by (string,
+substitution label), within MAX_FOLD_TABLE_BYTES, least recently used out
+first.  A repeat, in the same file or in any later one, reuses the Scalar
+and charges its recorded work again, so every limit trips at the same
+entry and column as on a fresh fold.  A fault is never kept.
 """
 
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from fractions import Fraction
 
 from .scalars import Scalar, Substitution, quote
@@ -65,6 +69,11 @@ MAX_FOLD_WORK = 200_000
 # coefficient at MAX_FOLD_WORK per Wang-map entry (147 for n = 7)
 MAX_FILE_FOLD_WORK = 4 * MAX_FOLD_WORK
 
+# bytes retained by the fold table, which keeps every folded coefficient
+# string of the process with its value: a model record read again (a
+# built-in's dump reloaded, a perturbed copy of one) folds only what is new
+MAX_FOLD_TABLE_BYTES = 1 << 15
+
 
 class ParseError(ValueError):
     def __init__(self, message, position):
@@ -75,11 +84,10 @@ class ParseError(ValueError):
 class FoldBudget:
     """Folding work shared by the coefficients of one model file."""
 
-    __slots__ = ("work", "_folded")
+    __slots__ = ("work",)
 
     def __init__(self):
         self.work = 0
-        self._folded = {}
 
     def charge(self, cost, pos):
         self.work += cost
@@ -88,19 +96,53 @@ class FoldBudget:
                 f"model-file folding work above {MAX_FILE_FOLD_WORK}", pos)
 
     def parse(self, text, sub: Substitution) -> Scalar:
-        """parse_scalar(text, sub, self), once per distinct string; a repeat
-        that would pass MAX_FILE_FOLD_WORK is folded afresh to name its
-        column."""
+        """parse_scalar(text, sub, self), or its value from the fold table
+        with its recorded work charged; a repeat that would pass
+        MAX_FILE_FOLD_WORK is folded afresh to name its column."""
         if type(text) is not str:   # a JSON list would tokenize as a string
             raise TypeError(f"coefficient {text!r} is not a string")
-        hit = self._folded.get(text)
+        key = (text, sub.label)
+        hit = _FOLDS.get(key)
         if hit is not None and self.work + hit[1] <= MAX_FILE_FOLD_WORK:
+            _FOLDS.move_to_end(key)
             self.work += hit[1]
             return hit[0]
         start = self.work
         value = parse_scalar(text, sub, self)
-        self._folded[text] = (value, self.work - start)
+        _FOLDS.keep(key, value, self.work - start)
         return value
+
+
+class _FoldTable(OrderedDict):
+    """(text, substitution label) -> (Scalar, fold work, retained bytes),
+    least recently used first.  An entry retains its text's length and
+    2 * (degree + 2) integers of the bit length _size reads (numerator and
+    denominator, their coefficients and common denominator); one larger
+    than MAX_FOLD_TABLE_BYTES is not kept."""
+
+    __slots__ = ("size",)
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0
+
+    def clear(self):
+        super().clear()
+        self.size = 0
+
+    def keep(self, key, value, work):
+        """Keep a fold made on a miss, evicting from the old end."""
+        degree, bits = _size(value)
+        size = len(key[0]) + 2 * (degree + 2) * (bits // 8 + 1)
+        if size > MAX_FOLD_TABLE_BYTES:
+            return
+        self[key] = (value, work, size)
+        self.size += size
+        while self.size > MAX_FOLD_TABLE_BYTES:
+            self.size -= self.popitem(last=False)[1][2]
+
+
+_FOLDS = _FoldTable()
 
 
 _TOKEN_CHARS = set("+-*/^()")

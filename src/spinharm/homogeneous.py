@@ -40,8 +40,9 @@ the Lie brackets.  Model files are JSON per the documented schema;
 built-ins round-trip through dump/load bit-exactly.  A built-in is parsed
 once per process and carries one ModelAnalysis (`ModelAnalysis.of`), which
 keeps every stage once, the cleared values that both positive_only settings
-share, and each verdict per setting; a model file is read and analysed
-afresh on every load.
+share, and each verdict per setting, and its record text once dumped; a
+model file is read and analysed afresh on every load, and only its
+coefficient strings may come from the fold table of `coeffexpr`.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ def _read_only(n, terms):
 class HomogeneousModel:
     """Reductive-space description whose Lambda slots are read-only: the
     slots are a tuple and each slot's terms a mapping proxy.  A shared
-    built-in carries its one ModelAnalysis in the `_analysis` slot."""
+    built-in carries its one ModelAnalysis in the `_analysis` slot, and its
+    canonical record text, once dumped, in `_text`."""
 
     __slots__ = ("name", "n", "substitution", "lam", "phi0", "notes",
-                 "_analysis")
+                 "_analysis", "_text")
 
     def __init__(self, name, n, substitution, lam, phi0, notes=""):
         if n not in (6, 7):
@@ -208,13 +210,15 @@ class HomogeneousModel:
         self.phi0 = phi0
         self.notes = notes
         self._analysis = None
+        self._text = None
 
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self):
+        text = cache(format_scalar)   # each distinct value formatted once
         lam_out = []
         for slot in self.lam:
-            entries = [{"i": i, "j": j, "coeff": format_scalar(c)}
+            entries = [{"i": i, "j": j, "coeff": text(c)}
                        for (i, j), c in sorted(slot.terms.items())]
             lam_out.append(entries)
         return {
@@ -227,7 +231,13 @@ class HomogeneousModel:
         }
 
     def dumps(self):
-        return jsontext.dumps(self.to_dict()) + "\n"
+        """The canonical record text; a shared built-in keeps it."""
+        text = self._text
+        if text is None:
+            text = jsontext.dumps(self.to_dict()) + "\n"
+            if self._analysis is not None:
+                self._text = text
+        return text
 
     @classmethod
     def from_dict(cls, data):
@@ -440,7 +450,9 @@ BUILTIN_MODELS = tuple(sorted(_BUILTIN_DATA))
 
 def load_model(name_or_path) -> HomogeneousModel:
     """Load a built-in model by name, the one shared model of that name, or
-    a JSON model file by path, read and parsed afresh on every call."""
+    a JSON model file by path, read and parsed afresh on every call; a
+    coefficient string folded earlier in the process (`FoldBudget.parse`)
+    reuses that fold's value."""
     key = str(name_or_path)
     if key in _BUILTIN_DATA:
         return _builtin_model(key)

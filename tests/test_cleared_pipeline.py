@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinharm import cli, homogeneous, scalars
+from spinharm import cli, coeffexpr, homogeneous, scalars
 from spinharm.clifford import MultiVector
 from spinharm.homogeneous import HomogeneousModel, ModelAnalysis, load_model
 from spinharm.scalars import ONE, ONE_POLY, Poly, Scalar
@@ -127,8 +127,10 @@ def test_warm_reports_halve_the_gcds(monkeypatch):
     for name, most in budget.items():
         calls[0] = 0
         # the warm-up built the shared structures; a kept built-in model
-        # would answer the report without any stage's work
+        # would answer the report without any stage's work, and the fold
+        # table its coefficients without their gcds
         homogeneous._builtin_model.cache_clear()
+        coeffexpr._FOLDS.clear()
         assert cli.main(["report", name, "--format", "structured"],
                         out=io.StringIO()) == 0
         assert 0 < calls[0] <= most, name

@@ -711,6 +711,33 @@ def test_cached_parser_gives_fresh_process_outputs(capsys):
         assert got == (done.returncode, done.stdout, done.stderr), argv
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["scan", "spin4", "--min", "1/2", "--max", "5/2", "--steps", "10000"],
+     1),
+    (["dump", "cp3"], 0)], ids=["scan-one-row", "dump-no-reader"])
+def test_a_reader_that_stops_early_ends_the_run_quietly(argv, lines):
+    # the reader takes its lines and closes the pipe (for lines = 0 it is
+    # gone before the first write); the run then exits EXIT_CLOSED_PIPE
+    # with nothing on stderr: no "internal error: BrokenPipeError" and no
+    # "Exception ignored" from the interpreter's flush at exit
+    src = os.path.dirname(os.path.dirname(spinharm.__file__))
+    read_end, write_end = os.pipe()
+    if not lines:
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "spinharm.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=write_end, stderr=subprocess.PIPE,
+                            text=True)
+    os.close(write_end)
+    got = []
+    if lines:
+        with open(read_end, encoding="utf-8") as reader:
+            got = [reader.readline() for _ in range(lines)]
+    err = proc.communicate(timeout=120)[1]
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED_PIPE, "")
+    assert got == run_cli(*argv)[1].splitlines(keepends=True)[:lines]
+
+
 # ---------------------------------------------------------------------------
 # dump
 

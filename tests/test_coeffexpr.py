@@ -1,3 +1,4 @@
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from spinharm import coeffexpr
-from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE, MAX_FOLD_WORK,
+from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE,
+                                MAX_FOLD_TABLE_BYTES, MAX_FOLD_WORK,
                                 MAX_NESTING, MAX_TOKENS, FoldBudget,
                                 ParseError, parse_scalar)
 from spinharm.homogeneous import _BUILTIN_DATA, HomogeneousModel, ModelError
@@ -243,11 +245,19 @@ def test_fold_work_limit_stops_sum_of_large_fractions():
 
 
 # ---------------------------------------------------------------------------
-# one fold per distinct string in a model file, its work charged each time
+# one fold per distinct string in a process, its work charged each time
 
 MODELS_DIR = Path(__file__).parent / "data" / "models"
 RECORDS = [_BUILTIN_DATA[name] for name in sorted(_BUILTIN_DATA)] + [
     json.loads(p.read_text()) for p in sorted(MODELS_DIR.glob("*.json"))]
+
+
+@pytest.fixture
+def fold_table():
+    """The process's fold table, empty when the test starts and ends."""
+    coeffexpr._FOLDS.clear()
+    yield coeffexpr._FOLDS
+    coeffexpr._FOLDS.clear()
 
 
 @pytest.fixture
@@ -284,17 +294,38 @@ def _fresh_fold(record):
     return budget.work, None
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r["name"])
-def test_file_fold_work_equals_the_sum_over_entries(record, loader_budgets):
+def _load(record, warm, loader_budgets):
+    """HomogeneousModel.from_dict(record) on an empty fold table, or, when
+    warm, after an earlier load has kept the record's folds in it: the
+    model, or the load's ModelError with its budget's work."""
+    if warm:
+        with contextlib.suppress(ModelError):
+            HomogeneousModel.from_dict(record)
+        loader_budgets.clear()
+    try:
+        return HomogeneousModel.from_dict(record), loader_budgets[0].work
+    except ModelError as exc:
+        return exc, loader_budgets[0].work
+
+
+@pytest.mark.parametrize(
+    "record, warm",
+    [(r, False) for r in RECORDS] + [(r, True) for r in RECORDS],
+    ids=[r["name"] for r in RECORDS] + [r["name"] + "-warm" for r in RECORDS])
+def test_file_fold_work_equals_the_sum_over_entries(record, warm, fold_table,
+                                                    loader_budgets):
     sub = Substitution.from_label(record["substitution"])
     per_entry = 0
     for _, ent in _entries(record):
         budget = FoldBudget()
         parse_scalar(ent["coeff"], sub, budget)
         per_entry += budget.work
-    HomogeneousModel.from_dict(record)
+    model, work = _load(record, warm, loader_budgets)
+    assert isinstance(model, HomogeneousModel)
     assert len(loader_budgets) == 1
-    assert loader_budgets[0].work == per_entry == _fresh_fold(record)[0]
+    assert work == per_entry == _fresh_fold(record)[0]
+    kept = {text for text, label in fold_table if label == sub.label}
+    assert kept == {ent["coeff"] for _, ent in _entries(record)}
 
 
 _HEAVY = "+".join(["(t+1)^60/(t+2)^60"] * 26)
@@ -303,19 +334,67 @@ _LIGHT = "+".join(["(t+1)^9/(t+3)^9"] * 40)
 
 # H costs 189,875 units of folding work and L 8,060: each layout passes
 # MAX_FILE_FOLD_WORK inside a repeat, of H (the first three) or of L
-@pytest.mark.parametrize("layout", ["HHHHHH", "HLHLHHH", "LLLLLHHHHH",
-                                    "HHHHLLLLLLL", "HLLHLLHLLHLL"])
+_LAYOUTS = ["HHHHHH", "HLHLHHH", "LLLLLHHHHH", "HHHHLLLLLLL", "HLLHLLHLLHLL"]
+
+
+@pytest.mark.parametrize(
+    "layout, warm",
+    [(k, False) for k in _LAYOUTS] + [(k, True) for k in _LAYOUTS],
+    ids=_LAYOUTS + [k + "-warm" for k in _LAYOUTS])
 def test_repeated_heavy_string_trips_where_a_fresh_fold_does(
-        layout, flat6_dict, loader_budgets):
+        layout, warm, flat6_dict, fold_table, loader_budgets):
     pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
     for k, (kind, (i, j)) in enumerate(zip(layout, pairs)):
         flat6_dict["lambda"][k % 6].append(
             {"i": i, "j": j, "coeff": _HEAVY if kind == "H" else _LIGHT})
     work, message = _fresh_fold(flat6_dict)
     assert "model-file folding work above" in message
-    with pytest.raises(ModelError) as err:
-        HomogeneousModel.from_dict(flat6_dict)
-    assert str(err.value) == message
-    column = err.value.__cause__.position
+    err, loaded_work = _load(flat6_dict, warm, loader_budgets)
+    assert isinstance(err, ModelError)
+    assert str(err) == message
+    column = err.__cause__.position
     assert 1 < column < len(_HEAVY)
-    assert loader_budgets[0].work == work
+    assert loaded_work == work
+    # each string was folded whole before the trip, and kept
+    assert set(fold_table) == {(_HEAVY if kind == "H" else _LIGHT, "t=u")
+                               for kind in layout}
+
+
+def _kept_bytes(text, value):
+    degree, bits = coeffexpr._size(value)
+    return len(text) + 2 * (degree + 2) * (bits // 8 + 1)
+
+
+def test_fold_table_stays_within_its_bound(fold_table):
+    # far more distinct strings than the bound holds: the least recently
+    # used go first, and an entry that alone passes the bound is not kept
+    budget = FoldBudget()
+    texts = [f"{k}*t+1/{k}" for k in range(1, 3001)]
+    kept = 0
+    for k, text in enumerate(texts):
+        budget.parse(text, T_ID)
+        if k >= 2:
+            budget.parse(texts[1], T_ID)   # used again: stays
+        kept += _kept_bytes(text, parse_scalar(text, T_ID))
+        assert fold_table.size <= MAX_FOLD_TABLE_BYTES
+    assert kept > 2 * MAX_FOLD_TABLE_BYTES
+    assert fold_table.size == sum(size for _, _, size in fold_table.values())
+    assert (texts[0], "t=u") not in fold_table
+    assert list(fold_table)[-2:] == [(texts[-1], "t=u"), (texts[1], "t=u")]
+    before = list(fold_table)
+    big = "(t+1)^128*" + "9" * 1150
+    value = budget.parse(big, T_ID)
+    assert _kept_bytes(big, value) > MAX_FOLD_TABLE_BYTES
+    assert list(fold_table) == before   # nothing kept, nothing evicted
+
+
+def test_fold_table_keys_on_the_substitution_and_keeps_no_fault(fold_table):
+    budget = FoldBudget()
+    assert budget.parse("t", T_ID) == U
+    assert budget.parse("t", T_U2) == U * U
+    assert budget.parse("t", T_HALF) == U * U / sc(2)
+    for text in ("1/0", "t+", "(t+1)^200"):
+        with pytest.raises(ParseError):
+            budget.parse(text, T_ID)
+    assert set(fold_table) == {("t", "t=u"), ("t", "t=u^2"),
+                               ("t", "t=u^2/2")}

@@ -163,6 +163,7 @@ def test_model_file_rewritten_between_reports(tmp_path):
 
 
 def test_two_loads_of_a_file_share_nothing(tmp_path, g2_toy_dict):
+    # nothing but the immutable coefficient values of the fold table
     path = tmp_path / "g2toy.json"
     path.write_text(HomogeneousModel.from_dict(g2_toy_dict).dumps(),
                     encoding="utf-8")

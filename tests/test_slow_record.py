@@ -23,7 +23,10 @@ root isolation ran on continued fractions: about a second, against 17 to
 of a degree-105 gcd in the cross-check.  Those roots lie outside the
 default domain t > 0, and a default report isolates the positive side
 alone: about 0.1 s, with no Taylor shift.  It reports NEVER.  Its bytes
-were recorded once from the Sturm path.
+were recorded once from the Sturm path.  With `--include-negative-roots`
+those roots are in the domain: 536 Taylor shifts and about a second, to
+find that they are irrational, and the report exits 2.  That stderr was
+recorded once from continued fractions, before the fold table.
 
 The files live outside `tests/data/models`, which the plain-kernel byte
 test reads in full: on that textbook kernel one report of slow-cleared
@@ -47,6 +50,10 @@ from worst_case import build
 DATA = Path(__file__).parent / "data" / "slow"
 MODEL = DATA / "slow-cleared.json"
 WORST = {"worst-case-272": 2, "worst-case-14": 2, "worst-accepted": 0}
+NEGATIVE = ["--include-negative-roots"]
+# (file, flags, exit code, recorded output file without its suffix)
+REPORTS = [(name, [], code, name) for name, code in WORST.items()] + [
+    ("worst-accepted", NEGATIVE, 2, "worst-accepted-negative")]
 
 
 def slow_cleared(seed):
@@ -93,23 +100,33 @@ def test_worst_case_file_is_its_recipe(name):
     assert record == build(json.loads(record["notes"].removeprefix("recipe ")))
 
 
-@pytest.mark.parametrize("name, code", WORST.items())
-def test_worst_case_reports_within_the_bound(name, code):
-    """Exit 2 with the recorded stderr, or exit 0 with the recorded text."""
+def _report(name, flags, code, recorded):
+    """Run `report FILE flags`, assert its exit code and its recorded
+    stderr (exit 2) or text (exit 0); returns the seconds it took."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stderr(err):
-        assert main(["report", str(DATA / f"{name}.json")], out=out) == code
-    assert time.perf_counter() - start < SECONDS_PER_EXAMPLE
+        assert main(["report", str(DATA / f"{name}.json"), *flags],
+                    out=out) == code
+    seconds = time.perf_counter() - start
     printed, suffix = (err, "stderr") if code else (out, "txt")
     assert printed.getvalue() == \
-        (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
+        (DATA / f"{recorded}.{suffix}").read_text(encoding="utf-8")
+    return seconds
+
+
+@pytest.mark.parametrize("name, flags, code, recorded", REPORTS,
+                         ids=[f"{r}-{c}" for _, _, c, r in REPORTS])
+def test_worst_case_reports_within_the_bound(name, flags, code, recorded):
+    """Exit 2 with the recorded stderr, or exit 0 with the recorded text."""
+    assert _report(name, flags, code, recorded) < SECONDS_PER_EXAMPLE
 
 
 def test_worst_accepted_isolates_no_root_outside_the_domain(monkeypatch):
     """A default report of worst-accepted asks for t > 0 only, so root
     isolation, counted in Taylor shifts, does next to no work: it makes
-    none, where the negative side of the degree-105 gcd takes 536."""
+    none, where the negative side of the degree-105 gcd takes 536, the
+    bound with `--include-negative-roots`."""
     shifts = []
     shift = spinharm.scalars._shift
 
@@ -118,8 +135,9 @@ def test_worst_accepted_isolates_no_root_outside_the_domain(monkeypatch):
         return shift(g, m)
 
     monkeypatch.setattr(spinharm.scalars, "_shift", counted)
-    out = io.StringIO()
-    assert main(["report", str(DATA / "worst-accepted.json")], out=out) == 0
-    assert out.getvalue() == \
-        (DATA / "worst-accepted.txt").read_text(encoding="utf-8")
-    assert len(shifts) <= 10
+    for flags, code, recorded, most in (
+            ([], 0, "worst-accepted", 10),
+            (NEGATIVE, 2, "worst-accepted-negative", 536)):
+        shifts.clear()
+        _report("worst-accepted", flags, code, recorded)
+        assert len(shifts) <= most, flags

@@ -7,11 +7,14 @@ sparse one of dimension n, sets its substitution, and multiplies entry m by
 (t + a_m)^k / (t^2 + b_m)^p, the b_m running over d distinct values: the
 recipe is (base, n, substitution, d, p, k, seed).  A candidate counts only
 if it loads and both MAX_DENOMINATOR_* limits and MAX_CLEARED_DEGREE accept
-it; then `report FILE` is timed in-process, cut at CAP_S seconds.  The
-recipes are drawn from SEED alone, so every run tries the same sequence;
-how far along it a run of BUDGET_S seconds gets depends on the machine.
-Progress goes to stderr, and the slowest file, its recipe in `notes`, to
-stdout.  pytest does not collect this file (no test_ prefix).
+it; then it is timed in-process in both domains, as `report FILE` (t > 0)
+and as `report FILE --include-negative-roots`, each cut at CAP_S seconds
+and each on an empty fold table, as in a fresh process.  The recipes are
+drawn from SEED alone, so every run tries the same sequence; how far along
+it a run of BUDGET_S seconds gets depends on the machine.  Progress goes to
+stderr, and to stdout one JSON object that maps each domain to its slowest
+file, with its recipe in `notes`.  pytest does not collect this file (no
+test_ prefix).
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from spinharm import coeffexpr
 from spinharm.cli import main
 from spinharm.homogeneous import (HomogeneousModel, ModelAnalysis, ModelError,
                                   load_model)
@@ -35,6 +39,8 @@ S5 = ["0", "0", "0", "0", "1", "0", "0", "0"]
 SEED = 1
 BUDGET_S = 480
 CAP_S = 120
+# the flags of each timed report, by domain
+DOMAINS = {"default": [], "negative-roots": ["--include-negative-roots"]}
 
 
 def build(recipe):
@@ -78,21 +84,26 @@ def _alarm(signum, frame):
     raise _Cap
 
 
-def time_report(record, path, cap):
-    """(seconds, exit code, stderr) of `report FILE`, or None when a size
-    limit refuses the record; a run past the cap reads (cap, None, "")."""
+def accepted(record):
+    """Whether the record loads and every size limit accepts it."""
     try:
         ModelAnalysis(HomogeneousModel.from_dict(record)).cleared
     except ModelError:
-        return None
-    path.write_text(json.dumps(record), encoding="utf-8")
+        return False
+    return True
+
+
+def time_report(path, flags, cap):
+    """(seconds, exit code, stderr) of `report FILE flags` on an empty fold
+    table; a run past the cap reads (cap, None, "")."""
+    coeffexpr._FOLDS.clear()
     signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, cap)
     err = io.StringIO()
     start = time.perf_counter()
     try:
         with contextlib.redirect_stderr(err):
-            code = main(["report", str(path)], out=io.StringIO())
+            code = main(["report", str(path), *flags], out=io.StringIO())
     except _Cap:
         return cap, None, ""
     finally:
@@ -103,39 +114,47 @@ def time_report(record, path, cap):
 def search(log):
     rng = random.Random(SEED)
     start = time.perf_counter()
-    best = None   # (seconds, code, stderr, recipe, record)
-    tried = accepted = 0
+    # domain -> (seconds, code, stderr, recipe, record)
+    best = dict.fromkeys(DOMAINS)
+    tried = accepted_count = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "candidate.json"
-        while (elapsed := time.perf_counter() - start) < BUDGET_S:
+        while time.perf_counter() - start < BUDGET_S:
             recipe = draw_recipe(rng)
             record = build(recipe)
             tried += 1
-            timed = time_report(record, path, min(CAP_S, BUDGET_S - elapsed))
-            if timed is None:
+            if not accepted(record):
                 continue
-            accepted += 1
-            if best is None or timed[0] > best[0]:
-                best = (*timed, recipe, record)
-                log(f"{elapsed:7.1f}s  #{tried:<4d} {timed[0]:8.3f}s  "
-                    f"exit {timed[1]}  {json.dumps(recipe, sort_keys=True)}")
-    return best, tried, accepted
+            accepted_count += 1
+            path.write_text(json.dumps(record), encoding="utf-8")
+            for domain, flags in DOMAINS.items():
+                # a cap of 0 would switch the alarm off, not cut at once
+                left = BUDGET_S - (time.perf_counter() - start)
+                timed = time_report(path, flags, max(min(CAP_S, left), 0.01))
+                if best[domain] is None or timed[0] > best[domain][0]:
+                    best[domain] = (*timed, recipe, record)
+                    log(f"{time.perf_counter() - start:7.1f}s  "
+                        f"#{tried:<4d} {domain:14s} {timed[0]:8.3f}s  "
+                        f"exit {timed[1]}  "
+                        f"{json.dumps(recipe, sort_keys=True)}")
+    return best, tried, accepted_count
 
 
 def run():
     def log(line):
         print(line, file=sys.stderr, flush=True)
-    best, tried, accepted = search(log)
-    log(f"{tried} recipes tried, {accepted} accepted by the size limits")
-    if best is None:
+    best, tried, accepted_count = search(log)
+    log(f"{tried} recipes tried, {accepted_count} accepted by the size "
+        "limits")
+    if best["default"] is None:
         return 1
-    seconds, code, err, recipe, record = best
-    status = f"exit {code}" if code is not None else f"cut at {CAP_S} s"
-    log(f"slowest: {seconds:.3f} s ({status})")
-    if err:
-        log("stderr: " + err)
-    log("recipe: " + json.dumps(recipe, sort_keys=True))
-    print(json.dumps(record, indent=2))
+    for domain, (seconds, code, err, recipe, _) in best.items():
+        status = f"exit {code}" if code is not None else f"cut at {CAP_S} s"
+        log(f"slowest {domain}: {seconds:.3f} s ({status})")
+        if err:
+            log("  stderr: " + err)
+        log("  recipe: " + json.dumps(recipe, sort_keys=True))
+    print(json.dumps({domain: b[4] for domain, b in best.items()}, indent=2))
     return 0
 
 
