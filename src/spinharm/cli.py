@@ -115,22 +115,23 @@ def _report_data(args):
         },
         "canonical_parameters":
             an.canonical_parameters(positive).to_dict(),
-        "harmonicity": an.harmonicity(positive).verdict.to_dict(),
+        "harmonicity": an.harmonicity(positive).to_dict(),
     }
     cross = an.laplacian_cross_check(positive)
     data["cross_check"] = {
-        "verdict": cross.verdict.to_dict(),
-        "residual_identically_zero": cross.verdict.kind == ALL_T,
+        "verdict": cross.to_dict(),
+        "residual_identically_zero": cross.kind == ALL_T,
     }
+    cls, coords = data["classes"], classes.coords
     if model.n == 6:
-        data["classes"]["mu_W1minus"] = format_scalar(classes.mu, var)
-        data["classes"]["lambda_W1plus"] = format_scalar(classes.lam, var)
-        data["classes"]["eta_W5"] = _strings(classes.eta, var)
+        cls["mu_W1minus"] = format_scalar(coords["W1-"][0], var)
+        cls["lambda_W1plus"] = format_scalar(coords["W1+"][0], var)
+        cls["eta_W5"] = _strings(coords["W5"], var)
     else:
-        data["classes"]["lambda_W1"] = format_scalar(classes.lam, var)
-        data["classes"]["W4_vector"] = _strings(classes.v, var)
+        cls["lambda_W1"] = format_scalar(coords["W1"][0], var)
+        cls["W4_vector"] = _strings(classes.w4_vector, var)
     if args.format == "structured":   # text output never prints them
-        data["classes"]["components"] = {
+        cls["components"] = {
             label: _matrix_strings(mat, var)
             for label, mat in sorted(classes.components.items())
         }

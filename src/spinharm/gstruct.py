@@ -336,32 +336,17 @@ _MATRIX_OF = {
     **dict.fromkeys(("W2-", "W3"), lambda st, cs: _symmetric(st.n, cs))}
 
 
-def _reader(n, read):
-    """A property for dimension n; in the other, `hasattr` reads False."""
-    def get(self):
-        if self.structure.n != n:
-            raise AttributeError(f"read for n = {n} only")
-        return read(self)
-    return property(get)
-
-
 class Classes:
     """Gray-Hervella classes, read-only: `coords` maps each label (W1+ ...
-    W5 for n = 6, W1 ... W4 for n = 7) to a tuple of Scalars, and for
-    n = 7 `w4_vector` is the V with V -| psi equal to W4.  The `components`
-    matrices, built on first read, sum exactly to the input S."""
+    W5 for n = 6, W1 ... W4 for n = 7) to a tuple of Scalars, and
+    `w4_vector` is the tuple V with V -| psi equal to W4 (empty for n = 6).
+    The `components` matrices, built on first read, sum exactly to S."""
 
     def __init__(self, structure, coords, w4_vector=()):
         self.structure = structure
         self.coords = MappingProxyType({label: tuple(cs)
                                         for label, cs in coords.items()})
         self.w4_vector = tuple(w4_vector)
-
-    mu = _reader(6, lambda self: self.coords["W1-"][0])
-    lam = property(lambda self: self.coords["W1" if self.structure.n == 7
-                                            else "W1+"][0])
-    eta = _reader(6, lambda self: list(self.coords["W5"]))
-    v = _reader(7, lambda self: list(self.w4_vector))
 
     def scale(self, c):
         """The classes of (c S, c eta): every coordinate times c."""

@@ -19,17 +19,18 @@ output is D^k times its value, k its degree in Lambda, until it is read:
     component of Lambda vanishes (canonical connection);
   * divergences of invariant tensors reduce to commutator sums, of which
     only column i of [A_i, S] is needed;
-  * the harmonicity residual is the full six-term spinor expression for
-    n = 6 and div S for n = 7;
+  * harmonicity decides where the residual vanishes: the full six-term
+    spinor expression for n = 6 and div S for n = 7;
   * laplacian_cross_check computes Delta phi = -sum lift(L_i)^2 phi0 and
-    c_xi.phi from the torsion slots and reports the residual
-    Delta phi + 1/2 c_xi.phi, which equals -1/2 L.phi and must vanish
-    exactly where the structure is harmonic.
+    c_xi.phi from the torsion slots and decides where the residual
+    Delta phi + 1/2 c_xi.phi vanishes, which equals -1/2 L.phi and must
+    vanish exactly where the structure is harmonic.
 
-Canonical parameters, harmonicity and the cross-check share one verdict
-engine, vanishing_verdict, on the gcd of their cleared values with D^k's
-factors divided out, in one place; a refusal (a real root in the domain
-that is not rational) names the stage.
+Canonical parameters, harmonicity and the cross-check each answer with a
+read-only Verdict from one engine, vanishing_verdict, on the gcd of their
+cleared values with D^k's factors divided out; a refusal (a real root in
+the domain that is not rational) names the stage.  canonical_coordinates,
+harmonicity_residual and cross_check_terms reduce those values on read.
 
 Built-in models: cp3 (SO(5)/U(2), t = u^2), spin4 (the Lie group
 Spin(4) = S^3 x S^3, t = u^2/2), aw11 (the Aloff-Wallach space
@@ -75,14 +76,19 @@ NEVER = "NEVER"
 
 
 class Verdict:
-    """Exact t-set where a family of rational functions vanishes jointly;
-    `roots` is a read-only mapping, since an analysis shares its verdicts."""
+    """Exact t-set where a family of rational functions vanishes jointly,
+    read-only since an analysis shares it: any write raises TypeError."""
 
     __slots__ = ("kind", "roots")
 
     def __init__(self, kind, roots=None):
-        self.kind = kind
-        self.roots = MappingProxyType(dict(roots or {}))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "roots", MappingProxyType(dict(roots or {})))
+
+    def __setattr__(self, name, value=None):
+        raise TypeError("a Verdict is read-only")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return (isinstance(other, Verdict) and self.kind == other.kind
@@ -148,32 +154,6 @@ def vanishing_verdict(values, sub, positive_only=True,
             f"{clip(format_scalar(Scalar(Poly(shown.int_coeffs())), var))} "
             "has irrational real roots")
     return Verdict(ROOT_SET, roots) if roots else Verdict(NEVER)
-
-
-class HarmonicityVerdict:
-    """Residual (spinor for n = 6, frame vector for n = 7) plus verdict;
-    it is held cleared, D^2 times, and reduced by `inverse` on each read."""
-
-    __slots__ = ("cleared", "inverse", "verdict")
-
-    def __init__(self, cleared, inverse, verdict):
-        self.cleared, self.inverse, self.verdict = cleared, inverse, verdict
-
-    residual = property(lambda self: vec_scale(self.inverse, self.cleared))
-
-
-class CrossCheck:
-    """Delta phi, c_xi.phi and the residual, held cleared as a triple and
-    reduced on read like HarmonicityVerdict's residual, plus the verdict."""
-
-    __slots__ = ("cleared", "inverse", "verdict")
-
-    def __init__(self, cleared, inverse, verdict):
-        self.cleared, self.inverse, self.verdict = cleared, inverse, verdict
-
-    delta_phi = property(lambda self: vec_scale(self.inverse, self.cleared[0]))
-    c_xi_phi = property(lambda self: vec_scale(self.inverse, self.cleared[1]))
-    residual = property(lambda self: vec_scale(self.inverse, self.cleared[2]))
 
 
 def _read_only(n, terms):
@@ -298,7 +278,9 @@ class HomogeneousModel:
         return cls.from_dict(data)
 
 
-MAX_JSON_DEPTH = 32   # a model file needs 4
+# not a depth limit (a model file needs 4): a file too deep for the JSON
+# decoder, about 1,000 levels, is refused naming its first bracket past it
+MAX_JSON_DEPTH = 32
 # the common denominator D of a model's coefficients: the most u-degree and
 # integer-coefficient bits that `report` takes (see README, exit codes)
 MAX_DENOMINATOR_DEGREE = 80
@@ -497,10 +479,10 @@ class ModelAnalysis:
     are kept once computed, and so are the classes and the cleared values
     the verdicts are decided on, which no positive_only setting changes;
     each verdict is kept per setting.  What a stage hands out is fresh or
-    read-only (tuples, 2-forms with proxied terms, Classes).  The stabilizer
-    part of a slot is D Lambda_i - xi_i, m being its orthogonal complement.
-    The stabilizer, m, J and psi come from the structure shared by every
-    model with the same n and phi0.
+    read-only (tuples, 2-forms with proxied terms, Classes, Verdicts).  The
+    stabilizer part of a slot is D Lambda_i - xi_i, m being its orthogonal
+    complement.  The stabilizer, m, J and psi come from the structure
+    shared by every model with the same n and phi0.
     """
 
     def __init__(self, model: HomogeneousModel):
@@ -582,15 +564,11 @@ class ModelAnalysis:
 
     @cached_property
     def _reduced_s_eta(self):
-        s, eta = self._cleared_s_eta
+        s, eta = self._extract()
         inv = self._inverse[1]
         s = s.scale(inv)
         return (_matrix(tuple(map(tuple, s.data)), s.cols),
                 tuple(vec_scale(inv, eta)))
-
-    @cached_property
-    def _cleared_s_eta(self):
-        return self._extract()
 
     @cached_property
     def _lifted_phi(self):
@@ -598,6 +576,7 @@ class ModelAnalysis:
         return [self.rep.lift_act(slot, self.structure.phi)
                 for slot in self.cleared]
 
+    @kept
     def _extract(self):
         """(D S, D eta), read off the cleared slots."""
         cols = []
@@ -660,38 +639,40 @@ class ModelAnalysis:
 
     # -- divergences -------------------------------------------------------------
 
-    def divergence_endo(self, s: Matrix, slots=None):
+    def divergence_endo(self, s: Matrix, slots):
         """div S = sum_i [A_i, S] X_i for invariant S, with A_i the i-th of
-        the given slots (Lambda(X_i) by default); column i of [A_i, S] is
-        computed as A_i (S X_i) - S (A_i X_i)."""
+        the given slots (`model.lam`, or `cleared` for D^2 div of D S);
+        column i of [A_i, S] is computed as A_i (S X_i) - S (A_i X_i)."""
         if s.rows != self.model.n or s.cols != self.model.n:
             raise ValueError("dimension mismatch")
         n = self.model.n
         out = zero_vec(n)
-        for i, slot in enumerate(self.model.lam if slots is None else slots):
+        for i, slot in enumerate(slots):
             out = vec_add(out, vec_sub(slot.apply(s.column(i)),
                                        s.apply(slot.apply(basis_vec(n, i)))))
         return out
 
-    def divergence_vector(self, v, slots=None):
+    def divergence_vector(self, v, slots):
         """div V = sum_i <A_i V, X_i> for an invariant vector field V, with
-        A_i the i-th of the given slots (Lambda(X_i) by default)."""
+        A_i the i-th of the given slots, as for divergence_endo."""
         if len(v) != self.model.n:
             raise ValueError("dimension mismatch")
         acc = ZERO
-        for i, slot in enumerate(self.model.lam if slots is None else slots):
+        for i, slot in enumerate(slots):
             acc = acc + slot.apply(v)[i]
         return acc
 
     # -- harmonicity --------------------------------------------------------------
 
-    def harmonicity(self, positive_only=True) -> HarmonicityVerdict:
+    def harmonicity(self, positive_only=True) -> Verdict:
+        """The t-set where the harmonicity residual vanishes."""
+        return self._verdict("harmonicity", self._cleared_residual, 2,
+                             positive_only)
+
+    def harmonicity_residual(self):
         """The harmonicity residual (a spinor for n = 6, a frame vector for
-        n = 7) and the t-set where it vanishes."""
-        residual = self._cleared_residual
-        return HarmonicityVerdict(
-            residual, self._inverse[2],
-            self._verdict("harmonicity", residual, 2, positive_only))
+        n = 7), reduced by 1/D^2 from the kept cleared one."""
+        return vec_scale(self._inverse[2], self._cleared_residual)
 
     @cached_property
     def _cleared_residual(self):
@@ -706,7 +687,7 @@ class ModelAnalysis:
         is quadratic in Lambda: the sum over the cleared slots is D^2 times
         the residual.
         """
-        s, eta = self._cleared_s_eta
+        s, eta = self._extract()
         if self.model.n == 7:
             return tuple(self.divergence_endo(s, self.cleared))
         xi = self._cleared_torsion
@@ -740,16 +721,19 @@ class ModelAnalysis:
 
     # -- spinor Laplacian cross-check ------------------------------------------------
 
-    def laplacian_cross_check(self, positive_only=True) -> CrossCheck:
-        """Delta phi = -sum lift(Lambda_i)^2 phi0 against -1/2 c_xi.phi.
-
-        The residual Delta phi + 1/2 c_xi.phi equals -1/2 L.phi, so its
-        vanishing set is the harmonic parameter set.
+    def laplacian_cross_check(self, positive_only=True) -> Verdict:
+        """The t-set where Delta phi + 1/2 c_xi.phi vanishes, for Delta phi
+        = -sum lift(Lambda_i)^2 phi0.  That residual equals -1/2 L.phi, so
+        its vanishing set is the harmonic parameter set.
         """
-        cleared = self._cleared_cross
-        return CrossCheck(
-            cleared, self._inverse[2],
-            self._verdict("cross-check", cleared[2], 2, positive_only))
+        return self._verdict("cross-check", self._cleared_cross[2], 2,
+                             positive_only)
+
+    def cross_check_terms(self):
+        """(Delta phi, c_xi.phi, the residual), each reduced by 1/D^2 from
+        the kept cleared triple."""
+        return tuple(vec_scale(self._inverse[2], part)
+                     for part in self._cleared_cross)
 
     @cached_property
     def _cleared_cross(self):
@@ -775,7 +759,7 @@ class ModelAnalysis:
     def classify(self):
         """The classes of (D S, D eta), each distinct coordinate scaled
         back by 1/D once; the component matrices mirror the results."""
-        s, eta = self._cleared_s_eta
+        s, eta = self._extract()
         classes = self.structure.classify(
             s, eta if self.model.n == 6 else None)
         return classes.scale(self._inverse[1])

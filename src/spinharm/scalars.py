@@ -268,13 +268,8 @@ class Poly:
             return acc
         if not a:
             return Fraction(0)
-        # p(n/d) = (sum c_k n^k d^(deg-k)) / d^deg
-        n, d = x.numerator, x.denominator
-        acc, dk = a[-1], 1
-        for c in a[-2::-1]:
-            dk *= d
-            acc = acc * n + c * dk
-        return Fraction(acc, self.dd * dk)
+        d = x.denominator   # p(n/d) = d^deg p(n/d) / d^deg
+        return Fraction(_at(a, x.numerator, d), self.dd * d ** self.degree)
 
     def scale_argument(self, m):
         """p(v) -> p(m*v) for rational m."""

@@ -217,15 +217,15 @@ def check_cp3():
         fails.append(f"generic flags {sorted(cls.flags())} != [W1-, W2-]")
     u = Scalar.u()
     mu_expected = -(ONE + u * u) / (Scalar.rational(6) * u)
-    if cls.mu != mu_expected:
+    if cls.coords["W1-"][0] != mu_expected:
         fails.append("mu != -(t+1)/(6 sqrt t)")
     if cls.flags_at(sub, Fraction(1, 2)) != {"W1-"}:
         fails.append("flags at t=1/2 != [W1-]")
-    if not vec_is_zero(an.divergence_endo(s)):
+    if not vec_is_zero(an.divergence_endo(s, an.model.lam)):
         fails.append("div S != 0")
     if an.canonical_parameters() != Verdict(ALL_T):
         fails.append("canonical parameters != ALL_T")
-    if an.harmonicity().verdict != Verdict(ALL_T):
+    if an.harmonicity() != Verdict(ALL_T):
         fails.append("harmonicity != ALL_T")
     return [CheckResult("cp3-model", not fails,
                         "; ".join(fails) or
@@ -267,20 +267,18 @@ def check_spin4():
         "spin4-m-projection", proj4 == expected_proj,
         "m-part of Lambda(X4) = ((3-2t)/(6 sqrt(2t)))(e12-e34+e56)"))
 
-    div_s = an.divergence_endo(s)
-    div_eta = an.divergence_vector(eta)
+    div_s = an.divergence_endo(s, an.model.lam)
+    div_eta = an.divergence_vector(eta, an.model.lam)
     ok_div = vec_is_zero(div_s) and div_eta.is_zero
     out.append(CheckResult("spin4-divergences", ok_div,
                            "div S = 0 and div(eta-sharp) = 0"))
 
     hv = an.harmonicity()
-    stated_verdict = Verdict(ROOT_SET, {Fraction(3, 2): 1})
-    ok_roots = (hv.verdict.kind == ROOT_SET
-                and set(hv.verdict.roots) == {Fraction(3, 2)})
+    ok_roots = hv.kind == ROOT_SET and set(hv.roots) == {Fraction(3, 2)}
     detail = "harmonic exactly at t = 3/2"
     if not ok_roots:
         detail = (f"stated root set {{3/2}}; computed verdict "
-                  f"{hv.verdict} (residual is identically zero; see notes)")
+                  f"{hv} (residual is identically zero; see notes)")
     out.append(CheckResult("spin4-root-set", ok_roots, detail))
 
     cls = an.classify()
@@ -329,9 +327,9 @@ def check_aw11():
         fails.append("flags at t=5/4 != [W1]")
     if an.canonical_parameters() != Verdict(ROOT_SET, {Fraction(1, 8): 1}):
         fails.append("canonical parameters != {1/8}")
-    if not vec_is_zero(an.divergence_endo(s)):
+    if not vec_is_zero(an.divergence_endo(s, an.model.lam)):
         fails.append("div S != 0")
-    if an.harmonicity().verdict != Verdict(ALL_T):
+    if an.harmonicity() != Verdict(ALL_T):
         fails.append("harmonicity != ALL_T")
     return [CheckResult("aw11-model", not fails,
                         "; ".join(fails) or
@@ -466,14 +464,14 @@ def check_cross_check():
               "aw11": Verdict(ALL_T)}
     for name, verdict in stated.items():
         an = ModelAnalysis.of(load_model(name))
-        cc = an.laplacian_cross_check()
+        residual = an.cross_check_terms()[2]
         if verdict.kind == ALL_T:
-            if not all(c.is_zero for c in cc.residual):
+            if not all(c.is_zero for c in residual):
                 fails.append(f"{name}: residual not identically zero")
         else:
             for t0 in verdict.roots:
                 if not all(zero_at(c, an.model.substitution, t0)
-                           for c in cc.residual):
+                           for c in residual):
                     fails.append(f"{name}: residual != 0 at t={t0}")
     return [CheckResult("laplacian-cross-check", not fails,
                         "; ".join(fails) or
@@ -491,7 +489,7 @@ def check_numeric_scan(samples=20, seed=77):
     for name in ("cp3", "spin4", "aw11"):
         model = load_model(name)
         an = ModelAnalysis.of(model)
-        verdict = an.harmonicity().verdict
+        verdict = an.harmonicity()
         ts = [Fraction(rng.randint(1, 64), rng.randint(16, 32))
               for _ in range(samples)]
         worst = 0.0

@@ -12,7 +12,6 @@ and the full analysis lives in the repository notes.
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -105,7 +104,7 @@ def g2toy_everywhere(monkeypatch):
     """Run the per-model checks on the pinned g2toy fixture, whose
     harmonicity is ROOT_SET {1/2}, in place of each built-in."""
     model = verify.load_model(str(MODELS_DIR / "g2toy.json"))
-    assert verify.ModelAnalysis(model).harmonicity().verdict == \
+    assert verify.ModelAnalysis(model).harmonicity() == \
         verify.Verdict(verify.ROOT_SET, {Fraction(1, 2): 1})
     monkeypatch.setattr(verify, "load_model", lambda name: model)
 
@@ -115,8 +114,7 @@ def test_numeric_scan_root_set_branch(g2toy_everywhere):
 
 
 def test_numeric_scan_wrong_root_has_no_dip(g2toy_everywhere, monkeypatch):
-    wrong = SimpleNamespace(
-        verdict=verify.Verdict(verify.ROOT_SET, {Fraction(1, 3): 1}))
+    wrong = verify.Verdict(verify.ROOT_SET, {Fraction(1, 3): 1})
     monkeypatch.setattr(verify.ModelAnalysis, "harmonicity",
                         lambda self, positive_only=True: wrong)
     [result] = verify.check_numeric_scan(samples=20)

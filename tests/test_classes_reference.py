@@ -3,9 +3,10 @@
 `SpinorStructure.classify` computes mu, lambda, the upper triangles of the
 symmetric parts and the pair coordinates of the skew parts, and
 `ModelAnalysis.classify` reduces each coordinate once by 1/D.  Every
-component matrix, scalar and flag must equal what the dense matrix formulas
-of `tests/reference.py` give, on the built-ins, on every model fixture and
-on random S, also off the basis spinor where J is not a signed permutation.
+component matrix, scalar, eta, W4 vector and flag must equal what the
+dense matrix formulas of `tests/reference.py` give, on the built-ins, on
+every model fixture and on random S, also off the basis spinor where J is
+not a signed permutation.
 """
 
 from fractions import Fraction
@@ -37,14 +38,16 @@ def _nonzero_at(m, sub, t0):
 
 
 def _reference(structure, s, eta):
-    """(components, {scalar name: value}, flags, flags_at) the dense way."""
+    """(components, {label: coordinates}, W4 vector, flags, flags_at) the
+    dense way, for the labels whose coordinates are scalars or eta."""
     if structure.n == 6:
         comps, mu, lam, eta = reference.classify_su3(structure, s, eta)
-        scalars = {"mu": mu, "lam": lam, "eta": eta}
+        coords = {"W1-": (mu,), "W1+": (lam,), "W5": tuple(eta)}
+        w4_vector = ()
         extra = {"W5": eta}
     else:
         comps, lam, v = reference.classify_g2(structure, s)
-        scalars = {"lam": lam, "v": v}
+        coords, w4_vector = {"W1": (lam,)}, tuple(v)
         extra = {}
 
     def flags_at(sub, t0):
@@ -57,17 +60,18 @@ def _reference(structure, s, eta):
     flags = ({label for label, m in comps.items() if not m.is_zero}
              | {label for label, vec in extra.items()
                 if any(not e.is_zero for e in vec)})
-    return comps, scalars, flags, flags_at
+    return comps, coords, w4_vector, flags, flags_at
 
 
 def _assert_matches(classes, structure, s, eta, points=(), sub=None):
-    comps, scalars, flags, flags_at = _reference(structure, s, eta)
+    comps, coords, w4_vector, flags, flags_at = _reference(structure, s, eta)
     got = classes.components
     assert sorted(got) == sorted(comps)
     for label, m in comps.items():
         assert got[label] == m, label
-    for name, value in scalars.items():
-        assert getattr(classes, name) == value, name
+    for label, value in coords.items():
+        assert classes.coords[label] == value, label
+    assert classes.w4_vector == w4_vector
     assert classes.flags() == flags
     assert classes.total() == s
     for t0 in points:

@@ -29,26 +29,23 @@ def _outputs(an):
     the power of Lambda it is homogeneous in."""
     s, eta = an.extract_S_eta()
     classes = an.classify()
-    cross = an.laplacian_cross_check()
+    delta_phi, c_xi_phi, cross_residual = an.cross_check_terms()
     linear = {
         "S": [e for row in s.data for e in row],
         "eta": eta,
         "torsion": [c for slot in an.torsion() for c in slot.pair_coeffs()],
         "canonical": an.canonical_coordinates(),
-        "lambda": [classes.lam],
+        "W4_vector": list(classes.w4_vector),
     }
-    if an.model.n == 6:
-        linear["mu"] = [classes.mu]
-        linear["eta_W5"] = classes.eta
-    else:
-        linear["W4_vector"] = classes.v
+    for label, cs in classes.coords.items():
+        linear[label + " coordinates"] = list(cs)
     for label, m in classes.components.items():
         linear[label] = [e for row in m.data for e in row]
     quadratic = {
-        "harmonicity": an.harmonicity().residual,
-        "delta_phi": cross.delta_phi,
-        "c_xi_phi": cross.c_xi_phi,
-        "cross_residual": cross.residual,
+        "harmonicity": an.harmonicity_residual(),
+        "delta_phi": delta_phi,
+        "c_xi_phi": c_xi_phi,
+        "cross_residual": cross_residual,
     }
     return ({k: (v, 1) for k, v in linear.items()}
             | {k: (v, 2) for k, v in quadratic.items()})
@@ -145,10 +142,10 @@ def test_divergence_over_given_slots(name):
     d = Scalar(an.common_denominator)
     cleared_s = s.scale(d)
     assert an.divergence_endo(cleared_s, an.cleared) == \
-        [x * d * d for x in an.divergence_endo(s)]
+        [x * d * d for x in an.divergence_endo(s, an.model.lam)]
     if an.model.n == 6:
         assert an.divergence_vector([x * d for x in eta], an.cleared) == \
-            an.divergence_vector(eta) * d * d
+            an.divergence_vector(eta, an.model.lam) * d * d
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,18 @@ def test_json_nested_too_deep_exit2(tmp_path, capsys, command, text, line,
         f"at line {line} column {column}\n")
 
 
+def test_json_nested_500_deep_loads_and_reports(tmp_path):
+    # MAX_JSON_DEPTH only names the bracket where the decoder gives up: a
+    # record the decoder takes, with an unknown key nested 500 deep, loads
+    path = tmp_path / "deep.json"
+    path.write_text(load_model("cp3").dumps().replace(
+        "{", '{"extra": ' + "[" * 500 + "]" * 500 + ", ", 1))
+    assert 500 > MAX_JSON_DEPTH
+    for argv in ((), ("--format", "structured")):
+        assert run_cli("report", str(path), *argv) == \
+            run_cli("report", "cp3", *argv)
+
+
 @pytest.mark.parametrize("command", sorted(_MODEL_ARGS))
 def test_directory_as_model_file_exit2(tmp_path, capsys, command):
     # IsADirectoryError used to exit 3 as an internal error

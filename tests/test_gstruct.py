@@ -408,7 +408,7 @@ def test_classify_su3_cp3_generic():
     st = structure(6)
     cls = st.classify(cp3_S(), zero_vec(6))
     assert cls.flags() == {"W1-", "W2-"}
-    assert cls.mu == -(sc(1) + U * U) / (sc(6) * U)
+    assert cls.coords["W1-"] == (-(sc(1) + U * U) / (sc(6) * U),)
     assert cls.total() == cp3_S()
 
 
@@ -459,7 +459,7 @@ def test_classify_w1plus_is_multiple_of_J():
     lam = sc(3, 7)
     cls = st.classify(j.scale(lam), zero_vec(6))
     assert cls.flags() == {"W1+"}
-    assert cls.lam == lam
+    assert cls.coords["W1+"] == (lam,)
 
 
 def test_classify_w5_only():
@@ -489,7 +489,7 @@ def test_classify_g2_aw11_generic():
     st = structure(7)
     cls = st.classify(aw11_S())
     assert cls.flags() == {"W1", "W3"}
-    assert cls.lam == aw11_S().trace() / sc(7)
+    assert cls.coords["W1"] == (aw11_S().trace() / sc(7),)
     assert cls.total() == aw11_S()
 
 
@@ -509,7 +509,7 @@ def test_classify_g2_w4_roundtrip():
         s = vm.interior(psi).to_skew_matrix()
         cls = st.classify(s)
         assert cls.flags() == {"W4"}
-        assert cls.v == v
+        assert cls.w4_vector == tuple(v)
 
 
 def test_classify_g2_w2_projection():
@@ -518,7 +518,7 @@ def test_classify_g2_w2_projection():
     omega = MultiVector(7, {(1, 2): sc(1), (3, 4): sc(1)})
     cls = st.classify(omega.to_skew_matrix())
     assert cls.flags() == {"W2"}
-    assert vec_is_zero(cls.v)
+    assert vec_is_zero(cls.w4_vector)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_divergence_endo_matches_full_commutator(case):
     for i, slot in enumerate(model.lam):
         a = slot.to_skew_matrix()
         expected = vec_add(expected, (a * s - s * a).column(i))
-    assert ModelAnalysis(model).divergence_endo(s) == expected
+    assert ModelAnalysis(model).divergence_endo(s, model.lam) == expected
 
 
 @st.composite

@@ -22,8 +22,7 @@ import pytest
 
 from spinharm import numeric
 from spinharm.cli import main
-from spinharm.homogeneous import (BUILTIN_MODELS, CrossCheck,
-                                  HarmonicityVerdict, HomogeneousModel,
+from spinharm.homogeneous import (BUILTIN_MODELS, HomogeneousModel,
                                   ModelAnalysis)
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -86,11 +85,9 @@ def test_report_reduces_no_residual_or_canonical_coordinate(monkeypatch):
     def refuse(*_):
         raise AssertionError("report read a reduced output")
 
-    for owner, name in ((HarmonicityVerdict, "residual"),
-                        (CrossCheck, "delta_phi"), (CrossCheck, "c_xi_phi"),
-                        (CrossCheck, "residual")):
-        monkeypatch.setattr(owner, name, property(refuse))
-    monkeypatch.setattr(ModelAnalysis, "canonical_coordinates", refuse)
+    for reader in ("canonical_coordinates", "harmonicity_residual",
+                   "cross_check_terms"):
+        monkeypatch.setattr(ModelAnalysis, reader, refuse)
     for (name, extra), argv in builtins.items():
         expected = negative[name, extra] if extra else (
             golden / f"report-{name}.json").read_text(encoding="utf-8")

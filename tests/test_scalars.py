@@ -270,7 +270,7 @@ def test_roots_large_coefficient_model_file():
         ent["coeff"] = f"({ent['coeff']})*(t-10000000019)"
     data["lambda"][0] += extra
     an = ModelAnalysis(HomogeneousModel.from_dict(data))
-    assert an.harmonicity().verdict == Verdict(
+    assert an.harmonicity() == Verdict(
         ROOT_SET, {Fraction(1, 2): 1, Fraction(10000000019): 1})
 
 

@@ -26,8 +26,8 @@ import spinharm
 from spinharm import cli, coeffexpr, gstruct, homogeneous, scalars, verify
 from spinharm.clifford import SpinRep
 from spinharm.gstruct import InternalInvariantError, SpinorStructure
-from spinharm.homogeneous import (BUILTIN_MODELS, HomogeneousModel,
-                                  ModelAnalysis, load_model)
+from spinharm.homogeneous import (BUILTIN_MODELS, NEVER, HomogeneousModel,
+                                  ModelAnalysis, Verdict, load_model)
 from spinharm.scalars import ONE
 
 
@@ -60,15 +60,29 @@ def test_builtin_model_and_analysis_are_shared():
         len(BUILTIN_MODELS)
 
 
-def test_verdicts_are_kept_per_flag():
+def test_verdicts_are_kept_per_flag(monkeypatch):
+    # each stage decides both flags on one cleared value, once per flag,
+    # and hands out the same Verdict on every call
+    decided = []
+    verdict_of = homogeneous.vanishing_verdict
+
+    def recorded(values, *args):
+        decided.append(values)
+        return verdict_of(values, *args)
+
+    monkeypatch.setattr(homogeneous, "vanishing_verdict", recorded)
     for name in BUILTIN_MODELS:
         an = ModelAnalysis.of(load_model(name))
-        assert an.canonical_parameters() is an.canonical_parameters(True)
-        assert an.canonical_parameters(False) is an.canonical_parameters(False)
-        assert an.harmonicity(False).verdict is an.harmonicity(False).verdict
-        for stage in (an.harmonicity, an.laplacian_cross_check):
-            # the cleared values do not depend on the flag
-            assert stage(True).cleared is stage(False).cleared
+        for stage in (an.canonical_parameters, an.harmonicity,
+                      an.laplacian_cross_check):
+            decided.clear()
+            verdicts = {flag: stage(flag) for flag in (True, False)}
+            for flag, verdict in verdicts.items():
+                assert type(verdict) is Verdict
+                assert stage(flag) is verdict
+            assert stage() is verdicts[True]
+            values, again = decided   # one decision per flag
+            assert values is again
         for stage in (an.torsion, an.classify):
             assert stage() is stage()
         (s, eta), (s2, eta2) = an.extract_S_eta(), an.extract_S_eta()
@@ -173,7 +187,7 @@ def test_two_loads_of_a_file_share_nothing(tmp_path, g2_toy_dict):
     assert an_a is not an_b
     assert ModelAnalysis.of(a) is not an_a   # a file model keeps none
     assert an_a.harmonicity() is not an_b.harmonicity()
-    assert an_a.harmonicity().verdict == an_b.harmonicity().verdict
+    assert an_a.harmonicity() == an_b.harmonicity()
 
 
 def test_generated_file_reports_keep_no_model(tmp_path):
@@ -209,11 +223,21 @@ def test_shared_results_are_read_only():
     assert dict(canonical.roots) == {Fraction(1, 8): 1}
     with pytest.raises(TypeError):
         canonical.roots[Fraction(1, 8)] = 2
-    with pytest.raises(TypeError):
-        an.harmonicity().verdict.roots[Fraction(1)] = 1
+    for verdict in (canonical, an.harmonicity(),
+                    an.laplacian_cross_check()):
+        with pytest.raises(TypeError):
+            verdict.roots[Fraction(1)] = 1
+        with pytest.raises(TypeError):
+            verdict.kind = NEVER
+        with pytest.raises(TypeError):
+            verdict.roots = {}
+        with pytest.raises(TypeError):
+            del verdict.kind
     assert dict(an.canonical_parameters().roots) == {Fraction(1, 8): 1}
-    assert an.harmonicity().verdict.to_dict() == {"kind": "ALL_T",
-                                                  "roots": {}}
+    assert an.harmonicity().to_dict() == {"kind": "ALL_T", "roots": {}}
+    report = run_cli("report", "aw11")[1]
+    assert "canonical parameters: ROOT_SET {1/8 (mult 1)}\n" in report
+    assert "harmonicity: ALL_T\n" in report
 
 
 def test_kept_s_and_eta_cannot_be_written_into():
@@ -282,17 +306,10 @@ def test_kept_classes_torsion_and_cleared_values_are_read_only(name):
             with pytest.raises(TypeError):
                 slot.terms[(1, 2)] = ONE
     with pytest.raises(TypeError):
-        an.harmonicity().cleared[0] = ONE
-    for part in an.laplacian_cross_check().cleared:
+        classes.w4_vector[0] = ONE
+    for part in (an._cleared_residual, *an._cleared_cross):
         with pytest.raises(TypeError):
             part[0] = ONE
-
-
-@pytest.mark.parametrize("name", BUILTIN_MODELS)
-def test_writes_into_eta_and_w4_vector_lists_change_no_report(name):
-    # eta and the W4 vector come as fresh lists on every read
-    classes = ModelAnalysis.of(load_model(name)).classify()
-    (classes.eta if classes.structure.n == 6 else classes.v)[0] = ONE
     assert run_cli("report", name, "--format", "structured") == \
         (0, _golden_report(name))
 
@@ -319,12 +336,15 @@ def test_second_structured_report_builds_no_component_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUILTIN_MODELS)
-def test_classes_readers_of_the_other_dimension_are_absent(name):
+def test_classes_labels_follow_the_dimension(name):
     classes = ModelAnalysis.of(load_model(name)).classify()
-    six = classes.structure.n == 6
-    assert hasattr(classes, "lam")
-    assert [hasattr(classes, a) for a in ("mu", "eta", "v")] == \
-        [six, six, not six]
+    if classes.structure.n == 6:
+        assert set(classes.coords) == {"W1+", "W1-", "W2+", "W2-", "W3",
+                                       "W4", "W5"}
+        assert classes.w4_vector == ()
+    else:
+        assert set(classes.coords) == {"W1", "W2", "W3", "W4"}
+        assert len(classes.w4_vector) == 7
 
 
 def test_spin4_checks_survive_a_torsion_write():
