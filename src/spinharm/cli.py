@@ -86,30 +86,35 @@ def build_parser():
     return p
 
 
-def _strings(values, var):
-    """format_scalar of each value; the kernel's shared zero is printed
-    without it."""
-    return ["0" if e is ZERO else format_scalar(e, var) for e in values]
-
-
-def _matrix_strings(m, var):
-    return [_strings(row, var) for row in m.data]
-
-
 def _report_data(args):
+    """The report as a dict of strings, lists and dicts.  Each distinct
+    value is formatted once per report: the shared zero without
+    format_scalar, any other through one cache that lives as long as the
+    call."""
     model = load_model(args.model)
     an = ModelAnalysis.of(model)
     positive = not args.include_negative_roots
     # rational-parameter models read better in t; u otherwise
     var = "t" if model.substitution.u_squared_per_t is None else "u"
+    cached = cache(format_scalar)
+
+    def text(e):
+        return "0" if e is ZERO else cached(e, var)
+
+    def strings(values):
+        return [text(e) for e in values]
+
+    def matrix_strings(m):
+        return [strings(row) for row in m.data]
+
     s, eta = an.extract_S_eta()
     classes = an.classify()
     data = {
         "model": model.name,
         "n": model.n,
         "substitution": model.substitution.label,
-        "S": _matrix_strings(s, var),
-        "eta": _strings(eta, var),
+        "S": matrix_strings(s),
+        "eta": strings(eta),
         "classes": {
             "flags": sorted(classes.flags()),
         },
@@ -124,15 +129,15 @@ def _report_data(args):
     }
     cls, coords = data["classes"], classes.coords
     if model.n == 6:
-        cls["mu_W1minus"] = format_scalar(coords["W1-"][0], var)
-        cls["lambda_W1plus"] = format_scalar(coords["W1+"][0], var)
-        cls["eta_W5"] = _strings(coords["W5"], var)
+        cls["mu_W1minus"] = text(coords["W1-"][0])
+        cls["lambda_W1plus"] = text(coords["W1+"][0])
+        cls["eta_W5"] = strings(coords["W5"])
     else:
-        cls["lambda_W1"] = format_scalar(coords["W1"][0], var)
-        cls["W4_vector"] = _strings(classes.w4_vector, var)
+        cls["lambda_W1"] = text(coords["W1"][0])
+        cls["W4_vector"] = strings(classes.w4_vector)
     if args.format == "structured":   # text output never prints them
         cls["components"] = {
-            label: _matrix_strings(mat, var)
+            label: matrix_strings(mat)
             for label, mat in sorted(classes.components.items())
         }
     if args.at is not None:
@@ -147,14 +152,18 @@ def _report_data(args):
 
 def _pole_site(model, t0):
     """'slot k, entry (i, j)' naming the first Lambda coefficient whose
-    denominator vanishes at t0, or '' if none does.  Every class
-    coordinate is reduced over a power of Lambda's common denominator, so
-    none has a pole where Lambda has none."""
+    denominator vanishes at t0, or '' if none does.  Each distinct
+    non-constant denominator is tested once.  Every class coordinate is
+    reduced over a power of Lambda's common denominator, so none has a
+    pole where Lambda has none."""
     c, root = model.substitution.u_value(t0)
-    for k, slot in enumerate(model.lam, 1):
-        for (i, j), coeff in sorted(slot.terms.items()):
-            if vanishes_at(coeff.den, c, root):
-                return f"slot {k}, entry ({i}, {j})"
+    dens = {e.den for slot in model.lam for e in slot.terms.values()}
+    poles = {d for d in dens if d.degree > 0 and vanishes_at(d, c, root)}
+    if poles:
+        for k, slot in enumerate(model.lam, 1):
+            for (i, j), coeff in sorted(slot.terms.items()):
+                if coeff.den in poles:
+                    return f"slot {k}, entry ({i}, {j})"
     return ""
 
 

@@ -20,6 +20,7 @@ There is no one-row view: a single t is the grid [t0], read at row 0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -229,5 +230,8 @@ def scan(model, t_min: Fraction, t_max: Fraction, steps: int):
     t_min, t_max = Fraction(t_min), Fraction(t_max)
     if t_min <= 0 or t_max <= t_min:
         raise ValueError("need 0 < t_min < t_max")
-    ts = [t_min + (t_max - t_min) * k / steps for k in range(steps + 1)]
+    # t_min + (t_max - t_min) k / steps = (a + w k) / q, a and w integers
+    d = math.lcm(t_min.denominator, t_max.denominator)
+    q, a, w = d * steps, int(t_min * d) * steps, int((t_max - t_min) * d)
+    ts = [Fraction(a + w * k, q) for k in range(steps + 1)]
     return list(zip(ts, residual_norms(model, ts)))

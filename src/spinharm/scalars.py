@@ -12,17 +12,22 @@ increasing degree with no trailing zero, over one positive int denominator
 `dd` with gcd(dd, *ints) = 1 (the representation of FLINT's fmpq_poly); the
 zero polynomial is the empty tuple over 1.  Sums and products are integer
 convolutions with one gcd per result, and exact division divides by the
-divisor's primitive part (Gauss's lemma).  A gcd of two operands of
-degree 4 or more is first sought by GCDHEU, in one integer gcd of the two
-packed into ints, and otherwise by the primitive PRS.  `Poly.coeffs` gives
-the coefficients back as Fractions.  Scalars keep den monic and gcd(num, den) =
-1, which makes equality a syntactic check and is used everywhere as the
-exact zero test.  A Scalar whose denominator is 1 holds the shared ONE_POLY
-object itself, so `den is ONE_POLY` is the polynomial test on hot paths.
+divisor's primitive part (Gauss's lemma).  A gcd splits off the power of
+u that its operands share and returns at once when either cofactor is a
+constant; two cofactors of degree 4 or more are first tried by GCDHEU, in
+one integer gcd of the two packed into ints, and otherwise by the
+primitive PRS.  `Poly.coeffs` gives the coefficients back as Fractions.
+Scalars keep den monic and gcd(num, den) = 1, which makes equality a
+syntactic check and is used everywhere as the exact zero test.  A Scalar
+whose denominator is 1 holds the shared ONE_POLY object itself, so
+`den is ONE_POLY` is the polynomial test on hot paths.
 Results already in this normal form (a sum of polynomials, a polynomial
 plus a fraction, a negation, a product of polynomials or with a rational
 constant) are built raw by `_scalar`; only the other cases run the
-reducing constructor.  Two rational constants (as in the Clifford
+reducing constructor.  There a denominator c u^k (every built-in's common
+denominator is u) shares only u^j with the numerator, j = min(k, the
+power of u dividing it), which is cancelled by slicing the two integer
+tuples, with no gcd.  Two rational constants (as in the Clifford
 matrices) combine on their ints n/dd, as fmpq does, with one gcd per
 result and no Poly arithmetic.  Every zero the kernel builds (a sum that
 cancels, x - x, x * 0, -ZERO) is the one shared ZERO, and `+ - *` return
@@ -357,24 +362,37 @@ HEURISTIC_GCD_DEGREE = 4
 HEURISTIC_GCD_TRIES = 4
 
 
+def _order(a):
+    """The power of u that divides the nonzero integer list a."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd.  Two operands of degree HEURISTIC_GCD_DEGREE or more try
-    the heuristic gcd first; the others, and any pair it leaves, run the
-    fraction-free (primitive PRS) Euclidean algorithm."""
+    """Monic gcd: u^k, for the least power k of u dividing a or b, times
+    the gcd of the two cofactors, which is 1 when either is a constant.
+    Two cofactors of degree HEURISTIC_GCD_DEGREE or more try the heuristic
+    gcd first; the others, and any pair it leaves, run the fraction-free
+    (primitive PRS) Euclidean algorithm."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    x, y = a.int_coeffs(), b.int_coeffs()
+    x, y = a.ints, b.ints
+    i, j = _order(x), _order(y)
+    x, y = _int_primitive(x[i:]), _int_primitive(y[j:])
     if len(x) < len(y):
         x, y = y, x
-    g = _heuristic_gcd(x, y) if len(y) > HEURISTIC_GCD_DEGREE else None
+    g = y if len(y) == 1 else \
+        _heuristic_gcd(x, y) if len(y) > HEURISTIC_GCD_DEGREE else None
     if g is None:
         while y:
             r = _int_primitive(_int_pseudo_rem(x, y))
             x, y = y, r
         g = x
-    return _poly(g, g[-1])
+    return _poly([0] * min(i, j) + g, g[-1])
 
 
 def _heuristic_gcd(x, y):
@@ -439,10 +457,18 @@ class Scalar:
         else:
             # a nonzero constant on either side makes the gcd 1
             if num.degree > 0 and den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                k = _order(den.ints)
+                if k == den.degree:
+                    # den = c u^k: the gcd is u^j, cancelled by slicing
+                    j = min(k, _order(num.ints))
+                    if j:
+                        num = _raw(num.ints[j:], num.dd)
+                        den = _raw(den.ints[j:], den.dd)
+                else:
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num.exact_div(g)
+                        den = den.exact_div(g)
             lead = den.ints[-1]
             if lead != den.dd:
                 # num * (1/lead of den), the sign moved to the numerator
@@ -947,9 +973,7 @@ def rational_roots(p: Poly, positive_only=False):
     if p.is_zero:
         raise IdenticallyZero("identically zero")
     roots, others = {}, []
-    k = 0
-    while p.ints[k] == 0:
-        k += 1
+    k = _order(p.ints)
     if k and not positive_only:
         roots[Fraction(0)] = k
     work = _poly(p.ints[k:], p.dd)

@@ -385,6 +385,34 @@ def test_report_at_pole_names_first_slot(tmp_path, capsys, flat6_dict):
     assert code == 0 and "at t = 5/2: flags" in text
 
 
+def test_report_at_pole_shared_by_two_slots(tmp_path, capsys, flat6_dict,
+                                            monkeypatch):
+    # slots 2 and 4 share the denominator t - 2, slot 1 has t - 3 twice
+    # and 1 once, slot 3 has 1: each distinct non-constant denominator is
+    # tested once, and the first entry with a pole, in slot order, is named
+    flat6_dict["lambda"][0] = [{"i": 1, "j": 2, "coeff": "1/(t-3)"},
+                               {"i": 3, "j": 4, "coeff": "t/(t-3)"},
+                               {"i": 5, "j": 6, "coeff": "t"}]
+    flat6_dict["lambda"][1] = [{"i": 2, "j": 5, "coeff": "t/(t-2)"},
+                               {"i": 1, "j": 4, "coeff": "1/(t-2)"}]
+    flat6_dict["lambda"][2] = [{"i": 3, "j": 4, "coeff": "t"}]
+    flat6_dict["lambda"][3] = [{"i": 1, "j": 3, "coeff": "5/(t-2)"}]
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(flat6_dict))
+    tested = []
+    vanishes_at = cli.vanishes_at
+    monkeypatch.setattr(cli, "vanishes_at",
+                        lambda p, c, root: tested.append(p) or
+                        vanishes_at(p, c, root))
+    code, _ = run_cli("report", str(path), "--at", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: t = 2 is a pole of the model's coefficients "
+                   "(slot 2, entry (1, 4))\n")
+    assert sorted(p.degree for p in tested) == [1, 1]
+    assert len(set(tested)) == 2
+
+
 def test_report_fold_work_limit_exit2(tmp_path, capsys, flat6_dict):
     # 11,999 tokens, every step inside the degree and bit caps: the sum
     # folded for about 13 s before the cumulative work was bounded
@@ -748,6 +776,35 @@ def test_a_reader_that_stops_early_ends_the_run_quietly(argv, lines):
     err = proc.communicate(timeout=120)[1]
     assert (proc.returncode, err) == (cli.EXIT_CLOSED_PIPE, "")
     assert got == run_cli(*argv)[1].splitlines(keepends=True)[:lines]
+
+
+def test_planted_eleven_digit_root_report_gcd_count(tmp_path, monkeypatch):
+    # aw11 with slot 1 += slot 2 * (t - p/q), p and q 11-digit primes, as
+    # the benchmark's roots files are: every denominator is a power of u,
+    # so a warm structured report cancels each by a slice, and poly_gcd
+    # runs on the numerators and the root finder's derivatives alone
+    from spinharm import homogeneous, scalars
+    base = spinharm.load_model("aw11").to_dict()
+    extra = [dict(ent, coeff=f"({ent['coeff']})*(t-50000000021/50000000023)")
+             for ent in base["lambda"][1]]
+    base["lambda"][0] = base["lambda"][0] + extra
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(base))
+    assert run_cli("report", "aw11", "--format", "structured")[0] == 0
+    calls = []
+    gcd = scalars.poly_gcd
+
+    def counted(a, b):
+        calls.append((a.degree, b.degree))
+        return gcd(a, b)
+
+    for module in (scalars, homogeneous):
+        monkeypatch.setattr(module, "poly_gcd", counted)
+    code, text = run_cli("report", str(path), "--format", "structured")
+    assert code == 0
+    assert json.loads(text)["harmonicity"]["roots"] == \
+        {"1/2": 1, "50000000021/50000000023": 1}
+    assert len(calls) <= 16
 
 
 # ---------------------------------------------------------------------------

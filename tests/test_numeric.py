@@ -7,6 +7,7 @@ a pole must be found exactly, and the spinor frame must be built once.
 
 import copy
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -145,3 +146,27 @@ def test_frame_built_once_per_spinor(monkeypatch):
     numeric.scan(model, Fraction(1, 2), Fraction(5, 2), 10)
     numeric.residual_norm(load_model("spin4"), Fraction(3, 2))
     assert len(calls) == 2
+
+
+def test_scan_grid_is_the_textbook_grid(monkeypatch):
+    """scan's points, built as integer numerators over one denominator,
+    are the Fractions t_min + (t_max - t_min) k / steps, on the ranges of
+    tests/test_cli.py and on seeded ones."""
+    seen = []
+    monkeypatch.setattr(numeric, "residual_norms",
+                        lambda model, ts: seen.append(ts) or [0.0] * len(ts))
+    rng = random.Random(43)
+    ranges = [(Fraction(1, 10), Fraction(4), 20),
+              (Fraction(1, 2), Fraction(5, 2), 200),
+              (Fraction(1, 4), Fraction(1), 12), (Fraction(1), Fraction(2), 8),
+              (Fraction(1, 2), Fraction(3, 2), 2), (Fraction(1), Fraction(3), 4)]
+    for _ in range(40):
+        lo = Fraction(rng.randint(1, 10 ** rng.randint(1, 12)),
+                      rng.randint(1, 10 ** rng.randint(0, 12)))
+        hi = lo + Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        ranges.append((lo, hi, rng.randint(1, 300)))
+    model = load_model("cp3")
+    for lo, hi, steps in ranges:
+        rows = numeric.scan(model, lo, hi, steps)
+        want = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
+        assert seen.pop() == want == [t for t, _ in rows], (lo, hi, steps)

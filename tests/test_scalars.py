@@ -736,6 +736,87 @@ def test_constant_arithmetic_makes_no_poly_call(monkeypatch):
         Fraction(25, 36), Fraction(3, 2), Fraction(-1, 3)]
 
 
+def _unit_at_zero(rng, degree):
+    """A seeded Poly of the given degree, Fraction coefficients with small
+    denominators and a nonzero constant term: no power of u divides it."""
+    cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+          for _ in range(degree + 1)]
+    cs[0], cs[-1] = cs[0] or 1, cs[-1] or -1
+    return Poly(cs)
+
+
+def _u_to(k):
+    return Poly((0,) * k + (1,))
+
+
+def _plain(p):
+    import plain_kernel
+    return plain_kernel.Poly(p.coeffs)
+
+
+def test_power_of_u_denominator_against_the_plain_kernel(monkeypatch):
+    """Scalar(num, den) with den = c u^k cancels u^j, j = min(k, the power
+    of u dividing num), by slicing, with no poly_gcd call; den = c u^k
+    (u - r) takes the general path.  Both against the plain kernel on
+    seeded numerators with a planted u^j and, for the general path, a
+    planted common factor u - r: j below, at and above k, c negative or
+    rational, and a numerator with a rational dd."""
+    import plain_kernel
+    calls = []
+    gcd = scalars_module.poly_gcd
+    monkeypatch.setattr(scalars_module, "poly_gcd",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(400):
+        k, j = rng.randint(1, 4), rng.randint(0, 6)
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        num = _u_to(j) * _unit_at_zero(rng, rng.randint(0, 4))
+        den = _u_to(k) * Poly((c,))
+        general = rng.random() < 0.3
+        if general:
+            r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                         rng.randint(1, 3))
+            den = den * Poly((-r, 1))
+            if rng.random() < 0.5:
+                num = num * Poly((-r, 1))
+        calls.clear()
+        got = Scalar(num, den)
+        want = plain_kernel.Scalar(_plain(num), _plain(den))
+        assert (got.num.coeffs, got.den.coeffs) == \
+            (want.num.coeffs, want.den.coeffs), (num, den)
+        assert bool(calls) == (general and num.degree > 0), (num, den)
+        seen |= {("general" if general else "lane", (j > k) - (j < k)),
+                 ("c < 0", c < 0), ("c rational", c.denominator > 1),
+                 ("dd", num.dd > 1)}
+    assert seen == {(path, order) for path in ("general", "lane")
+                    for order in (-1, 0, 1)} | \
+        {(label, flag) for label in ("c < 0", "c rational", "dd")
+         for flag in (False, True)}
+
+
+def test_poly_gcd_with_planted_powers_of_u_against_the_plain_kernel():
+    """poly_gcd splits off the power of u its operands share and returns
+    at once for a monomial operand; against the plain kernel's Euclid on
+    seeded pairs u^i h x, u^j h y with a planted common factor h, and
+    pairs with a monomial c u^j, across the heuristic and the PRS paths."""
+    import plain_kernel
+    rng = random.Random(53)
+    for _ in range(300):
+        i, j = rng.randint(0, 4), rng.randint(0, 4)
+        h = _unit_at_zero(rng, rng.randint(0, 3))
+        a = _u_to(i) * h * _unit_at_zero(rng, rng.randint(0, 6))
+        if rng.random() < 0.25:
+            b = _u_to(j) * Poly((Fraction(rng.randint(-9, 9) or 1,
+                                          rng.randint(1, 4)),))
+        else:
+            b = _u_to(j) * h * _unit_at_zero(rng, rng.randint(0, 6))
+        want = plain_kernel.poly_gcd(_plain(a), _plain(b)).coeffs
+        assert poly_gcd(a, b).coeffs == want, (a, b)
+        assert poly_gcd(b, a).coeffs == want, (a, b)
+        assert _prs_gcd(a, b).coeffs == want, (a, b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_coeffs, _coeffs)
 def test_polynomial_sum_and_product_stay_reduced(xs, ys):
