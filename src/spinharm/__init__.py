@@ -7,14 +7,14 @@ and exact harmonicity verdicts on parametrized homogeneous models.
 
 from .scalars import Scalar, Poly, Substitution
 from .linalg import Matrix, Subspace
-from .clifford import MultiVector, SpinRep, FrameTensor
+from .clifford import MultiVector, SpinRep
 from .gstruct import SpinorStructure
 from .homogeneous import HomogeneousModel, ModelAnalysis, load_model
 
 __all__ = [
     "Scalar", "Poly", "Substitution",
     "Matrix", "Subspace",
-    "MultiVector", "SpinRep", "FrameTensor",
+    "MultiVector", "SpinRep",
     "SpinorStructure",
     "HomogeneousModel", "ModelAnalysis", "load_model",
 ]

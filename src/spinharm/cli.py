@@ -25,11 +25,10 @@ import sys
 from functools import cache
 
 from .scalars import ZERO, format_scalar, IrrationalRoots, vanishes_at
-from .coeffexpr import ParseError, parse_fraction
+from .coeffexpr import parse_fraction
 from .jsontext import dumps
 from .gstruct import InternalInvariantError
-from .homogeneous import (ALL_T, BUILTIN_MODELS, ModelAnalysis, ModelError,
-                          load_model)
+from .homogeneous import ALL_T, BUILTIN_MODELS, ModelAnalysis, load_model
 
 
 def _fraction(text):
@@ -271,7 +270,7 @@ def main(argv=None, out=None):
         os.dup2(null, out.fileno())
         os.close(null)
         return EXIT_CLOSED_PIPE
-    except (ModelError, ParseError, IrrationalRoots, ValueError) as exc:
+    except (IrrationalRoots, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

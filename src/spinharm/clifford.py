@@ -30,15 +30,16 @@ W: a product concatenates words, and equality collects the terms by their
 signed permutation, so an identity's words cancel with no matrix built.
 A dense spinor matrix (`gens`, `endo`, `spin_lift`) is a SpinOp's
 `dense()`, built only where a matrix is returned: the pinned generator
-entries, c_T itself, and the W3-energy check, which applies each torsion
-slot twice.  `to_skew_matrix` builds the printed class component matrices.
+entries and the W3-energy check, which applies each torsion slot twice.
+`to_skew_matrix` builds the printed class component matrices.
 
 For a frame tensor T (one 2-form per frame direction) the module builds
-c_T = 1/2 sum_i T_i . T_i and sigma_T = 1/2 sum_i T_i ^ T_i together with
-|T|^2 = sum_i sum_{j<k} (T_i)_jk^2.  Under these conventions the difference
-c_T - sigma_T is the scalar -(1/2)|T|^2 (kappa = 1/2; a 2-form omega obeys
-omega.omega = omega^omega - |omega|^2 because the mixed grade-2 products
-cancel in pairs).  Literature statements with the constant 3/2 use a |T|^2
+c_T = 1/2 sum_i T_i . T_i as a sum of words, and sigma_T = 1/2 sum_i
+T_i ^ T_i together with |T|^2 = sum_i sum_{j<k} (T_i)_jk^2.  Under these
+conventions c_T - sigma_T is the scalar -(1/2)|T|^2, and `verify` checks
+that SpinOp equality (kappa = 1/2; a 2-form omega obeys omega.omega =
+omega^omega - |omega|^2 because the mixed grade-2 products cancel in
+pairs).  Literature statements with the constant 3/2 use a |T|^2
 normalization three times ours.
 """
 
@@ -487,58 +488,21 @@ def bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     return out
 
 
-class FrameTensor:
-    """A 2-form for every frame direction (values T_{e_i})."""
-
-    __slots__ = ("n", "slots")
-
-    def __init__(self, n, slots):
-        if len(slots) != n:
-            raise ValueError("one slot per frame direction required")
-        for s in slots:
-            if s.n != n or not s.is_pure_grade(2):
-                raise ValueError("slots must be grade-2 elements")
-        self.n = n
-        self.slots = list(slots)
-
-
-class CSigma:
-    __slots__ = ("c", "sigma", "norm2", "kappa")
-
-    def __init__(self, c, sigma, norm2, kappa):
-        self.c = c
-        self.sigma = sigma
-        self.norm2 = norm2
-        self.kappa = kappa
-
-
-def c_sigma(rep: SpinRep, t: FrameTensor) -> CSigma:
-    """c_T = 1/2 sum T_i.T_i, sigma_T = 1/2 sum T_i^T_i, |T|^2, fitted kappa.
-
-    kappa is the unique constant with c_T = act(sigma_T) - kappa |T|^2 Id
-    when the difference is scalar (it always is; kappa = 1/2 under this
-    module's norm conventions).
-    """
-    if t.n != rep.n:
-        raise ValueError("dimension mismatch")
+def c_sigma(rep: SpinRep, slots):
+    """(c_T, sigma_T, |T|^2) of the frame tensor with the given n 2-form
+    slots: c_T = 1/2 sum T_i.T_i as a SpinOp (a sum of words, no matrix
+    built), sigma_T = 1/2 sum T_i^T_i and |T|^2 = sum_i |T_i|^2."""
+    if len(slots) != rep.n:
+        raise ValueError("one slot per frame direction required")
     half = Scalar.rational(1, 2)
     squares = SpinOp(rep, ())
-    sigma = MultiVector.zero(t.n)
+    sigma = MultiVector.zero(rep.n)
     norm2 = ZERO
-    for slot in t.slots:
+    for slot in slots:
+        if slot.n != rep.n or not slot.is_pure_grade(2):
+            raise ValueError("slots must be grade-2 elements")
         e = rep.op(slot)
         squares = squares + e * e
         sigma = sigma + slot.wedge(slot).scale(half)
         norm2 = norm2 + slot.norm2()
-    c = squares.dense().scale(half)
-    diff = c - rep.endo(sigma)
-    kappa = None
-    diag = diff.data[0][0]
-    scalar_matrix = all(e == diag if i == j else e.is_zero
-                        for i, row in enumerate(diff.data)
-                        for j, e in enumerate(row))
-    if scalar_matrix and not norm2.is_zero:
-        kappa = -diag / norm2
-    elif scalar_matrix and norm2.is_zero:
-        kappa = None if not diag.is_zero else Scalar.rational(1, 2)
-    return CSigma(c, sigma, norm2, kappa)
+    return squares.scale(half), sigma, norm2

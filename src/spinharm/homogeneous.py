@@ -60,7 +60,7 @@ from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, Substitution,
 from .linalg import (Matrix, _matrix, basis_vec, vec_add, vec_dot,
                      vec_scale, vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, _multivector
-from .coeffexpr import parse_fraction
+from .coeffexpr import FoldBudget, ParseError, parse_fraction
 from . import jsontext
 from .gstruct import (SpinorStructure, InternalInvariantError, kept,
                       unit_spinor)
@@ -221,7 +221,6 @@ class HomogeneousModel:
 
     @classmethod
     def from_dict(cls, data):
-        from .coeffexpr import FoldBudget, ParseError
         try:
             if type(data) is not dict:
                 raise TypeError("expected a JSON object, got "

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, zero_at
 from .linalg import Matrix, Subspace, vec_is_zero
-from .clifford import (MultiVector, SpinRep, FrameTensor, bracket, c_sigma,
-                       index_pairs)
+from .clifford import MultiVector, SpinRep, bracket, c_sigma, index_pairs
 from .gstruct import SpinorStructure
 from .homogeneous import (ALL_T, ROOT_SET, ModelAnalysis, Verdict,
                           load_model)
@@ -106,6 +105,13 @@ def _rand_vector(rng, n):
 
 def _rand_matrix(rng, n):
     return Matrix([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)])
+
+
+def _rand_symmetric_traceless(rng, n):
+    """(raw + raw^T)/2 - (tr/n) Id for a random raw matrix."""
+    raw = _rand_matrix(rng, n)
+    sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
+    return sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))
 
 
 # --------------------------------------------------------------------------
@@ -383,10 +389,7 @@ def _property_chi_vanishes(rng, trials):
 
 
 def _w3_class_matrix(rng, st):
-    n = 6
-    raw = _rand_matrix(rng, n)
-    sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
-    sym = sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))
+    sym = _rand_symmetric_traceless(rng, 6)
     j = st.almost_complex()
     return (sym + j * sym * j).scale(Scalar.rational(1, 2))
 
@@ -414,23 +417,21 @@ def _property_dirac(rng, trials):
     for k in range(trials):
         n = 6 if k % 2 else 7
         st = SpinorStructure.shared(n, S5)
-        raw = _rand_matrix(rng, n)
-        sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
-        sym = sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))
-        if not vec_is_zero(st.dirac(sym)):
+        if not vec_is_zero(st.dirac(_rand_symmetric_traceless(rng, n))):
             return f"Dirac contraction != 0 at trial {k}"
     return None
 
 
 def _property_c_sigma(rng, trials):
-    half = Scalar.rational(1, 2)
+    minus_half = Scalar.rational(-1, 2)
     for k in range(trials):
         n = 6 if k % 2 else 7
         rep = SpinRep.build(n)
         slots = [_rand_2form(rng, n, nterms=3) for _ in range(n)]
-        cs = c_sigma(rep, FrameTensor(n, slots))
-        if cs.kappa != half:
-            return f"kappa != 1/2 at trial {k} (got {cs.kappa})"
+        c, sigma, norm2 = c_sigma(rep, slots)
+        scalar = MultiVector(n, {(): minus_half * norm2})
+        if c - rep.op(sigma) != rep.op(scalar):
+            return f"c_T - sigma_T != -(1/2)|T|^2 at trial {k}"
     return None
 
 

@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 import spinharm.clifford as clifford
-from spinharm.clifford import (FrameTensor, MultiVector, SpinRep, bracket,
-                               c_sigma, index_pairs)
+from spinharm.clifford import (MultiVector, SpinRep, bracket, c_sigma,
+                               index_pairs)
 from spinharm.linalg import Matrix, vec_dot
 from spinharm.scalars import ONE, Scalar
+from spinharm import verify
 from spinharm.verify import S5, S6
 
 U = Scalar.u()
@@ -352,17 +353,19 @@ def test_c_sigma_single_slot():
     rep = SpinRep.build(6)
     slots = [MultiVector(6, {(1, 2): sc(1)})] + \
             [MultiVector.zero(6)] * 5
-    cs = c_sigma(rep, FrameTensor(6, slots))
-    assert cs.c == Matrix.identity(8).scale(sc(-1, 2))
-    assert cs.sigma.is_zero
-    assert cs.norm2 == sc(1)
-    assert cs.kappa == sc(1, 2)
+    c, sigma, norm2 = c_sigma(rep, slots)
+    assert c.dense() == Matrix.identity(8).scale(sc(-1, 2))
+    assert sigma.is_zero
+    assert norm2 == sc(1)
+    # the difference is exactly the scalar -(1/2)|T|^2
+    diff = c.dense() - rep.endo(sigma)
+    assert diff == Matrix.identity(8).scale(sc(-1, 2) * norm2)
 
 
 def test_c_sigma_zero_tensor():
     rep = SpinRep.build(6)
-    cs = c_sigma(rep, FrameTensor(6, [MultiVector.zero(6)] * 6))
-    assert cs.c.is_zero and cs.sigma.is_zero and cs.norm2.is_zero
+    c, sigma, norm2 = c_sigma(rep, [MultiVector.zero(6)] * 6)
+    assert c.dense().is_zero and sigma.is_zero and norm2.is_zero
 
 
 def test_c_sigma_kappa_universal():
@@ -371,11 +374,35 @@ def test_c_sigma_kappa_universal():
         n = 6 if k % 2 else 7
         rep = SpinRep.build(n)
         slots = [rand_two_form(rng, n, terms=3) for _ in range(n)]
-        cs = c_sigma(rep, FrameTensor(n, slots))
-        assert cs.kappa == sc(1, 2)
+        c, sigma, norm2 = c_sigma(rep, slots)
         # the difference is exactly the scalar -(1/2)|T|^2
-        diff = cs.c - rep.endo(cs.sigma)
-        assert diff == Matrix.identity(8).scale(sc(-1, 2) * cs.norm2)
+        diff = c.dense() - rep.endo(sigma)
+        assert diff == Matrix.identity(8).scale(sc(-1, 2) * norm2)
+
+
+def test_c_sigma_refuses_a_wrong_slot_count():
+    rep = SpinRep.build(6)
+    with pytest.raises(ValueError,
+                       match="one slot per frame direction required"):
+        c_sigma(rep, [MultiVector.zero(6)] * 5)
+
+
+def test_c_sigma_refuses_a_slot_not_of_grade_2():
+    rep = SpinRep.build(7)
+    slots = [MultiVector.zero(7)] * 6 + [MultiVector.vector(7, [sc(1)] * 7)]
+    with pytest.raises(ValueError, match="slots must be grade-2 elements"):
+        c_sigma(rep, slots)
+
+
+def test_c_sigma_property_builds_no_dense_matrix(monkeypatch):
+    # c_T - sigma_T = -(1/2)|T|^2 is decided by SpinOp equality: the words
+    # cancel by signed permutation and no 8x8 matrix is expanded
+    calls = []
+    dense = clifford._dense
+    monkeypatch.setattr(clifford, "_dense",
+                        lambda collected: calls.append(1) or dense(collected))
+    assert verify._property_c_sigma(random.Random(0), 4) is None
+    assert calls == []
 
 
 def test_lift_factor_is_half():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spinharm import coeffexpr
+from spinharm import coeffexpr, homogeneous
 from spinharm.coeffexpr import (MAX_COEFF_BITS, MAX_DEGREE,
                                 MAX_FOLD_TABLE_BYTES, MAX_FOLD_WORK,
                                 MAX_NESTING, MAX_TOKENS, FoldBudget,
@@ -272,7 +272,7 @@ def loader_budgets(monkeypatch):
             super().__init__()
             made.append(self)
 
-    monkeypatch.setattr(coeffexpr, "FoldBudget", Recorded)
+    monkeypatch.setattr(homogeneous, "FoldBudget", Recorded)
     return made
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinharm.clifford import FrameTensor, MultiVector, c_sigma
+from spinharm.clifford import MultiVector, c_sigma
 from spinharm.homogeneous import (ALL_T, NEVER, ROOT_SET, HomogeneousModel,
                                   ModelAnalysis, ModelError, Verdict,
                                   load_model, vanishing_verdict)
@@ -346,8 +346,8 @@ def test_cross_check_c_xi_phi_matches_c_sigma(g2_toy_dict):
     models.append(HomogeneousModel.from_dict(g2_toy_dict))
     for model in models:
         an = ModelAnalysis(model)
-        cs = c_sigma(an.rep, FrameTensor(model.n, an.torsion()))
-        expected = cs.c.apply(an.structure.phi)
+        c = c_sigma(an.rep, an.torsion())[0]
+        expected = c.dense().apply(an.structure.phi)
         assert an.cross_check_terms()[1] == expected, model.name
 
 
