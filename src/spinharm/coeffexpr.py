@@ -26,7 +26,9 @@ fold that succeeds is kept there, with its work, keyed by (string,
 substitution label), within MAX_FOLD_TABLE_BYTES, least recently used out
 first.  A repeat, in the same file or in any later one, reuses the Scalar
 and charges its recorded work again, so every limit trips at the same
-entry and column as on a fresh fold.  A fault is never kept.
+entry and column as on a fresh fold.  A fault is never kept.  The fold
+table is a BoundedTable, the one least-recently-used table of the package,
+which also keeps the cleared Wang-map slots of `homogeneous`.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ MAX_FILE_FOLD_WORK = 4 * MAX_FOLD_WORK
 # built-in's dump reloaded, a perturbed copy of one) folds only what is new
 MAX_FOLD_TABLE_BYTES = 1 << 15
 
+# bytes retained by the slot table of `homogeneous`, which keeps the record
+# of every cleared Wang-map slot analysed in the process: a model that
+# shares slots with one analysed before (a built-in's perturbed copy)
+# analyses only its new slots.  The 19 built-in slots count about 1,800
+# bytes and a slot perturbed by (t - p/q) 200 to 900, so the built-in
+# slots stay resident while a dozen perturbed copies come and go
+MAX_SLOT_TABLE_BYTES = 1 << 13
+
 
 class ParseError(ValueError):
     def __init__(self, message, position):
@@ -109,40 +119,42 @@ class FoldBudget:
             return hit[0]
         start = self.work
         value = parse_scalar(text, sub, self)
-        _FOLDS.keep(key, value, self.work - start)
+        _FOLDS.keep(key, (value, self.work - start),
+                    len(text) + scalar_bytes(value))
         return value
 
 
-class _FoldTable(OrderedDict):
-    """(text, substitution label) -> (Scalar, fold work, retained bytes),
-    least recently used first.  An entry retains its text's length and
-    2 * (degree + 2) integers of the bit length _size reads (numerator and
-    denominator, their coefficients and common denominator); one larger
-    than MAX_FOLD_TABLE_BYTES is not kept."""
+class BoundedTable(OrderedDict):
+    """key -> the fields of a kept value followed by the bytes it retains,
+    least recently used first, within `limit` bytes in all.  A caller
+    counts the bytes with scalar_bytes and moves a key it reads to the end;
+    a value larger than the limit is not kept."""
 
-    __slots__ = ("size",)
+    __slots__ = ("limit", "size")
 
-    def __init__(self):
+    def __init__(self, limit):
         super().__init__()
+        self.limit = limit
         self.size = 0
 
     def clear(self):
         super().clear()
         self.size = 0
 
-    def keep(self, key, value, work):
-        """Keep a fold made on a miss, evicting from the old end."""
-        degree, bits = _size(value)
-        size = len(key[0]) + 2 * (degree + 2) * (bits // 8 + 1)
-        if size > MAX_FOLD_TABLE_BYTES:
+    def keep(self, key, value, size):
+        """Keep the tuple value under a key not in the table, evicting
+        from the old end."""
+        if size > self.limit:
             return
-        self[key] = (value, work, size)
+        self[key] = (*value, size)
         self.size += size
-        while self.size > MAX_FOLD_TABLE_BYTES:
-            self.size -= self.popitem(last=False)[1][2]
+        while self.size > self.limit:
+            self.size -= self.popitem(last=False)[1][-1]
 
 
-_FOLDS = _FoldTable()
+# (text, substitution label) -> (Scalar, fold work, retained bytes): an
+# entry retains its text's length and its value's scalar_bytes
+_FOLDS = BoundedTable(MAX_FOLD_TABLE_BYTES)
 
 
 _TOKEN_CHARS = set("+-*/^()")
@@ -193,6 +205,14 @@ def _size(s: Scalar):
     MAX_COEFF_BITS."""
     num, den = s.num, s.den
     return max(num.degree, den.degree), max(num.bits(), den.bits())
+
+
+def scalar_bytes(s: Scalar):
+    """The bytes a kept Scalar is counted to retain: 2 * (degree + 2)
+    integers of the bit length _size reads (numerator and denominator,
+    their coefficients and common denominator)."""
+    degree, bits = _size(s)
+    return 2 * (degree + 2) * (bits // 8 + 1)
 
 
 def _check_size(degree, bits, pos):

@@ -42,8 +42,9 @@ built-ins round-trip through dump/load bit-exactly.  A built-in is parsed
 once per process and carries one ModelAnalysis (`ModelAnalysis.of`), which
 keeps every stage once, the cleared values that both positive_only settings
 share, and each verdict per setting, and its record text once dumped; a
-model file is read and analysed afresh on every load, and only its
-coefficient strings may come from the fold table of `coeffexpr`.
+model file is read and analysed afresh on every load, but its coefficient
+strings may come from the fold table of `coeffexpr`, and the records of
+its cleared slots from the slot table (`slot_record`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ import json
 import os
 import re
 from functools import cache, cached_property
+from itertools import chain
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, Substitution,
                       rational_roots, poly_gcd, IrrationalRoots,
@@ -60,7 +63,8 @@ from .scalars import (Scalar, Poly, ZERO, ONE_POLY, ZERO_POLY, Substitution,
 from .linalg import (Matrix, _matrix, basis_vec, vec_add, vec_dot,
                      vec_scale, vec_sub, zero_vec)
 from .clifford import MultiVector, SpinRep, _multivector
-from .coeffexpr import FoldBudget, ParseError, parse_fraction
+from .coeffexpr import (MAX_SLOT_TABLE_BYTES, BoundedTable, FoldBudget,
+                        ParseError, parse_fraction, scalar_bytes)
 from . import jsontext
 from .gstruct import (SpinorStructure, InternalInvariantError, kept,
                       unit_spinor)
@@ -459,6 +463,86 @@ def _builtin_model(name) -> HomogeneousModel:
 
 
 # ---------------------------------------------------------------------------
+# the cleared slots, each analysed once per process
+
+
+class SlotRecord(NamedTuple):
+    """The per-slot values of one cleared slot A = D Lambda_i under a
+    structure that the stages linear in Lambda read: lift(A).phi0, its phi
+    coefficient (which must vanish), its S column and eta; xi, the
+    m-projection of A, and the stabilizer coordinates A - xi.  Read-only,
+    since every model with the slot shares it: tuples, and xi's terms
+    behind a mapping proxy."""
+
+    lifted: tuple
+    phi_part: Scalar
+    column: tuple
+    eta: Scalar
+    xi: MultiVector
+    canonical: tuple
+
+
+# (structure, frozenset of a cleared slot's terms) -> (SlotRecord, bytes),
+# and the same key with "squares" -> (slot_squares' pair, bytes)
+_SLOTS = BoundedTable(MAX_SLOT_TABLE_BYTES)
+
+
+def slot_record(structure: SpinorStructure, slot: MultiVector) -> SlotRecord:
+    """The record of a cleared slot under the structure, kept in the slot
+    table.  Its key ignores the order of the slot's terms, so a built-in
+    and a model file share records, and names the structure, so n = 6 and
+    n = 7 never do."""
+    return _kept((structure, frozenset(slot.terms.items())),
+                 _build_record, structure, slot)
+
+
+def slot_squares(structure: SpinorStructure, slot: MultiVector):
+    """(lift(A).lift(A).phi0, xi.xi.phi0): the slot's terms of Delta phi
+    and c_xi.phi, kept beside its record but built only when the
+    cross-check asks, since they are quadratic in the slot."""
+    return _kept((structure, frozenset(slot.terms.items()), "squares"),
+                 _build_squares, structure, slot)
+
+
+def _kept(key, build, structure, slot):
+    """The slot table's value under key, or build(structure, slot)'s, kept
+    counting the scalar_bytes of the slot's and the value's nonzero
+    Scalars (every zero is the one shared ZERO).  The least recently used
+    goes first; a value larger than MAX_SLOT_TABLE_BYTES is not kept, nor
+    is a build that raises."""
+    hit = _SLOTS.get(key)
+    if hit is not None:
+        _SLOTS.move_to_end(key)
+        return hit[0]
+    value, scalars = build(structure, slot)
+    _SLOTS.keep(key, (value,), sum(map(scalar_bytes, filter(None, chain(
+        slot.terms.values(), scalars)))))
+    return value
+
+
+def _build_record(structure, slot):
+    lifted = tuple(structure.rep.lift_act(slot, structure.phi))
+    parts = structure.decompose(lifted)
+    pairs = slot.pair_coeffs()
+    coords = structure.complement_m().project(pairs)
+    [xi] = _read_only(slot.n,
+                      [MultiVector.from_pair_coeffs(slot.n, coords).terms])
+    record = SlotRecord(lifted, parts.a, tuple(parts.vector),
+                        ZERO if parts.b is None else parts.b, xi,
+                        tuple(vec_sub(pairs, coords)))
+    return record, chain(lifted, (record.phi_part, record.eta),
+                         record.column, xi.terms.values(), record.canonical)
+
+
+def _build_squares(structure, slot):
+    record = slot_record(structure, slot)
+    rep = structure.rep
+    squares = (tuple(rep.lift_act(slot, record.lifted)),
+               tuple(rep.act(record.xi, rep.act(record.xi, structure.phi))))
+    return squares, chain(*squares)
+
+
+# ---------------------------------------------------------------------------
 # the analysis pipeline
 
 
@@ -473,15 +557,19 @@ class ModelAnalysis:
     coordinates, the classes) is D times its value, and a quadratic one
     (the harmonicity residual, Delta phi, c_xi.phi and the cross-check
     residual) D^2 times.  Verdicts are decided on these cleared values, and
-    an output is divided by D or D^2 only where it is read.  S, eta, the
-    torsion xi_i and lift(D Lambda_i).phi0 (shared by S, eta and Delta phi)
-    are kept once computed, and so are the classes and the cleared values
-    the verdicts are decided on, which no positive_only setting changes;
-    each verdict is kept per setting.  What a stage hands out is fresh or
-    read-only (tuples, 2-forms with proxied terms, Classes, Verdicts).  The
-    stabilizer part of a slot is D Lambda_i - xi_i, m being its orthogonal
-    complement.  The stabilizer, m, J and psi come from the structure
-    shared by every model with the same n and phi0.
+    an output is divided by D or D^2 only where it is read.  Every
+    per-slot value comes from the slot table, which every model analysed
+    in the process with that cleared slot and structure shares: the S
+    column and eta of lift(D Lambda_i).phi0, the torsion xi_i and the
+    stabilizer part D Lambda_i - xi_i (m being its orthogonal complement)
+    from the slot's SlotRecord, and its terms of Delta phi and c_xi.phi
+    from slot_squares; the stages only gather and sum them.  S, eta
+    and the torsion are kept once gathered, and so are the classes and the
+    cleared values the verdicts are decided on, which no positive_only
+    setting changes; each verdict is kept per setting.  What a stage hands
+    out is fresh or read-only (tuples, 2-forms with proxied terms,
+    Classes, Verdicts).  The stabilizer, m, J and psi come from the
+    structure shared by every model with the same n and phi0.
     """
 
     def __init__(self, model: HomogeneousModel):
@@ -570,24 +658,21 @@ class ModelAnalysis:
                 tuple(vec_scale(inv, eta)))
 
     @cached_property
-    def _lifted_phi(self):
-        """lift(D Lambda_i).phi0 per slot, for _extract and Delta phi."""
-        return [self.rep.lift_act(slot, self.structure.phi)
-                for slot in self.cleared]
+    def _slots(self):
+        """The SlotRecord of each cleared slot, in slot order."""
+        return [slot_record(self.structure, slot) for slot in self.cleared]
 
     @kept
     def _extract(self):
-        """(D S, D eta), read off the cleared slots."""
-        cols = []
-        eta = []
-        for i, lifted in enumerate(self._lifted_phi):
-            parts = self.structure.decompose(lifted)
-            if not parts.a.is_zero:
+        """(D S, D eta), read off the slot records; a slot whose
+        lift(D Lambda_i).phi0 has a phi component is named by its index
+        in this model."""
+        for i, record in enumerate(self._slots, 1):
+            if not record.phi_part.is_zero:
                 raise InternalInvariantError(
-                    f"slot {i + 1}: nabla phi has a phi component")
-            cols.append(parts.vector)
-            eta.append(parts.b if parts.b is not None else ZERO)
-        return Matrix.from_columns(cols), eta
+                    f"slot {i}: nabla phi has a phi component")
+        return (Matrix.from_columns([r.column for r in self._slots]),
+                [r.eta for r in self._slots])
 
     # -- torsion ----------------------------------------------------------------
 
@@ -600,10 +685,7 @@ class ModelAnalysis:
     @cached_property
     def _cleared_torsion(self):
         """The m-projections of the cleared slots: D times the torsion."""
-        m = self.structure.complement_m()
-        return [MultiVector.from_pair_coeffs(self.model.n,
-                                             m.project(slot.pair_coeffs()))
-                for slot in self.cleared]
+        return [record.xi for record in self._slots]
 
     def canonical_coordinates(self):
         """The stabilizer components of every Lambda slot, slot after slot
@@ -613,10 +695,7 @@ class ModelAnalysis:
 
     @cached_property
     def _cleared_canonical(self):
-        coords = []
-        for slot, xi in zip(self.cleared, self._cleared_torsion):
-            coords.extend(vec_sub(slot.pair_coeffs(), xi.pair_coeffs()))
-        return coords
+        return [c for record in self._slots for c in record.canonical]
 
     def canonical_parameters(self, positive_only=True) -> Verdict:
         return self._verdict("canonical parameters", self._cleared_canonical,
@@ -737,17 +816,16 @@ class ModelAnalysis:
     @cached_property
     def _cleared_cross(self):
         """(Delta phi, c_xi.phi, residual), each quadratic in Lambda,
-        summed over the cleared slots: D^2 times their values."""
-        phi = self.structure.phi
-        rep = self.rep
+        summed over the cleared slots' squares: D^2 times their values."""
+        # Delta phi = -sum_i lift(L_i).lift(L_i).phi and
+        # c_xi.phi = 1/2 sum_i xi_i.(xi_i.phi)
         delta = zero_vec(8)
-        for slot, lifted in zip(self.cleared, self._lifted_phi):
-            delta = vec_sub(delta, rep.lift_act(slot, lifted))
-        # c_xi.phi = 1/2 sum_i xi_i.(xi_i.phi), one slot at a time
-        half = Scalar.rational(1, 2)
         c_xi_phi = zero_vec(8)
-        for slot in self._cleared_torsion:
-            c_xi_phi = vec_add(c_xi_phi, rep.act(slot, rep.act(slot, phi)))
+        for slot in self.cleared:
+            lift2, xi2 = slot_squares(self.structure, slot)
+            delta = vec_sub(delta, lift2)
+            c_xi_phi = vec_add(c_xi_phi, xi2)
+        half = Scalar.rational(1, 2)
         c_xi_phi = vec_scale(half, c_xi_phi)
         residual = tuple(d + half * c for d, c in zip(delta, c_xi_phi))
         return tuple(delta), tuple(c_xi_phi), residual

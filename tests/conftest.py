@@ -9,11 +9,14 @@ from spinharm.homogeneous import load_model
 @pytest.fixture(autouse=True)
 def fresh_builtin_models():
     """Each test starts with no shared built-in model, hence no kept
-    analysis: a test that monkeypatches the pipeline sees it run, and
-    leaves no model built under its patch to the next test."""
+    analysis, and an empty slot table: a test that monkeypatches the
+    pipeline sees it run, and leaves no model or slot record built under
+    its patch to the next test."""
     homogeneous._builtin_model.cache_clear()
+    homogeneous._SLOTS.clear()
     yield
     homogeneous._builtin_model.cache_clear()
+    homogeneous._SLOTS.clear()
 
 
 S5_STR = ["0", "0", "0", "0", "1", "0", "0", "0"]

@@ -124,10 +124,12 @@ def test_warm_reports_halve_the_gcds(monkeypatch):
     for name, most in budget.items():
         calls[0] = 0
         # the warm-up built the shared structures; a kept built-in model
-        # would answer the report without any stage's work, and the fold
-        # table its coefficients without their gcds
+        # would answer the report without any stage's work, the fold
+        # table its coefficients without their gcds, and the slot table
+        # its slots without theirs
         homogeneous._builtin_model.cache_clear()
         coeffexpr._FOLDS.clear()
+        homogeneous._SLOTS.clear()
         assert cli.main(["report", name, "--format", "structured"],
                         out=io.StringIO()) == 0
         assert 0 < calls[0] <= most, name

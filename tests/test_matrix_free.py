@@ -264,10 +264,12 @@ def test_warm_reports_do_each_piece_of_work_once(monkeypatch):
         for fmt, skew in (("text", 0), ("structured", 9 - data["n"])):
             calls.clear()
             # the warm-up built the SpinRep and structure caches; a kept
-            # built-in model would answer the report without the work, and
-            # the fold table would answer its coefficients without a fold
+            # built-in model would answer the report without the work, the
+            # fold table its coefficients without a fold, and the slot
+            # table its slots without a lift
             homogeneous._builtin_model.cache_clear()
             coeffexpr._FOLDS.clear()
+            homogeneous._SLOTS.clear()
             assert cli.main(["report", name, "--format", fmt],
                             out=io.StringIO()) == 0
             assert calls == Counter({"parse_scalar": len(strings),

@@ -9,12 +9,12 @@ recipe is (base, n, substitution, d, p, k, seed).  A candidate counts only
 if it loads and both MAX_DENOMINATOR_* limits and MAX_CLEARED_DEGREE accept
 it; then it is timed in-process in both domains, as `report FILE` (t > 0)
 and as `report FILE --include-negative-roots`, each cut at CAP_S seconds
-and each on an empty fold table, as in a fresh process.  The recipes are
-drawn from SEED alone, so every run tries the same sequence; how far along
-it a run of BUDGET_S seconds gets depends on the machine.  Progress goes to
-stderr, and to stdout one JSON object that maps each domain to its slowest
-file, with its recipe in `notes`.  pytest does not collect this file (no
-test_ prefix).
+and each on an empty fold table and slot table, as in a fresh process.
+The recipes are drawn from SEED alone, so every run tries the same
+sequence; how far along it a run of BUDGET_S seconds gets depends on the
+machine.  Progress goes to stderr, and to stdout one JSON object that maps
+each domain to its slowest file, with its recipe in `notes`.  pytest does
+not collect this file (no test_ prefix).
 """
 
 import contextlib
@@ -27,7 +27,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from spinharm import coeffexpr
+from spinharm import coeffexpr, homogeneous
 from spinharm.cli import main
 from spinharm.homogeneous import (HomogeneousModel, ModelAnalysis, ModelError,
                                   load_model)
@@ -95,8 +95,9 @@ def accepted(record):
 
 def time_report(path, flags, cap):
     """(seconds, exit code, stderr) of `report FILE flags` on an empty fold
-    table; a run past the cap reads (cap, None, "")."""
+    table and slot table; a run past the cap reads (cap, None, "")."""
     coeffexpr._FOLDS.clear()
+    homogeneous._SLOTS.clear()
     signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, cap)
     err = io.StringIO()
