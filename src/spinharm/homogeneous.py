@@ -4,9 +4,10 @@ A model is a Wang map Lambda (one so(n)-valued 2-form per orthonormal frame
 direction, encoding the Levi-Civita connection of an invariant metric), a
 defining unit spinor phi0, and a substitution binding the deformation
 parameter t to the formal variable u.  Everything downstream is exact,
-and runs on the cleared Wang map: ModelAnalysis multiplies every slot by
-the model's common denominator D(u), the monic lcm of the denominators of
-all Lambda coefficients, so each stage computes with polynomials in u; an
+and runs on the cleared Wang map: each slot times the model's common
+denominator D(u), the monic lcm of the denominators of all Lambda
+coefficients, multiplied out once per process per (slot as written, D)
+by the slot table, so each stage computes with polynomials in u; an
 output is D^k times its value, k its degree in Lambda, until it is read:
 
   * extract_S_eta decomposes lift(Lambda(X_i)).phi0 into S(X_i) and
@@ -125,7 +126,7 @@ def vanishing_verdict(values, sub, positive_only=True,
     root v0 > 0 of gcd(E, O) with an irrational square root, with its
     multiplicity there: (u^2 - v0)^k divides g exactly when (v - v0)^k
     divides E and O; this case decides t > 0 only.  `rational_roots`
-    isolates the real roots in the domain alone; IrrationalRoots is raised
+    finds the real roots in the domain alone; IrrationalRoots is raised
     when it finds more there than were kept.
     """
     g = ZERO_POLY
@@ -468,12 +469,13 @@ def _builtin_model(name) -> HomogeneousModel:
 
 class SlotRecord(NamedTuple):
     """The per-slot values of one cleared slot A = D Lambda_i under a
-    structure that the stages linear in Lambda read: lift(A).phi0, its phi
-    coefficient (which must vanish), its S column and eta; xi, the
+    structure that the stages linear in Lambda read: A itself, lift(A).phi0,
+    its phi coefficient (which must vanish), its S column and eta; xi, the
     m-projection of A, and the stabilizer coordinates A - xi.  Read-only,
-    since every model with the slot shares it: tuples, and xi's terms
-    behind a mapping proxy."""
+    since every model with the slot shares it: tuples, and the terms of A
+    and xi behind mapping proxies."""
 
+    cleared: MultiVector
     lifted: tuple
     phi_part: Scalar
     column: tuple
@@ -482,62 +484,69 @@ class SlotRecord(NamedTuple):
     canonical: tuple
 
 
-# (structure, frozenset of a cleared slot's terms) -> (SlotRecord, bytes),
-# and the same key with "squares" -> (slot_squares' pair, bytes)
+# (structure, D, frozenset of a slot's terms as written) -> (SlotRecord,
+# bytes), and the same key with "squares" -> (slot_squares' pair, bytes)
 _SLOTS = BoundedTable(MAX_SLOT_TABLE_BYTES)
 
 
-def slot_record(structure: SpinorStructure, slot: MultiVector) -> SlotRecord:
-    """The record of a cleared slot under the structure, kept in the slot
-    table.  Its key ignores the order of the slot's terms, so a built-in
-    and a model file share records, and names the structure, so n = 6 and
-    n = 7 never do."""
-    return _kept((structure, frozenset(slot.terms.items())),
-                 _build_record, structure, slot)
+def slot_record(structure: SpinorStructure, d: Poly,
+                slot: MultiVector) -> SlotRecord:
+    """The record of the slot, as written, cleared by the common
+    denominator d under the structure, kept in the slot table.  Its key
+    ignores the order of the slot's terms, so a built-in and a model file
+    share records, and names d and the structure, so models that clear the
+    slot differently, or with n = 6 and n = 7, never do.  A hit multiplies
+    nothing out."""
+    return _kept((structure, d, frozenset(slot.terms.items())),
+                 _build_record, structure, d, slot)
 
 
-def slot_squares(structure: SpinorStructure, slot: MultiVector):
+def slot_squares(structure: SpinorStructure, d: Poly, slot: MultiVector):
     """(lift(A).lift(A).phi0, xi.xi.phi0): the slot's terms of Delta phi
     and c_xi.phi, kept beside its record but built only when the
     cross-check asks, since they are quadratic in the slot."""
-    return _kept((structure, frozenset(slot.terms.items()), "squares"),
-                 _build_squares, structure, slot)
+    return _kept((structure, d, frozenset(slot.terms.items()), "squares"),
+                 _build_squares, structure, d, slot)
 
 
-def _kept(key, build, structure, slot):
-    """The slot table's value under key, or build(structure, slot)'s, kept
-    counting the scalar_bytes of the slot's and the value's nonzero
-    Scalars (every zero is the one shared ZERO).  The least recently used
-    goes first; a value larger than MAX_SLOT_TABLE_BYTES is not kept, nor
-    is a build that raises."""
+def _kept(key, build, structure, d, slot):
+    """The slot table's value under key, or build(structure, d, slot)'s,
+    kept counting the scalar_bytes of the nonzero Scalars of the slot as
+    written (which the key holds) and of the value, the cleared slot of a
+    record included (every zero is the one shared ZERO).  The least
+    recently used goes first; a value larger than MAX_SLOT_TABLE_BYTES is
+    not kept, nor is a build that raises."""
     hit = _SLOTS.get(key)
     if hit is not None:
         _SLOTS.move_to_end(key)
         return hit[0]
-    value, scalars = build(structure, slot)
+    value, scalars = build(structure, d, slot)
     _SLOTS.keep(key, (value,), sum(map(scalar_bytes, filter(None, chain(
         slot.terms.values(), scalars)))))
     return value
 
 
-def _build_record(structure, slot):
-    lifted = tuple(structure.rep.lift_act(slot, structure.phi))
+def _build_record(structure, d, slot):
+    [cleared] = _read_only(slot.n, [{key: Scalar(c.num * d.exact_div(c.den))
+                                     for key, c in slot.terms.items()}])
+    lifted = tuple(structure.rep.lift_act(cleared, structure.phi))
     parts = structure.decompose(lifted)
-    pairs = slot.pair_coeffs()
+    pairs = cleared.pair_coeffs()
     coords = structure.complement_m().project(pairs)
     [xi] = _read_only(slot.n,
                       [MultiVector.from_pair_coeffs(slot.n, coords).terms])
-    record = SlotRecord(lifted, parts.a, tuple(parts.vector),
+    record = SlotRecord(cleared, lifted, parts.a, tuple(parts.vector),
                         ZERO if parts.b is None else parts.b, xi,
                         tuple(vec_sub(pairs, coords)))
-    return record, chain(lifted, (record.phi_part, record.eta),
-                         record.column, xi.terms.values(), record.canonical)
+    return record, chain(cleared.terms.values(), lifted,
+                         (record.phi_part, record.eta), record.column,
+                         xi.terms.values(), record.canonical)
 
 
-def _build_squares(structure, slot):
-    record = slot_record(structure, slot)
+def _build_squares(structure, d, slot):
+    record = slot_record(structure, d, slot)
     rep = structure.rep
-    squares = (tuple(rep.lift_act(slot, record.lifted)),
+    squares = (tuple(rep.lift_act(record.cleared, record.lifted)),
                tuple(rep.act(record.xi, rep.act(record.xi, structure.phi))))
     return squares, chain(*squares)
 
@@ -552,24 +561,25 @@ class ModelAnalysis:
     D(u), the monic lcm of the denominators of every Lambda coefficient
     (1 for a polynomial model), is computed once; its zeros are the model's
     poles.  Every stage runs on the cleared slots D*Lambda_i, whose entries
-    are polynomials, so no Scalar in its inner loops needs a gcd.  An
+    are polynomials, so no Scalar in its inner loops needs a gcd; a slot
+    is multiplied out only when the slot table lacks its record.  An
     output linear in Lambda (S, eta, the torsion, the canonical-parameter
     coordinates, the classes) is D times its value, and a quadratic one
     (the harmonicity residual, Delta phi, c_xi.phi and the cross-check
     residual) D^2 times.  Verdicts are decided on these cleared values, and
     an output is divided by D or D^2 only where it is read.  Every
     per-slot value comes from the slot table, which every model analysed
-    in the process with that cleared slot and structure shares: the S
-    column and eta of lift(D Lambda_i).phi0, the torsion xi_i and the
-    stabilizer part D Lambda_i - xi_i (m being its orthogonal complement)
-    from the slot's SlotRecord, and its terms of Delta phi and c_xi.phi
-    from slot_squares; the stages only gather and sum them.  S, eta
-    and the torsion are kept once gathered, and so are the classes and the
-    cleared values the verdicts are decided on, which no positive_only
-    setting changes; each verdict is kept per setting.  What a stage hands
-    out is fresh or read-only (tuples, 2-forms with proxied terms,
-    Classes, Verdicts).  The stabilizer, m, J and psi come from the
-    structure shared by every model with the same n and phi0.
+    in the process with that slot as written, D and structure shares: the
+    cleared slot, the S column and eta of lift(D Lambda_i).phi0, the
+    torsion xi_i and the stabilizer part D Lambda_i - xi_i (m being its
+    orthogonal complement) from the slot's SlotRecord, and its terms of
+    Delta phi and c_xi.phi from slot_squares; the stages only gather and
+    sum them.  S, eta and the torsion are kept once gathered, and so are
+    the classes and the cleared values the verdicts are decided on, which
+    no positive_only setting changes; each verdict is kept per setting.
+    What a stage hands out is fresh or read-only (tuples, 2-forms with
+    proxied terms, Classes, Verdicts).  The stabilizer, m, J and psi come
+    from the structure shared by every model with the same n and phi0.
     """
 
     def __init__(self, model: HomogeneousModel):
@@ -617,22 +627,9 @@ class ModelAnalysis:
 
     @cached_property
     def cleared(self):
-        """The slots D*Lambda_i, read-only; each coefficient a polynomial in u.
-        ModelError names the first entry, in file order, whose cleared
-        degree deg num + deg D - deg den passes MAX_CLEARED_DEGREE, before
-        any is multiplied out: D alone does not bound it."""
-        d = self.common_denominator
-        for k, slot in enumerate(self.model.lam, 1):
-            for (i, j), c in slot.terms.items():
-                degree = c.num.degree + d.degree - c.den.degree
-                if degree > MAX_CLEARED_DEGREE:
-                    raise ModelError(
-                        f"slot {k} ({i},{j}): cleared coefficient of degree "
-                        f"{degree} above {MAX_CLEARED_DEGREE}")
-        return _read_only(self.model.n,
-                          ({key: Scalar(c.num * d.exact_div(c.den))
-                            for key, c in slot.terms.items()}
-                           for slot in self.model.lam))
+        """The slots D*Lambda_i, read-only, from their records; each
+        coefficient a polynomial in u."""
+        return tuple(record.cleared for record in self._slots)
 
     @cached_property
     def _inverse(self):
@@ -659,8 +656,20 @@ class ModelAnalysis:
 
     @cached_property
     def _slots(self):
-        """The SlotRecord of each cleared slot, in slot order."""
-        return [slot_record(self.structure, slot) for slot in self.cleared]
+        """The SlotRecord of each slot, in slot order.  ModelError names the
+        first entry, in file order, whose cleared degree deg num + deg D -
+        deg den passes MAX_CLEARED_DEGREE, before any record is looked up
+        or multiplied out: D alone does not bound it."""
+        d = self.common_denominator
+        for k, slot in enumerate(self.model.lam, 1):
+            for (i, j), c in slot.terms.items():
+                degree = c.num.degree + d.degree - c.den.degree
+                if degree > MAX_CLEARED_DEGREE:
+                    raise ModelError(
+                        f"slot {k} ({i},{j}): cleared coefficient of degree "
+                        f"{degree} above {MAX_CLEARED_DEGREE}")
+        return [slot_record(self.structure, d, slot)
+                for slot in self.model.lam]
 
     @kept
     def _extract(self):
@@ -821,8 +830,11 @@ class ModelAnalysis:
         # c_xi.phi = 1/2 sum_i xi_i.(xi_i.phi)
         delta = zero_vec(8)
         c_xi_phi = zero_vec(8)
-        for slot in self.cleared:
-            lift2, xi2 = slot_squares(self.structure, slot)
+        d = self.common_denominator
+        # the records first, so the size scan of _slots runs before any
+        # slot is squared
+        for slot, _ in zip(self.model.lam, self._slots):
+            lift2, xi2 = slot_squares(self.structure, d, slot)
             delta = vec_sub(delta, lift2)
             c_xi_phi = vec_add(c_xi_phi, xi2)
         half = Scalar.rational(1, 2)

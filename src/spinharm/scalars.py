@@ -39,14 +39,16 @@ gcd, so `Scalar.rational(1) is ONE`.  This is safe because `Scalar` and
 construction.  A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
-Root finding runs on ints: continued fractions (Taylor shifts and
-Descartes' rule of signs) isolate the real roots in the domain asked
-for: t > 0 (`positive_only`), or both sides of 0 and t = 0.  A rational
-root p/q shows up exactly, and exact division by q t - p counts its
-multiplicity; a root left between Farey neighbours too close for a
-fraction whose denominator divides the leading coefficient is
-irrational, so the one isolation gives the rational roots and the
-irrational ones' count.
+Root finding runs on ints, on the squarefree part f of the polynomial,
+in the domain asked for: t > 0 (`positive_only`), or both sides of 0 and
+t = 0.  An f of degree 1, or of degree 2 with no real root or a square
+discriminant, is solved in closed form; any other f goes to continued
+fractions (Taylor shifts and Descartes' rule of signs), which isolate
+its real roots.  There a rational root p/q shows up exactly, and a root
+left between Farey neighbours too close for a fraction whose denominator
+divides the leading coefficient is irrational, so the one isolation
+gives the rational roots and the irrational ones' count.  Either way
+exact division by q t - p counts a rational root's multiplicity.
 Verdicts are always decided exactly; floating point appears only in
 eval_numeric, the one-value reference the float oracle (numeric.py) is
 tested against.
@@ -145,7 +147,7 @@ class Poly:
     def bits(self):
         """The most bits of an integer in the fraction-free form: the
         coprime integer coefficients and their one positive denominator."""
-        return max(c.bit_length() for c in (self.dd, *self.ints))
+        return max(map(int.bit_length, (self.dd, *self.ints)))
 
     def __bool__(self):
         return bool(self.ints)
@@ -960,15 +962,35 @@ def _isolate(f, lead, side, found, others):
                 todo.append((_shift(g[::-1], 1)[mid:], b, a + b, d, c + d))
 
 
+def _closed_form(f):
+    """The real roots of the squarefree integer list f of degree 1, or of
+    degree 2 with no real root or a square discriminant, all rational; None
+    for any other f, whose roots `_isolate` finds."""
+    if len(f) == 2:
+        return [Fraction(-f[0], f[1])]
+    if len(f) != 3:
+        return None
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return None
+    return [Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)]
+
+
 def rational_roots(p: Poly, positive_only=False):
     """(roots, others): the rational roots of p with multiplicities, and
     one (lo, hi, 0) per distinct irrational real root, which lies in the
     open interval (lo, hi) of Fraction ends, neither end a root of p, on
     the negative side when hi <= 0 and on the positive side when lo >= 0.
-    With positive_only only the roots t > 0 are isolated and returned.
-    Exact division by q t - p gives a rational root's multiplicity.  Raises
-    IdenticallyZero on the zero polynomial, which `vanishing_verdict` never
-    passes: it returns ALL_T for a zero gcd first.
+    With positive_only only the roots t > 0 are returned.  A squarefree
+    part that `_closed_form` solves is not isolated; any other is, by
+    `_isolate`.  Exact division by q t - p gives a rational root's
+    multiplicity.  Raises IdenticallyZero on the zero polynomial, which
+    `vanishing_verdict` never passes: it returns ALL_T for a zero gcd
+    first.
     """
     if p.is_zero:
         raise IdenticallyZero("identically zero")
@@ -981,9 +1003,13 @@ def rational_roots(p: Poly, positive_only=False):
         return roots, others
     derivative = _poly([j * c for j, c in enumerate(work.ints)][1:], work.dd)
     f = work.exact_div(poly_gcd(work, derivative)).int_coeffs()
-    found = []
-    for side in (1,) if positive_only else (1, -1):
-        _isolate(f, f[-1], side, found, others)
+    found = _closed_form(f)
+    if found is None:
+        found = []
+        for side in (1,) if positive_only else (1, -1):
+            _isolate(f, f[-1], side, found, others)
+    elif positive_only:
+        found = [r for r in found if r > 0]
     rest = work.int_coeffs()
     for r in sorted(found):
         mult, n, d = 0, r.numerator, r.denominator

@@ -450,6 +450,120 @@ def test_roots_against_the_plain_kernels_sturm_isolation():
             assert (roots, others) == _positive_part(poly), poly
 
 
+def _planted(rng):
+    """A nonzero fraction of up to 12 digits over up to 12, either sign."""
+    digits = rng.randint(1, 12), rng.randint(1, 12)
+    return Fraction(rng.choice([1, -1]) * rng.randint(1, 10 ** digits[0]),
+                    rng.randint(1, 10 ** digits[1]))
+
+
+def _low_degree_polys(count, seed):
+    """Polynomials whose squarefree part has degree 1 or 2: t - r; two
+    planted lines (a square discriminant, or one root twice); a quadratic
+    with no real root; one with irrational real roots (small, t^2 - c for
+    a c of up to 12 digits, or around a planted root); each times a
+    rational constant, and some squared or times t."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            poly = _linear(_planted(rng))
+        elif kind == 1:
+            r = _planted(rng)
+            poly = _linear(r) * _linear(rng.choice([r, -r, _planted(rng)]))
+        elif kind == 2:
+            a = rng.randint(1, 10 ** rng.randint(1, 12))
+            b = rng.randint(-a, a)
+            c = (b * b) // (4 * a) + rng.randint(1, 10 ** rng.randint(1, 12))
+            poly = Poly((c, b, a))
+        else:
+            r = _planted(rng)
+            c = rng.randint(2, 10 ** 12)
+            if math.isqrt(c) ** 2 == c:
+                c += 1
+            poly = rng.choice([
+                _real_irrational_quadratic(rng), Poly((-c, 0, 1)),
+                Poly((r.denominator ** 2,)) * _linear(r) * _linear(r)
+                - Poly((2,))])
+        poly = poly * Poly((_planted(rng),))
+        if rng.random() < 0.3:
+            poly = poly * poly
+        if rng.random() < 0.2:
+            poly = poly * Poly((0, 1))
+        yield poly
+
+
+def test_closed_form_against_continued_fractions_and_the_plain_kernel(
+        monkeypatch):
+    """A squarefree part of degree 1 or 2 with rational or no real roots
+    is solved in closed form: the same rational roots and multiplicities
+    as the plain kernel's Sturm isolation, and the same roots and the same
+    irrational intervals as the continued fractions, which an irrational
+    quadratic still goes to, on the whole line and with positive_only."""
+    import plain_kernel
+    polys = list(_low_degree_polys(200, seed=43))
+    results = {(k, positive_only): rational_roots(poly, positive_only)
+               for k, poly in enumerate(polys)
+               for positive_only in (False, True)}
+    monkeypatch.setattr(scalars_module, "_closed_form", lambda f: None)
+    for (k, positive_only), (roots, others) in results.items():
+        poly = polys[k]
+        assert (roots, others) == rational_roots(poly, positive_only), poly
+        plain = plain_kernel.rational_roots(plain_kernel.Poly(poly.coeffs),
+                                            positive_only)
+        assert roots == plain[0], poly
+        assert len(others) == len(plain[1]), poly
+
+
+def test_closed_form_against_sympy():
+    """The closed form's rational roots and the intervals' count against
+    sympy's real roots, in both domains."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for poly in _low_degree_polys(120, seed=47):
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**j
+                   for j, c in enumerate(poly.coeffs))
+        real = sympy.Poly(expr, t).real_roots(multiple=False)
+        for positive_only in (False, True):
+            domain = [(r, m) for r, m in real if r > 0 or not positive_only]
+            roots, others = rational_roots(poly, positive_only)
+            assert roots == {Fraction(int(r.p), int(r.q)): m
+                             for r, m in domain if r.is_rational}, poly
+            assert len(others) == sum(not r.is_rational
+                                      for r, _ in domain), poly
+
+
+def test_a_roots_report_isolates_nothing(tmp_path, monkeypatch):
+    # aw11 perturbed by (t - p/q), p and q 11-digit primes, as the
+    # benchmark's roots files are: every verdict gcd has a squarefree part
+    # of degree 1 or 2 with rational roots, solved in closed form
+    import io
+    import json
+    from spinharm.cli import main
+    from spinharm.homogeneous import load_model
+    p, q = 50000000021, 50000000023
+    data = load_model("aw11").to_dict()
+    data["lambda"][0] += [dict(ent, coeff=f"({ent['coeff']})*(t-{p}/{q})")
+                          for ent in data["lambda"][1]]
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    calls = []
+    for name in ("_floor_root", "_isolate"):
+        original = getattr(scalars_module, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(scalars_module, name, counted)
+    out = io.StringIO()
+    assert main(["report", str(path), "--format", "structured"], out=out) == 0
+    report = json.loads(out.getvalue())
+    assert report["harmonicity"]["roots"] == {"1/2": 1, f"{p}/{q}": 1}
+    assert report["canonical_parameters"]["roots"] == {"1/8": 1}
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # numeric and exact evaluation
 

@@ -1,12 +1,14 @@
 """Each distinct cleared Wang-map slot is analysed once per process.
 
-`homogeneous.slot_record` and `slot_squares` keep, per (structure, cleared
-slot), every per-slot value the pipeline reads, in one bounded table
-(`_SLOTS`).  These tests pin that a model sharing slots with one analysed
-before analyses only its new slots, that a warm table prints the recorded
-bytes, that the table keeps within MAX_SLOT_TABLE_BYTES, that a kept value
-cannot be written into, that a build that raises keeps nothing, and that a
-report refused before the cross-check builds no squares.
+`homogeneous.slot_record` and `slot_squares` keep, per (structure, common
+denominator D, slot as written), the cleared slot and every per-slot value
+the pipeline reads, in one bounded table (`_SLOTS`).  These tests pin that
+a model sharing slots with one analysed before analyses and clears only
+its new slots, that a new D clears the shared slots afresh, that a warm
+table prints the recorded bytes, that the table keeps within
+MAX_SLOT_TABLE_BYTES, that a kept value cannot be written into, that a
+build that raises keeps nothing, and that a report refused before the
+cross-check builds no squares.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ from spinharm.gstruct import SpinorParts, SpinorStructure
 from spinharm.homogeneous import (BUILTIN_MODELS, HomogeneousModel,
                                   ModelAnalysis, ModelError, load_model,
                                   slot_record, slot_squares)
-from spinharm.scalars import ONE
+from spinharm.scalars import ONE, Poly
 from test_fuzz_model_file import _model_record
 from test_pinned_reports import record
 
@@ -77,6 +79,44 @@ def test_a_perturbed_copy_lifts_only_its_new_slot(tmp_path, monkeypatch):
     assert on_phi0.count(True) == 1
 
 
+def test_a_perturbed_copy_clears_only_its_new_slot(monkeypatch):
+    # slots 2 to 7 are aw11's as written, under aw11's D = u: their
+    # records are hits, and only slot 1's six entries are multiplied out
+    assert _report(["report", "aw11"])[0] == 0
+    an = ModelAnalysis(HomogeneousModel.from_dict(_perturbed_aw11(3, 7)))
+    an.common_denominator
+    calls = []
+    exact_div = Poly.exact_div
+
+    def counted(a, b):
+        calls.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(Poly, "exact_div", counted)
+    an._slots
+    assert len(calls) == 6
+
+
+def test_a_new_denominator_clears_the_shared_slots_afresh(tmp_path):
+    # an entry 1/(t+1) in slot 1 makes D = u (u + 1), while slots 2 to 7
+    # stay aw11's as written: their records under D = u must not be read
+    d = load_model("aw11").to_dict()
+    d["lambda"][0].append({"i": 1, "j": 2, "coeff": "1/(t+1)"})
+    d["name"] = "aw11-pole"
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    argv = ["report", str(path), "--format", "structured"]
+    aw11 = ["report", "aw11", "--format", "structured"]
+    cold = _report(argv)
+    homogeneous._builtin_model.cache_clear()
+    assert _report(aw11)[1] == \
+        (GOLDEN / "report-aw11.json").read_text(encoding="utf-8")
+    homogeneous._SLOTS.clear()
+    homogeneous._builtin_model.cache_clear()
+    assert _report(aw11)[0] == 0
+    assert _report(argv) == cold
+
+
 def test_records_are_shared_across_term_order_not_across_structures():
     builtin = ModelAnalysis.of(load_model("aw11"))
     d = load_model("aw11").to_dict()
@@ -85,9 +125,11 @@ def test_records_are_shared_across_term_order_not_across_structures():
     reordered = ModelAnalysis(HomogeneousModel.from_dict(d))
     assert all(a is b for a, b in zip(reordered._slots, builtin._slots))
     assert len(homogeneous._SLOTS) == 7
-    assert [slot_squares(reordered.structure, slot)
-            for slot in reordered.cleared] == \
-        [slot_squares(builtin.structure, slot) for slot in builtin.cleared]
+    d = builtin.common_denominator
+    assert [slot_squares(reordered.structure, d, slot)
+            for slot in reordered.model.lam] == \
+        [slot_squares(builtin.structure, d, slot)
+         for slot in builtin.model.lam]
     assert len(homogeneous._SLOTS) == 14
     slots = [[{"i": 1, "j": 2, "coeff": "t"}]]
     for n in (6, 7):
@@ -164,10 +206,13 @@ def test_a_kept_record_is_read_only():
         with pytest.raises(TypeError):
             mine.xi.terms[(1, 2)] = ONE
         with pytest.raises(TypeError):
+            mine.cleared.terms[(1, 2)] = ONE
+        with pytest.raises(TypeError):
             mine[0] = ONE
-    for slot in cp3.cleared:
-        squares = slot_squares(cp3.structure, slot)
-        assert squares is slot_squares(copy.structure, slot)
+    d = cp3.common_denominator
+    for slot in cp3.model.lam:
+        squares = slot_squares(cp3.structure, d, slot)
+        assert squares is slot_squares(copy.structure, d, slot)
         for spinor in (squares, *squares):
             with pytest.raises(TypeError):
                 spinor[0] = ONE
@@ -191,7 +236,8 @@ def test_a_record_build_that_raises_keeps_nothing(monkeypatch):
         an.torsion()
     structure = an.structure
     kept = [entry[0] for entry in homogeneous._SLOTS.values()]
-    assert kept == [slot_record(structure, slot) for slot in an.cleared[:2]]
+    assert kept == [slot_record(structure, an.common_denominator, slot)
+                    for slot in an.model.lam[:2]]
     monkeypatch.undo()
     assert len(an._slots) == 7 and len(homogeneous._SLOTS) == 7
     assert _report(["report", "aw11", "--format", "structured"])[1] == \
@@ -205,6 +251,8 @@ def test_phi_component_breach_names_the_slot_in_each_model(tmp_path,
     aw11 = ModelAnalysis(load_model("aw11"))
     structure = aw11.structure
     target = structure.rep.lift_act(aw11.cleared[1], structure.phi)
+    # reading cleared keeps aw11's records: built again, under the patch
+    homogeneous._SLOTS.clear()
     decompose = SpinorStructure.decompose
 
     def breach(self, psi):
