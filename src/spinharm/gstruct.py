@@ -30,10 +30,12 @@ These depend on (n, phi) alone, not on a model's Wang map or on t:
 and computes each piece once, on first use.  The fixed linear maps among
 them are kept by their nonzero entries and applied by those alone: the
 transposed frame; one projector, onto m, whose remainder is the stabilizer
-part; and one table of the contractions e_l -| psi, which gives the torsion
-slots and, with its left inverse, the W4 vector.  The decomposition frame
-is checked once per structure to be orthonormal, and each W4 solve
-multiplies back through the contraction table.
+part; one table of the contractions e_l -| psi, which gives the torsion
+slots and, with its left inverse, the W4 vector; and J (n = 6), whose
+conjugation J S J splits a symmetric S into W2- and W3, formed on the
+upper triangle alone.  The decomposition frame is checked once per
+structure to be orthonormal, and each W4 solve multiplies back through
+the contraction table.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cache, cached_property, wraps
 from itertools import combinations
 from types import MappingProxyType
 
-from .scalars import Scalar, ONE, zero_at
+from .scalars import Scalar, ZERO, ONE, zero_at
 from .linalg import (Matrix, Subspace, _matrix, apply_columns,
                      sparse_columns, vec_add, vec_dot, vec_is_zero, vec_scale,
                      vec_sub, zero_vec)
@@ -258,16 +260,38 @@ class SpinorStructure:
         if n == 7:
             return Classes(self, {"W1": (trace,), "W2": w2, "W3": sym0,
                                   "W4": m_part}, self._solve_w4_vector(m_part))
-        j = self.almost_complex()
-        jsj = (j * _symmetric(6, sym0) * j).data
-        w2m = [(c - jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
-        w3 = [(c + jsj[a][b]) * _HALF for (a, b), c in zip(_upper(6), sym0)]
+        jsj = self._jsj_upper(sym0)
+        w2m = [(c - d) * _HALF for c, d in zip(sym0, jsj)]
+        w3 = [(c + d) * _HALF for c, d in zip(sym0, jsj)]
         xj, xj_norm2 = self._kahler_coords
         lam = vec_dot(x, xj) / xj_norm2
         return Classes(self, {"W1+": (lam,), "W1-": (trace,),
                               "W2+": w2, "W2-": w2m, "W3": w3,
                               "W4": vec_sub(m_part, vec_scale(lam, xj)),
                               "W5": zero_vec(6) if eta is None else eta})
+
+    @cached_property
+    def _j_columns(self):
+        """J by its nonzero columns (n = 6)."""
+        return sparse_columns(self.almost_complex())
+
+    def _jsj_upper(self, upper):
+        """The upper triangle of J S J, for the symmetric S with the given
+        upper triangle, on J's nonzero entries alone: the columns of J S,
+        then (J S) J only for a <= b.  That is never more products than the
+        two dense ones, and for J a signed permutation (every built-in's)
+        n^2 + n(n + 1)/2 in place of 2 n^2."""
+        cols = self._j_columns
+        # row k of the symmetric S is its column k
+        js = [apply_columns(cols, row, 6)
+              for row in _symmetric(6, upper).data]
+        out = []
+        for a, b in _upper(6):
+            acc = ZERO
+            for k, c in cols[b]:
+                acc = acc + js[k][a] * c
+            out.append(acc)
+        return out
 
     @cached_property
     def _w4_left_inverse(self):
@@ -318,7 +342,7 @@ def _symmetric(n, upper):
     m = [[None] * n for _ in range(n)]
     for (a, b), c in zip(_upper(n), upper):
         m[a][b] = m[b][a] = c
-    return Matrix(m)
+    return _matrix(m, n)
 
 
 def _skew(n, pairs):

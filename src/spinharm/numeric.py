@@ -13,8 +13,9 @@ Lambda coefficient is evaluated once over the whole grid, and S, eta, the
 torsion, chi, the divergences and both residuals come out of einsum
 contractions and one batched solve, with the grid as the leading axis.
 Poles are exact: at a rational t every distinct non-constant denominator
-is tested with `scalars.vanishes_at`, so a row whose float denominator
-merely rounds to a tiny nonzero value is still a pole, and reads None.
+is tested with `scalars.vanishes_at`, on integers, so a row whose float
+denominator merely rounds to a tiny nonzero value is still a pole, and
+reads None.
 There is no one-row view: a single t is the grid [t0], read at row 0.
 """
 

@@ -39,6 +39,8 @@ gcd, so `Scalar.rational(1) is ONE`.  This is safe because `Scalar` and
 construction.  A point question ("is s zero at t0?") is answered by
 `zero_at` alone: at an irrational u0 = sqrt(c) it tests the even and odd
 parts of num and den at c, so no value type for Q(sqrt(c)) is needed.
+`vanishes_at` decides each such test on integers, by homogeneous Horner
+on the integer numerator or its even and odd slices, with no Fraction.
 Root finding runs on ints, on the squarefree part f of the polynomial,
 in the domain asked for: t > 0 (`positive_only`), or both sides of 0 and
 t = 0.  An f of degree 1, or of degree 2 with no real root or a square
@@ -816,11 +818,15 @@ def vanishes_at(p: Poly, c: Fraction, root) -> bool:
     """Whether p(u) is exactly 0 at u = root, or at u = sqrt(c) when root
     is None: the pair (c, root) that `Substitution.u_value` gives.  An
     irrational sqrt(c) is a root of p = E(u^2) + u O(u^2) exactly when
-    E(c) = O(c) = 0."""
+    E(c) = O(c) = 0.  Decided on integers: q^m g(r/q) by `_at` on p's
+    integer numerator, or on its even and odd slices, with no Fraction or
+    Poly built; an empty slice is the zero polynomial."""
+    a = p.ints
     if root is not None:
-        return p.eval(root) == 0
-    e, o = p.even_odd_parts()
-    return e.eval(c) == 0 and o.eval(c) == 0
+        return not a or not _at(a, root.numerator, root.denominator)
+    n, d = c.numerator, c.denominator
+    e, o = a[0::2], a[1::2]
+    return (not e or not _at(e, n, d)) and (not o or not _at(o, n, d))
 
 
 def zero_at(s: Scalar, sub: Substitution, t0) -> bool:

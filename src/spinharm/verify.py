@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .scalars import Scalar, ZERO, ONE, zero_at
-from .linalg import Matrix, Subspace, vec_is_zero
+from .linalg import Matrix, Subspace, _matrix, vec_is_zero
 from .clifford import MultiVector, SpinRep, bracket, c_sigma, index_pairs
-from .gstruct import SpinorStructure
+from .gstruct import SpinorStructure, _HALF, _split, _symmetric
 from .homogeneous import (ALL_T, ROOT_SET, ModelAnalysis, Verdict,
                           load_model)
 
@@ -104,14 +105,20 @@ def _rand_vector(rng, n):
 
 
 def _rand_matrix(rng, n):
-    return Matrix([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)])
+    return _matrix([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)],
+                   n)
+
+
+def _rand_traceless_upper(rng, n):
+    """The upper triangle of (raw + raw^T)/2 - (tr/n) Id for a random raw
+    matrix."""
+    raw = _rand_matrix(rng, n)
+    return _split(raw, raw.trace() / Scalar.rational(n))[0]
 
 
 def _rand_symmetric_traceless(rng, n):
     """(raw + raw^T)/2 - (tr/n) Id for a random raw matrix."""
-    raw = _rand_matrix(rng, n)
-    sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
-    return sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))
+    return _symmetric(n, _rand_traceless_upper(rng, n))
 
 
 # --------------------------------------------------------------------------
@@ -172,21 +179,29 @@ def check_volume_element():
 # criterion 3: stabilizer algebras and complements
 
 
+@cache
+def _published(n):
+    """The published stabilizer and complement lists of dimension n as
+    Subspaces, row-reduced once per process."""
+    gens, comp = ((SU3_GENERATORS, SU3_COMPLEMENT) if n == 6 else
+                  (G2_GENERATORS, G2_COMPLEMENT))
+    return _forms_subspace(gens, n), _forms_subspace(comp, n)
+
+
 def check_stabilizer_algebras():
     fails = []
-    for n, gen_list, comp_list, dim in (
-            (6, SU3_GENERATORS, SU3_COMPLEMENT, 8),
-            (7, G2_GENERATORS, G2_COMPLEMENT, 14)):
+    for n, dim in ((6, 8), (7, 14)):
         st = SpinorStructure.shared(n, S5)
+        published_ann, published_comp = _published(n)
         ann = st.annihilator()
         if ann.dim != dim:
             fails.append(f"n={n}: annihilator dim {ann.dim} != {dim}")
-        if ann != _forms_subspace(gen_list, n):
+        if ann != published_ann:
             fails.append(f"n={n}: annihilator != published generator list")
         comp = st.complement_m()
         if comp.dim != 7:
             fails.append(f"n={n}: complement dim {comp.dim} != 7")
-        if comp != _forms_subspace(comp_list, n):
+        if comp != published_comp:
             fails.append(f"n={n}: complement != published list")
     return [CheckResult("stabilizer-algebras", not fails,
                         "; ".join(fails) or
@@ -389,9 +404,10 @@ def _property_chi_vanishes(rng, trials):
 
 
 def _w3_class_matrix(rng, st):
-    sym = _rand_symmetric_traceless(rng, 6)
-    j = st.almost_complex()
-    return (sym + j * sym * j).scale(Scalar.rational(1, 2))
+    """(S + J S J)/2 for a random symmetric traceless S."""
+    sym = _rand_traceless_upper(rng, 6)
+    return _symmetric(6, [(c + d) * _HALF
+                          for c, d in zip(sym, st._jsj_upper(sym))])
 
 
 def _property_w3_energy(rng, trials):

@@ -19,7 +19,9 @@ contractions e_l -| psi.
 
 `rand_fraction_scalar` is the first draw of `verify`'s random rationals:
 a Fraction, then a Scalar.  Its instances and rng states are the ones the
-recorded `verify` output was made with.
+recorded `verify` output was made with.  `rand_symmetric_traceless` and
+`w3_class_matrix` are the dense forms of `verify`'s symmetric traceless and
+W3-class instances, built from it by Matrix sums, scalings and products.
 """
 
 from fractions import Fraction
@@ -103,3 +105,19 @@ def rand_fraction_scalar(rng):
     """A rational in [-2, 2] as Fraction(randint, choice), then a Scalar."""
     return Scalar.rational(Fraction(rng.randint(-2, 2),
                                     rng.choice((1, 1, 2))))
+
+
+def rand_symmetric_traceless(rng, n):
+    """(raw + raw^T)/2 - (tr/n) Id for a raw matrix of
+    `rand_fraction_scalar`s drawn row by row."""
+    raw = Matrix([[rand_fraction_scalar(rng) for _ in range(n)]
+                  for _ in range(n)])
+    sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
+    return sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))
+
+
+def w3_class_matrix(rng, structure):
+    """(S + J S J)/2 for S = `rand_symmetric_traceless(rng, 6)`."""
+    sym = rand_symmetric_traceless(rng, 6)
+    j = structure.almost_complex()
+    return (sym + j * sym * j).scale(Scalar.rational(1, 2))

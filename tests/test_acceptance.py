@@ -50,6 +50,50 @@ def test_criterion_3_stabilizer_algebras():
     _assert_all(verify.check_stabilizer_algebras())
 
 
+def _count_calls(monkeypatch, owner, attr):
+    """A list that grows by one on each call of owner.attr."""
+    calls, fn = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_second_stabilizer_check_reduces_nothing(monkeypatch):
+    # the published lists are row-reduced once per process
+    _assert_all(verify.check_stabilizer_algebras())
+    rrefs = _count_calls(monkeypatch, verify.Matrix, "rref")
+    _assert_all(verify.check_stabilizer_algebras())
+    assert rrefs == []
+
+
+def test_a_broken_published_generator_fails_after_the_cache_clears(
+        monkeypatch):
+    broken = [dict(g) for g in verify.SU3_GENERATORS]
+    broken[0][(1, 3)] = 2
+    monkeypatch.setattr(verify, "SU3_GENERATORS", broken)
+    verify._published.cache_clear()
+    try:
+        [result] = verify.check_stabilizer_algebras()
+    finally:
+        monkeypatch.undo()
+        verify._published.cache_clear()
+    assert not result.ok
+    assert result.detail == "n=6: annihilator != published generator list"
+    _assert_all(verify.check_stabilizer_algebras())
+
+
+def test_warm_property_suite_makes_no_matrix_product(monkeypatch):
+    # the instances are filled by their upper triangles and J S J is read
+    # off J's nonzero entries
+    _assert_all(verify.check_property_suite(trials=2, seed=38))
+    products = _count_calls(monkeypatch, verify.Matrix, "__mul__")
+    _assert_all(verify.check_property_suite(trials=2, seed=39))
+    assert products == []
+
+
 def test_criterion_4_cp3():
     _assert_all(verify.check_cp3())
 
@@ -127,21 +171,30 @@ def _draw_instances(seed):
     """The random instances of the property suite for one seed, with the rng
     state after each draw."""
     rng = random.Random(seed)
+    st = verify.SpinorStructure.shared(6, verify.S5)
     out = []
     for draw in (lambda: verify._rand_vector(rng, 7),
                  lambda: verify._rand_2form(rng, 6),
                  lambda: verify._rand_2form(rng, 7, nterms=3),
                  lambda: verify._rand_matrix(rng, 6),
-                 lambda: verify._rand_matrix(rng, 7)):
+                 lambda: verify._rand_matrix(rng, 7),
+                 lambda: verify._rand_symmetric_traceless(rng, 6),
+                 lambda: verify._rand_symmetric_traceless(rng, 7),
+                 lambda: verify._w3_class_matrix(rng, st)):
         out.append((draw(), rng.getstate()))
     return out
 
 
 def test_random_instances_match_the_fraction_draw(monkeypatch):
-    # _rand_scalar draws straight into shared constants; the instances and
-    # the rng states must be those of the Fraction-then-Scalar draw
+    # _rand_scalar draws straight into shared constants, and the symmetric
+    # instances are filled by their upper triangles; the instances and the
+    # rng states must be those of the Fraction-then-Scalar draw and of the
+    # dense Matrix formulas
     seeds = range(20)
     new = [_draw_instances(seed) for seed in seeds]
     monkeypatch.setattr(verify, "_rand_scalar", reference.rand_fraction_scalar)
+    monkeypatch.setattr(verify, "_rand_symmetric_traceless",
+                        reference.rand_symmetric_traceless)
+    monkeypatch.setattr(verify, "_w3_class_matrix", reference.w3_class_matrix)
     old = [_draw_instances(seed) for seed in seeds]
     assert new == old

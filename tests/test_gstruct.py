@@ -431,12 +431,47 @@ def test_warm_classify_su3_forms_j_s_j_once(monkeypatch):
         return wrapper
 
     for owner, attr in ((Matrix, "__mul__"),
-                        (SpinorStructure, "kahler_form")):
+                        (SpinorStructure, "kahler_form"),
+                        (SpinorStructure, "_jsj_upper")):
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
     cls = st.classify(cp3_S(), zero_vec(6))
-    assert calls == Counter({"__mul__": 2})   # J * sym0, then (J sym0) * J
+    # J sym0 J once, on J's nonzeros: no Matrix product
+    assert calls == Counter({"_jsj_upper": 1})
     assert cls.total() == cp3_S()
     assert cls.flags() == {"W1-", "W2-"}
+
+
+# e5, whose J is a signed permutation, and a rational unit spinor whose J
+# has 24 nonzero entries
+_JSJ_SPINORS = (S5, [sc(1, 2), sc(1, 2), sc(0), sc(1, 2), sc(0), sc(0),
+                     sc(1, 2), sc(0)])
+
+
+@pytest.mark.parametrize("phi", _JSJ_SPINORS, ids=("e5", "dense-j"))
+def test_jsj_upper_is_the_dense_product(monkeypatch, phi):
+    st = SpinorStructure.shared(6, phi)
+    j = st.almost_complex()
+    rng = random.Random(38)
+    products = Counter()
+    mul = Scalar.__mul__
+
+    def counted(x, y):
+        products[side] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    for _ in range(10):
+        upper = [sc(rng.randint(-3, 3), rng.choice((1, 2)))
+                 for _ in gstruct._upper(6)]
+        sym = gstruct._symmetric(6, upper)
+        side = "dense"
+        dense = (j * sym * j).data
+        side = "sparse"
+        assert st._jsj_upper(upper) == [dense[a][b]
+                                        for a, b in gstruct._upper(6)]
+    assert products["sparse"] <= products["dense"]
+    if phi is S5:   # a signed permutation: 36 + 21 products, not 72
+        assert products["sparse"] < products["dense"]
 
 
 def test_classify_components_reclassify_pure():

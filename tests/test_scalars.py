@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinharm import scalars as scalars_module, verify
 from spinharm.scalars import (
@@ -614,15 +614,31 @@ def test_zero_at_rational_point():
 
 
 @given(st.lists(st.integers(-5, 5), max_size=6),
-       st.sampled_from([2, 3, 5, 6, 7, Fraction(1, 2), Fraction(8, 3)]))
+       st.sampled_from([2, 3, 5, 6, 7, Fraction(1, 2), Fraction(8, 3),
+                        -1, -4, Fraction(-2, 5)]),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       st.booleans())
+@example(ints=[], c=2, r=Fraction(0), odd=False)   # the zero polynomial
+@example(ints=[3], c=-1, r=Fraction(1, 2), odd=False)   # a constant
+@example(ints=[-2, 0, 1], c=2, r=Fraction(-3, 2), odd=True)
 @settings(max_examples=60, deadline=None)
-def test_vanishes_at_sqrt_c_iff_divisible_by_u2_minus_c(ints, c):
-    # c is not a rational square, so u^2 - c is irreducible over Q
-    p = Poly(ints)
+def test_vanishes_at_sqrt_c_iff_divisible_by_u2_minus_c(ints, c, r, odd):
+    # c is not a rational square (nor is any c < 0), so u^2 - c is
+    # irreducible over Q; p is even or odd after the factor u
+    import plain_kernel
+    p = Poly(ints) * Poly((0, 1) if odd else (1,))
     m = Poly((-Fraction(c), 0, 1))
     want = p.is_zero or poly_gcd(p, m).degree == 2
     assert vanishes_at(p, Fraction(c), None) == want
     assert vanishes_at(p * m, Fraction(c), None)
+    # at a rational u = r, with c = r^2 as `Substitution.u_value` pairs them
+    linear = Poly((-r, 1))
+    assert vanishes_at(p * linear, r * r, r)
+    # the integer test against the plain kernel's Fraction evaluation
+    for q in (p, p * m, p * linear):
+        plain = plain_kernel.Poly(q.coeffs)
+        for at in ((Fraction(c), None), (r * r, r)):
+            assert vanishes_at(q, *at) == plain_kernel.vanishes_at(plain, *at)
 
 
 # ---------------------------------------------------------------------------
