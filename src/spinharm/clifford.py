@@ -410,7 +410,9 @@ class SpinOp:
     term lists, and a product concatenates words, one Scalar product per
     pair of terms.  Terms are collected only by `dense()` and `==`, by the
     normalized signed permutation of their word, so the words of a
-    commutator cancel before any matrix cell is touched.
+    commutator cancel before any matrix cell is touched.  `==` collects
+    both sides in that one pass, the other side's terms by opposite sign,
+    and builds no difference.
     """
 
     __slots__ = ("rep", "terms")
@@ -440,14 +442,16 @@ class SpinOp:
                                       for w1, c1 in self.terms
                                       for w2, c2 in other.terms))
 
-    def _collected(self):
-        """{normalized signed permutation: coefficient}, zeros dropped."""
+    def _collected(self, minus=()):
+        """{normalized signed permutation: coefficient} of self less the
+        terms `minus`, zeros dropped."""
         out = {}
         normal = self.rep._normal
-        for word, c in self.terms:
-            perm, sign = normal(word)
-            prev = out.get(perm, ZERO)
-            out[perm] = prev + c if sign > 0 else prev - c
+        for terms, plus in ((self.terms, 1), (minus, -1)):
+            for word, c in terms:
+                perm, sign = normal(word)
+                prev = out.get(perm, ZERO)
+                out[perm] = prev + c if sign == plus else prev - c
         return {perm: c for perm, c in out.items() if c}
 
     def dense(self) -> Matrix:
@@ -456,7 +460,8 @@ class SpinOp:
     def __eq__(self, other):
         if not isinstance(other, SpinOp):
             return NotImplemented
-        rest = (self - other)._collected()
+        self._check(other)
+        rest = self._collected(other.terms)
         # distinct signed permutations can still be linearly dependent (as
         # under a broken generator table), so what survives is expanded
         return not rest or _dense(rest).is_zero

@@ -326,15 +326,20 @@ def _upper(n):
     return [(a, b) for a in range(n) for b in range(a, n)]
 
 
+def _sym_upper(d, n, c):
+    """The upper triangle of sym(S) - c Id for the n rows d of S:
+    (S_ab + S_ba)/2 off the diagonal."""
+    return [d[a][a] - c if a == b else (d[a][b] + d[b][a]) * _HALF
+            for a, b in _upper(n)]
+
+
 def _split(s, c):
-    """The upper triangle of sym(S) - c Id and the pair coordinates of
-    skew(S): (S_ab + S_ba)/2 off the diagonal and (S_ji - S_ij)/2."""
+    """`_sym_upper` of S and the pair coordinates (S_ji - S_ij)/2 of
+    skew(S)."""
     d = s.data
-    sym = [d[a][a] - c if a == b else (d[a][b] + d[b][a]) * _HALF
-           for a, b in _upper(s.rows)]
     skew = [(d[j - 1][i - 1] - d[i - 1][j - 1]) * _HALF
             for i, j in index_pairs(s.rows)]
-    return sym, skew
+    return _sym_upper(d, s.rows, c), skew
 
 
 def _symmetric(n, upper):

@@ -13,9 +13,12 @@ Lambda coefficient is evaluated once over the whole grid, and S, eta, the
 torsion, chi, the divergences and both residuals come out of einsum
 contractions and one batched solve, with the grid as the leading axis.
 Poles are exact: at a rational t every distinct non-constant denominator
-is tested with `scalars.vanishes_at`, on integers, so a row whose float
-denominator merely rounds to a tiny nonzero value is still a pole, and
-reads None.
+is tested exactly, so a row whose float denominator merely rounds to a
+tiny nonzero value is still a pole, and reads None.  A monomial c u^k
+(every built-in's common denominator is u) vanishes at t = 0 alone, under
+every substitution, and is tested by t == 0; any other denominator is
+tested with `scalars.vanishes_at`, on integers, at the u that
+`Substitution.u_value` gives, found only for rows that need it.
 There is no one-row view: a single t is the grid [t0], read at row 0.
 """
 
@@ -85,13 +88,20 @@ def frame(n, phi0) -> Frame:
 
 
 def _pole_rows(dens, sub, ts):
-    """Rows of the grid where one of the Polys dens vanishes exactly."""
+    """Rows of the grid where one of the non-constant Polys dens vanishes
+    exactly: t0 == 0 for a monomial c u^k, `vanishes_at` for the rest."""
     rows = np.zeros(len(ts), dtype=bool)
-    if dens:
-        for k, t0 in enumerate(ts):
-            if isinstance(t0, (int, Fraction)):
+    if not dens:
+        return rows
+    rest = [d for d in dens if any(d.int_coeffs()[:-1])]
+    at_zero = len(rest) < len(dens)
+    for k, t0 in enumerate(ts):
+        if isinstance(t0, (int, Fraction)):
+            if at_zero and t0 == 0:
+                rows[k] = True
+            elif rest:
                 c, root = sub.u_value(Fraction(t0))
-                rows[k] = any(vanishes_at(d, c, root) for d in dens)
+                rows[k] = any(vanishes_at(d, c, root) for d in rest)
     return rows
 
 

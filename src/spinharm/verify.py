@@ -6,6 +6,12 @@ sub-checks (eta value, harmonic root set, class flags) assert published
 values that are internally inconsistent with the conventions the other
 criteria pin down; they are asserted as stated and fail, with the computed
 truth in the detail string.  See the repository notes for the analysis.
+
+The property suite tests each identity on random rational instances.  Its
+draws read `rng.getrandbits` directly, making the same calls as CPython's
+`randint`, `choice` and `sample`, so the instances and every rng state
+after a draw are those of the library calls; each coefficient is one of
+15 constants prebuilt in `_RAND_SCALARS`.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import cache
 from .scalars import Scalar, ZERO, ONE, zero_at
 from .linalg import Matrix, Subspace, _matrix, vec_is_zero
 from .clifford import MultiVector, SpinRep, bracket, c_sigma, index_pairs
-from .gstruct import SpinorStructure, _HALF, _split, _symmetric
+from .gstruct import SpinorStructure, _HALF, _sym_upper, _symmetric
 from .homogeneous import (ALL_T, ROOT_SET, ModelAnalysis, Verdict,
                           load_model)
 
@@ -89,14 +95,41 @@ def _forms_subspace(generators, n):
     return Subspace(len(pairs), rows)
 
 
+# the values of _rand_scalar, by its two draws: n = -2 .. 2, then d
+_RAND_SCALARS = tuple(tuple(Scalar.rational(n, d) for d in (1, 1, 2))
+                      for n in range(-2, 3))
+
+
 def _rand_scalar(rng):
-    """A rational constant in [-2, 2]: randint, then choice."""
-    return Scalar.rational(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+    """A rational constant in [-2, 2]: the draws of randint(-2, 2), then
+    choice((1, 1, 2)), made through getrandbits as CPython's `_randbelow`
+    makes them (3 bits until below 5, then 2 bits until below 3)."""
+    bits = rng.getrandbits
+    i = bits(3)
+    while i >= 5:
+        i = bits(3)
+    j = bits(2)
+    while j == 3:
+        j = bits(2)
+    return _RAND_SCALARS[i][j]
 
 
 def _rand_2form(rng, n, nterms=4):
-    pairs = index_pairs(n)
-    chosen = rng.sample(pairs, min(nterms, len(pairs)))
+    """nterms distinct pairs, then a `_rand_scalar` for each.  The pairs are
+    the draws of rng.sample(index_pairs(n), nterms), made through
+    getrandbits by the pool swap that `Random.sample` uses for a population
+    of at most 21 and at most 5 picks: every n <= 7 with nterms <= 5."""
+    pool = list(index_pairs(n))
+    size = len(pool)
+    chosen = []
+    for i in range(min(nterms, size)):
+        m = size - i
+        k = m.bit_length()
+        j = rng.getrandbits(k)
+        while j >= m:
+            j = rng.getrandbits(k)
+        chosen.append(pool[j])
+        pool[j] = pool[m - 1]
     return MultiVector(n, {p: _rand_scalar(rng) for p in chosen})
 
 
@@ -105,15 +138,15 @@ def _rand_vector(rng, n):
 
 
 def _rand_matrix(rng, n):
-    return _matrix([[_rand_scalar(rng) for _ in range(n)] for _ in range(n)],
-                   n)
+    return _matrix([_rand_vector(rng, n) for _ in range(n)], n)
 
 
 def _rand_traceless_upper(rng, n):
     """The upper triangle of (raw + raw^T)/2 - (tr/n) Id for a random raw
-    matrix."""
-    raw = _rand_matrix(rng, n)
-    return _split(raw, raw.trace() / Scalar.rational(n))[0]
+    matrix, drawn row by row; its skew part is never formed."""
+    raw = [_rand_vector(rng, n) for _ in range(n)]
+    trace = sum((raw[a][a] for a in range(n)), ZERO)
+    return _sym_upper(raw, n, trace / Scalar.rational(n))
 
 
 def _rand_symmetric_traceless(rng, n):

@@ -18,15 +18,19 @@ multivector, the way the structure did before it kept a table of the
 contractions e_l -| psi.
 
 `rand_fraction_scalar` is the first draw of `verify`'s random rationals:
-a Fraction, then a Scalar.  Its instances and rng states are the ones the
-recorded `verify` output was made with.  `rand_symmetric_traceless` and
-`w3_class_matrix` are the dense forms of `verify`'s symmetric traceless and
-W3-class instances, built from it by Matrix sums, scalings and products.
+a Fraction from `randint` and `choice`, then a Scalar.  Its instances and
+rng states are the ones the recorded `verify` output was made with.
+`rand_2form` picks its pairs with `rng.sample`.  `rand_traceless_upper`
+splits a raw matrix with `gstruct._split`, skew part and all.
+`rand_symmetric_traceless` and `w3_class_matrix` are the dense forms of
+`verify`'s symmetric traceless and W3-class instances, built from
+`rand_fraction_scalar` by Matrix sums, scalings and products.
 """
 
 from fractions import Fraction
 
-from spinharm.clifford import MultiVector
+from spinharm.clifford import MultiVector, index_pairs
+from spinharm.gstruct import _split
 from spinharm.linalg import Matrix, vec_dot, vec_scale, vec_sub
 from spinharm.scalars import ZERO, Scalar
 
@@ -107,11 +111,29 @@ def rand_fraction_scalar(rng):
                                     rng.choice((1, 1, 2))))
 
 
+def rand_2form(rng, n, nterms=4):
+    """nterms pairs by rng.sample, then a `rand_fraction_scalar` each."""
+    pairs = index_pairs(n)
+    chosen = rng.sample(pairs, min(nterms, len(pairs)))
+    return MultiVector(n, {p: rand_fraction_scalar(rng) for p in chosen})
+
+
+def _rand_raw(rng, n):
+    return Matrix([[rand_fraction_scalar(rng) for _ in range(n)]
+                   for _ in range(n)])
+
+
+def rand_traceless_upper(rng, n):
+    """The upper triangle that `gstruct._split` gives for a raw matrix of
+    `rand_fraction_scalar`s and c = tr/n."""
+    raw = _rand_raw(rng, n)
+    return _split(raw, raw.trace() / Scalar.rational(n))[0]
+
+
 def rand_symmetric_traceless(rng, n):
     """(raw + raw^T)/2 - (tr/n) Id for a raw matrix of
     `rand_fraction_scalar`s drawn row by row."""
-    raw = Matrix([[rand_fraction_scalar(rng) for _ in range(n)]
-                  for _ in range(n)])
+    raw = _rand_raw(rng, n)
     sym = (raw + raw.transpose()).scale(Scalar.rational(1, 2))
     return sym - Matrix.identity(n).scale(sym.trace() / Scalar.rational(n))
 

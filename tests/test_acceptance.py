@@ -178,6 +178,8 @@ def _draw_instances(seed):
                  lambda: verify._rand_2form(rng, 7, nterms=3),
                  lambda: verify._rand_matrix(rng, 6),
                  lambda: verify._rand_matrix(rng, 7),
+                 lambda: verify._rand_traceless_upper(rng, 6),
+                 lambda: verify._rand_traceless_upper(rng, 7),
                  lambda: verify._rand_symmetric_traceless(rng, 6),
                  lambda: verify._rand_symmetric_traceless(rng, 7),
                  lambda: verify._w3_class_matrix(rng, st)):
@@ -186,13 +188,17 @@ def _draw_instances(seed):
 
 
 def test_random_instances_match_the_fraction_draw(monkeypatch):
-    # _rand_scalar draws straight into shared constants, and the symmetric
-    # instances are filled by their upper triangles; the instances and the
-    # rng states must be those of the Fraction-then-Scalar draw and of the
-    # dense Matrix formulas
-    seeds = range(20)
+    # _rand_scalar and _rand_2form read getrandbits and pick prebuilt
+    # constants, and the symmetric instances are filled by their upper
+    # triangles alone; the instances and the rng states must be those of
+    # randint, choice and sample, of the Fraction-then-Scalar draw, of
+    # gstruct._split and of the dense Matrix formulas
+    seeds = range(200)
     new = [_draw_instances(seed) for seed in seeds]
     monkeypatch.setattr(verify, "_rand_scalar", reference.rand_fraction_scalar)
+    monkeypatch.setattr(verify, "_rand_2form", reference.rand_2form)
+    monkeypatch.setattr(verify, "_rand_traceless_upper",
+                        reference.rand_traceless_upper)
     monkeypatch.setattr(verify, "_rand_symmetric_traceless",
                         reference.rand_symmetric_traceless)
     monkeypatch.setattr(verify, "_w3_class_matrix", reference.w3_class_matrix)

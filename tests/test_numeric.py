@@ -9,13 +9,16 @@ import copy
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinharm import numeric
 from spinharm.homogeneous import HomogeneousModel, ModelAnalysis, load_model
-from spinharm.scalars import eval_numeric
+from spinharm.scalars import Poly, Substitution, eval_numeric, vanishes_at
+
+MODELS_DIR = Path(__file__).parent / "data" / "models"
 
 GRID = [Fraction(k, 8) for k in range(1, 33, 3)]   # 1/8 .. 31/8
 
@@ -101,6 +104,40 @@ def test_pole_found_exactly_where_float_misses_it(flat6_dict):
     assert all(math.isfinite(r) for _, r in rows if r is not None)
     assert numeric.residual_norm(model, Fraction(2)) is None
     assert numeric.Grid(model, [Fraction(2)]).poles.tolist() == [True]
+
+
+def _pole_rows_per_row(dens, sub, ts):
+    """Every den tested at the u of every exact row."""
+    return [isinstance(t0, (int, Fraction))
+            and any(vanishes_at(d, *sub.u_value(Fraction(t0))) for d in dens)
+            for t0 in ts]
+
+
+def test_pole_rows_match_the_per_row_test():
+    # a monomial c u^k is a pole at t = 0 alone; every other denominator
+    # (pole.json's t - 1, the divided fixtures' factors) is tested per row
+    rng = random.Random(39)
+    models = [load_model(name) for name in ("cp3", "spin4", "aw11")]
+    models += [load_model(str(MODELS_DIR / f"{name}.json"))
+               for name in ("pole", "aw11-divided", "cp3-divided",
+                            "spin4-divided", "aw11-family")]
+    den_sets = [{c.den for slot in m.lam for c in slot.terms.values()
+                 if c.den.degree > 0} for m in models]
+    den_sets += [{Poly([0, 0, 3])}, {Poly([0, 0, 0, Fraction(-1, 2)])},
+                 {Poly([0, 0, 3]), Poly([-1, 1])}, set()]
+    subs = (Substitution.T_EQUALS_U, Substitution.T_EQUALS_U_SQUARED,
+            Substitution.T_EQUALS_HALF_U_SQUARED)
+    hit = set()
+    for dens in den_sets:
+        for sub in subs:
+            ts = [0, 1, -3, 0.0, 0.5]
+            ts += [Fraction(p, q) for p in range(-8, 9) for q in (1, 2, 4)]
+            ts += [Fraction(rng.randint(-64, 64), rng.randint(1, 8))
+                   for _ in range(60)]
+            want = _pole_rows_per_row(dens, sub, ts)
+            assert numeric._pole_rows(dens, sub, ts).tolist() == want
+            hit.update(t0 == 0 for t0, w in zip(ts, want) if w)
+    assert hit == {True, False}   # poles at t = 0 and away from it
 
 
 def test_spin4_bracket_at_three_halves_dips():

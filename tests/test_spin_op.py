@@ -113,6 +113,18 @@ def test_word_caches_hold_short_words_only():
     assert max(map(len, rep._perms)) == max(map(len, rep._normals)) == 4
 
 
+def test_equality_scales_no_operator(monkeypatch):
+    # `==` collects both sides in one pass: the 85 equalities of a warm
+    # check_clifford_relations build no negated copy of either side
+    verify.check_clifford_relations()
+    calls = []
+    real = clifford.SpinOp.scale
+    monkeypatch.setattr(clifford.SpinOp, "scale",
+                        lambda self, c: calls.append(c) or real(self, c))
+    [result] = verify.check_clifford_relations()
+    assert result.ok and calls == []
+
+
 def test_operands_of_another_representation_are_refused():
     a = SpinRep.build(6).op(MultiVector(6, {(1,): 1}))
     b = SpinRep(6).op(MultiVector(6, {(1,): 1}))
